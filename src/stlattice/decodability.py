@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import WeightBasis, vectorize
+from .lattice import WeightBasis, _equivalent_channel
 
 __all__ = [
     "DecodabilityProfile",
@@ -67,15 +67,9 @@ def hurwitz_radon(basis: WeightBasis, tol: float = TOL) -> HurwitzRadonProfile:
 
 
 def _adjacency_bits(adjacency: np.ndarray) -> list:
-    k = adjacency.shape[0]
-    bits = []
-    for i in range(k):
-        m = 0
-        for j in range(k):
-            if adjacency[i, j]:
-                m |= 1 << j
-        bits.append(m)
-    return bits
+    """Row i as the integer with bit j set where adjacency[i, j] holds."""
+    packed = np.packbits(np.asarray(adjacency, dtype=bool), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _components_of_mask(avail: int, bits: list) -> list:
@@ -212,9 +206,8 @@ def r_matrix(basis: WeightBasis, H, ordering=None, tol: float = TOL) -> RMatrixP
             f"channel has {H.shape[1]} columns, expected {basis.n_t}"
         )
     order = _check_ordering(ordering, basis.k)
-    B = np.column_stack([vectorize(H @ basis.mats[i]) for i in order])
-    m, k = B.shape
-    R = np.linalg.qr(B, mode="r")
+    k = basis.k
+    R = np.linalg.qr(_equivalent_channel(basis, H, order), mode="r")
     if R.shape[0] < k:
         R = np.vstack([R, np.zeros((k - R.shape[0], k))])
     signs = np.sign(np.diag(R).copy())
@@ -232,9 +225,11 @@ def _default_n_r(basis: WeightBasis) -> int:
     return max(1, -(-basis.k // (2 * basis.T)))
 
 
-def draw_channel(n_r: int, n_t: int, rng) -> np.ndarray:
-    """Rayleigh channel: entries with independent N(0, 1/2) parts."""
-    return (rng.normal(size=(n_r, n_t)) + 1j * rng.normal(size=(n_r, n_t))) / np.sqrt(2)
+def draw_channel(n_r: int, n_t: int, rng, sigma_h: float = 1.0 / np.sqrt(2.0)) -> np.ndarray:
+    """Rayleigh channel: entries with independent N(0, sigma_h^2) real and
+    imaginary parts, the real parts drawn first."""
+    shape = (n_r, n_t)
+    return sigma_h * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
 def sample_r_matrix(

@@ -155,6 +155,15 @@ def generator_matrix(basis: WeightBasis) -> np.ndarray:
     return np.column_stack([vectorize(m) for m in basis.mats])
 
 
+def _equivalent_channel(basis: WeightBasis, H: np.ndarray, order) -> np.ndarray:
+    """Equivalent real channel B_H = [vectorize(H B_i) for i in order]."""
+    HB = H @ np.stack(basis.mats)[list(order)]
+    # Side by side, the products' column-major traversal runs through
+    # H B_i one after another, so one vectorize yields every column.
+    side_by_side = HB.transpose(1, 0, 2).reshape(HB.shape[1], -1)
+    return np.ascontiguousarray(vectorize(side_by_side).reshape(len(HB), -1).T)
+
+
 @dataclass(frozen=True)
 class LatticeProfile:
     """Generator/Gram data and figures of merit for a code lattice.

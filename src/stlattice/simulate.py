@@ -15,8 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decodability import classify
-from .lattice import WeightBasis, vectorize
+from .decodability import (
+    _adjacency_bits,
+    _check_ordering,
+    _components_of_mask,
+    _default_n_r,
+    _mask_to_indices,
+    classify,
+)
+from .decodability import draw_channel as _draw_channel
+from .lattice import WeightBasis, _equivalent_channel, vectorize
 
 __all__ = [
     "Alphabet",
@@ -99,11 +107,9 @@ def default_config(
 ) -> ChannelConfig:
     """Config sized to the basis; n_r defaults to the smallest count that
     makes the equivalent real channel matrix square or tall."""
-    if n_r is None:
-        n_r = max(1, -(-basis.k // (2 * basis.T)))
     return ChannelConfig(
         n_t=basis.n_t,
-        n_r=n_r,
+        n_r=_default_n_r(basis) if n_r is None else n_r,
         T=basis.T,
         snr_db_grid=tuple(snr_db_grid),
         trials=trials,
@@ -122,19 +128,20 @@ class DecodeResult:
 def draw_channel(cfg: ChannelConfig, rng_state) -> np.ndarray:
     """One n_r x n_t channel draw; real and imaginary parts are
     independent N(0, sigma_h^2)."""
-    rng = (
-        rng_state
-        if isinstance(rng_state, np.random.Generator)
-        else np.random.default_rng(rng_state)
-    )
-    shape = (cfg.n_r, cfg.n_t)
-    return cfg.sigma_h * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    # default_rng hands a Generator back unchanged and seeds anything else.
+    return _draw_channel(cfg.n_r, cfg.n_t, np.random.default_rng(rng_state), cfg.sigma_h)
 
 
 def _mean_signal_power(
     basis: WeightBasis, alphabet: Alphabet, cfg: ChannelConfig, samples: int
 ) -> float:
-    """Monte Carlo estimate of E||HX||_F^2 over symbols and channels."""
+    """Monte Carlo estimate of E||HX||_F^2 over symbols and channels.
+
+    The stream is seeded by cfg.seed alone, so the estimate does not depend
+    on the SNR it is used for.
+    """
+    if samples < 10_000:
+        raise ValueError("calibration needs at least 10^4 samples")
     values = np.array(sorted(alphabet.values), dtype=float)
     if np.max(np.abs(values)) == 0:
         raise ValueError("the alphabet carries no signal power")
@@ -167,15 +174,14 @@ def calibrate_noise(
     noise power is the exact n_r * T * 2 * sigma_n^2, so the returned scale
     satisfies the ratio to Monte Carlo accuracy.
     """
-    if samples < 10_000:
-        raise ValueError("calibration needs at least 10^4 samples")
-    mean_sig = _mean_signal_power(basis, alphabet, cfg, samples)
+    return _noise_scale(_mean_signal_power(basis, alphabet, cfg, samples), cfg, snr_db)
+
+
+def _noise_scale(mean_sig: float, cfg: ChannelConfig, snr_db: float) -> float:
+    """sigma_n that puts the noise power n_r * T * 2 * sigma_n^2 at
+    mean_sig / 10^(snr_db / 10)."""
     target = 10.0 ** (snr_db / 10.0)
     return float(np.sqrt(mean_sig / (target * 2.0 * cfg.n_r * cfg.T)))
-
-
-def _equivalent_channel(basis: WeightBasis, H: np.ndarray, order) -> np.ndarray:
-    return np.column_stack([vectorize(H @ basis.mats[i]) for i in order])
 
 
 def _check_inputs(Y, H, basis: WeightBasis):
@@ -277,12 +283,7 @@ def sphere_decode(
     """
     Y, H = _check_inputs(Y, H, basis)
     k = basis.k
-    if ordering is None:
-        order = tuple(range(k))
-    else:
-        order = tuple(int(i) for i in ordering)
-        if sorted(order) != list(range(k)):
-            raise ValueError("ordering must be a permutation of the coefficient indices")
+    order = _check_ordering(ordering, k)
     values = np.array(sorted(alphabet.values), dtype=float)
     B = _equivalent_channel(basis, H, order)
     y = vectorize(Y)
@@ -295,23 +296,10 @@ def sphere_decode(
     interact = np.abs(R) > tol * scale
     np.fill_diagonal(interact, False)
     interact |= interact.T
-    seen = [False] * k
     s_hat = np.zeros(k)
     total_nodes = 0
-    for root in range(k):
-        if seen[root]:
-            continue
-        block = []
-        frontier = [root]
-        seen[root] = True
-        while frontier:
-            v = frontier.pop()
-            block.append(v)
-            for u in np.nonzero(interact[v])[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    frontier.append(int(u))
-        block.sort()
+    for comp in _components_of_mask((1 << k) - 1, _adjacency_bits(interact)):
+        block = list(_mask_to_indices(comp))
         cols = B[:, block]
         Q, Rc = np.linalg.qr(cols, mode="reduced")
         z = Q.T @ y
@@ -386,16 +374,17 @@ def run_campaign(
         raise ValueError("decoder must be one of 'ml', 'sphere', 'both'")
     want_ml = decoder in ("ml", "both")
     want_sp = decoder in ("sphere", "both")
-    if cfg.trials == 0:
+    if cfg.trials == 0 or not cfg.snr_db_grid:
         return SimCampaign(rows=())
     ordering = None
     if want_sp:
         prof = classify(basis)
         ordering = [i for g in prof.groups for i in g] + list(prof.conditioned)
     values = np.array(sorted(alphabet.values), dtype=int)
+    mean_sig = _mean_signal_power(basis, alphabet, cfg, calibration_samples)
     rows = []
     for si, snr_db in enumerate(cfg.snr_db_grid):
-        sigma_n = calibrate_noise(basis, alphabet, cfg, snr_db, calibration_samples)
+        sigma_n = _noise_scale(mean_sig, cfg, snr_db)
         err_ml = 0
         err_sp = 0
         node_counts = []

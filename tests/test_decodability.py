@@ -13,6 +13,7 @@ import pytest
 from stlattice import codebook
 from stlattice.decodability import (
     DecodabilityProfile,
+    _adjacency_bits,
     bounds_check,
     classify,
     draw_channel,
@@ -76,6 +77,17 @@ FROZEN = {
         50.0, True, None,
     ),
 }
+
+
+class TestAdjacencyBits:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(3)
+        for k in (1, 7, 8, 9, 16, 70):
+            adjacency = rng.random((k, k)) < 0.3
+            expected = [
+                sum(1 << j for j in range(k) if adjacency[i, j]) for i in range(k)
+            ]
+            assert _adjacency_bits(adjacency) == expected
 
 
 class TestHurwitzRadon:
@@ -191,6 +203,14 @@ class TestRMatrix:
         basis, _ = zoo("alamouti")
         with pytest.raises(ValueError, match="columns"):
             r_matrix(basis, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_channel(self, bad):
+        basis, _ = zoo("golden")
+        H = draw_channel(2, basis.n_t, np.random.default_rng(0))
+        H[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            r_matrix(basis, H)
 
     def test_deficient_span_is_flagged(self):
         basis, _ = zoo("iterated")

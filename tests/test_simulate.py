@@ -8,7 +8,8 @@ arithmetic and were verified by hand before freezing.
 import numpy as np
 import pytest
 
-from stlattice import codebook
+from stlattice import codebook, simulate
+from stlattice.decodability import classify
 from stlattice.lattice import WeightBasis, vectorize
 from stlattice.simulate import (
     Alphabet,
@@ -146,6 +147,25 @@ class TestCalibration:
         cfg = default_config(basis, (0.0,), 1, 9)
         with pytest.raises(ValueError, match="10"):
             calibrate_noise(basis, pam(2), cfg, 0.0, samples=100)
+        with pytest.raises(ValueError, match="10"):
+            run_campaign(basis, pam(2), cfg, calibration_samples=100)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize(
+        "name", ["alamouti", "golden", "silver", "srinath_rajan", "mimo_relay"]
+    )
+    def test_matches_exact_signal_power(self, name, seed):
+        # With independent zero-mean symbols and i.i.d. channel entries,
+        # E||HX||^2 = 2 n_r sigma_h^2 E[s^2] sum_i ||B_i||_F^2 exactly.
+        basis = code(name)
+        cfg = default_config(basis, (10.0,), 1, seed)
+        values = np.array(pam(4).values, dtype=float)
+        energy = sum(np.linalg.norm(m) ** 2 for m in basis.mats)
+        exact = np.sqrt(
+            cfg.sigma_h**2 * np.mean(values**2) * energy / (10.0 * basis.T)
+        )
+        sigma_n = calibrate_noise(basis, pam(4), cfg, 10.0, samples=20_000)
+        assert sigma_n == pytest.approx(exact, rel=0.01)
 
 
 class TestMLExhaustive:
@@ -276,6 +296,19 @@ class TestSphereDecode:
                 default_config(basis, (0,), 1, 0), 1), basis, pam(2), (0, 1))
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["H", "Y"])
+    def test_decoders_reject(self, where, bad):
+        basis = code("alamouti")
+        H = draw_channel(default_config(basis, (0.0,), 1, 0), 1)
+        Y = H @ basis.combination((1, -1, 1, -1))
+        (H if where == "H" else Y)[0, 1] = bad
+        for decode in (sphere_decode, ml_exhaustive):
+            with pytest.raises(ValueError, match="finite"):
+                decode(Y, H, basis, pam(2))
+
+
 class TestCampaign:
     def test_zero_trials_gives_empty_table(self):
         basis = code("alamouti")
@@ -310,6 +343,38 @@ class TestCampaign:
         assert fields[3] == ""
         assert fields[6] == "0.000"
         assert int(fields[5]) == 2**4
+
+    def test_calibrates_once_per_campaign(self, monkeypatch):
+        basis = code("alamouti")
+        alphabet = pam(2)
+        cfg = default_config(basis, (0.0, 6.0, 12.0), trials=20, seed=4)
+        calls = []
+        estimate = simulate._mean_signal_power
+
+        def counted(*args):
+            calls.append(args)
+            return estimate(*args)
+
+        monkeypatch.setattr(simulate, "_mean_signal_power", counted)
+        camp = run_campaign(basis, alphabet, cfg, calibration_samples=10_000)
+        assert len(calls) == 1
+        prof = classify(basis)
+        ordering = [i for g in prof.groups for i in g] + list(prof.conditioned)
+        rows = []
+        for si, snr_db in enumerate(cfg.snr_db_grid):
+            sigma_n = calibrate_noise(basis, alphabet, cfg, snr_db, samples=10_000)
+            err_ml = err_sp = 0
+            nodes = []
+            for t in range(cfg.trials):
+                H, s, Y = noisy_trial(basis, alphabet, cfg, sigma_n, [cfg.seed, si, t])
+                truth = tuple(int(v) for v in s)
+                err_ml += ml_exhaustive(Y, H, basis, alphabet).coeffs != truth
+                res = sphere_decode(Y, H, basis, alphabet, ordering)
+                err_sp += res.coeffs != truth
+                nodes.append(res.nodes_visited)
+            rows.append((snr_db, cfg.trials, err_ml / cfg.trials,
+                         err_sp / cfg.trials, float(np.mean(nodes)), max(nodes)))
+        assert camp.rows == tuple(rows)
 
     def test_rejects_unknown_decoder(self):
         basis = code("alamouti")
