@@ -192,6 +192,18 @@ def _check_ordering(ordering, k: int) -> tuple:
     return ordering
 
 
+def _thresholded_r(B: np.ndarray, tol: float):
+    """QR factor R of B, zero-padded to k x k, with the mask of entries at
+    most tol times the largest |r| and whether a diagonal entry is masked."""
+    k = B.shape[1]
+    R = np.linalg.qr(B, mode="r")
+    if R.shape[0] < k:
+        R = np.vstack([R, np.zeros((k - R.shape[0], k))])
+    scale = max(1.0, float(np.abs(R).max()))
+    zero_mask = np.abs(R) <= tol * scale
+    return R, zero_mask, bool(np.any(np.diag(zero_mask)))
+
+
 def r_matrix(basis: WeightBasis, H, ordering=None, tol: float = TOL) -> RMatrixProfile:
     """QR structure of B_H = [vec(H B_1) ... vec(H B_k)] under an ordering.
 
@@ -200,22 +212,11 @@ def r_matrix(basis: WeightBasis, H, ordering=None, tol: float = TOL) -> RMatrixP
     set when some diagonal entry vanishes at that tolerance (for a basis
     whose real span is deficient this happens for every channel).
     """
-    H = np.atleast_2d(np.asarray(H, dtype=complex))
-    if H.shape[1] != basis.n_t:
-        raise ValueError(
-            f"channel has {H.shape[1]} columns, expected {basis.n_t}"
-        )
     order = _check_ordering(ordering, basis.k)
-    k = basis.k
-    R = np.linalg.qr(_equivalent_channel(basis, H, order), mode="r")
-    if R.shape[0] < k:
-        R = np.vstack([R, np.zeros((k - R.shape[0], k))])
+    R, zero_mask, rank_deficient = _thresholded_r(_equivalent_channel(basis, H, order), tol)
     signs = np.sign(np.diag(R).copy())
     signs[signs == 0] = 1.0
     R = signs[:, None] * R
-    scale = max(1.0, float(np.abs(R).max()))
-    zero_mask = np.abs(R) <= tol * scale
-    rank_deficient = bool(np.any(np.abs(np.diag(R)) <= tol * scale))
     return RMatrixProfile(
         R=R, zero_mask=zero_mask, rank_deficient=rank_deficient, ordering=order
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,8 +155,14 @@ def generator_matrix(basis: WeightBasis) -> np.ndarray:
     return np.column_stack([vectorize(m) for m in basis.mats])
 
 
-def _equivalent_channel(basis: WeightBasis, H: np.ndarray, order) -> np.ndarray:
-    """Equivalent real channel B_H = [vectorize(H B_i) for i in order]."""
+def _equivalent_channel(basis: WeightBasis, H, order) -> np.ndarray:
+    """Equivalent real channel B_H = [vectorize(H B_i) for i in order];
+    the channel is validated before the product."""
+    H = np.atleast_2d(np.asarray(H, dtype=complex))
+    if H.shape[1] != basis.n_t:
+        raise ValueError(f"channel has {H.shape[1]} columns, expected {basis.n_t}")
+    if not np.all(np.isfinite(H)):
+        raise ValueError("channel entries must be finite")
     HB = H @ np.stack(basis.mats)[list(order)]
     # Side by side, the products' column-major traversal runs through
     # H B_i one after another, so one vectorize yields every column.
@@ -184,6 +190,15 @@ class LatticeProfile:
 _CHUNK = 65536
 
 
+def _mixed_radix(base: int, k: int, start: int, stop: int, chunk: int):
+    """Yield the k base-``base`` digits, most significant first, of every
+    index in [start, stop), as int64 rows in blocks of at most chunk."""
+    powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for lo in range(start, stop, chunk):
+        ids = np.arange(lo, min(lo + chunk, stop), dtype=np.int64)
+        yield (ids[:, None] // powers[None, :]) % base
+
+
 def _coefficient_box(k: int, bound: int, max_candidates: int):
     """Yield integer coefficient chunks covering the box ||z||_inf <= bound.
 
@@ -203,23 +218,32 @@ def _coefficient_box(k: int, bound: int, max_candidates: int):
     # Vectors whose mixed-radix index lies in the upper half have a positive
     # leading nonzero entry; the zero vector sits exactly at the midpoint.
     mid = total // 2  # index of the zero vector
-    powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for start in range(mid + 1, total + 1, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, total + 1), dtype=np.int64)
-        digits = (ids[:, None] // powers[None, :]) % base
+    for digits in _mixed_radix(base, k, mid + 1, total + 1, _CHUNK):
         yield digits.astype(float) - bound
 
 
-def _min_abs_det_sq(basis: WeightBasis, bound: int, max_candidates: int) -> float:
+def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
+    """Fold min(best, reduce(codewords)) over chunks of coefficient rows z,
+    each turned into the codewords sum_i z_i B_i; returns early at stop."""
     stack = np.stack(basis.mats)
-    best = np.inf
-    for chunk in _coefficient_box(basis.k, bound, max_candidates):
-        mats = np.tensordot(chunk, stack, axes=1)
-        dets = np.abs(np.linalg.det(mats)) ** 2
-        m = float(dets.min())
-        if m < best:
-            best = m
+    empty = True
+    for chunk in chunks:
+        empty = False
+        best = min(best, reduce(np.tensordot(chunk, stack, axes=1)))
+        if stop is not None and best <= stop:
+            break
+    if empty:
+        raise ValueError("no coefficient vector to search: the bound is 0 or none was requested")
     return best
+
+
+def _min_abs_det_sq(basis: WeightBasis, bound: int, max_candidates: int) -> float:
+    return _sweep(
+        basis,
+        _coefficient_box(basis.k, bound, max_candidates),
+        lambda mats: float((np.abs(np.linalg.det(mats)) ** 2).min()),
+        np.inf,
+    )
 
 
 def lattice_profile(
@@ -235,21 +259,16 @@ def lattice_profile(
     eta = min_det_est^(2n) / volume with n = n_t.  A det_search_bound of 0
     skips the determinant fields.
     """
-    gen = generator_matrix(basis)
-    gram = gen.T @ gen
-    det_gram = float(np.linalg.det(gram))
-    if det_gram <= 0:
-        raise ValueError("degenerate basis: Gram matrix is not positive definite")
-    volume = float(np.sqrt(det_gram))
+    prof = profile_from_generator(generator_matrix(basis))
     if basis.n_t != basis.T or det_search_bound == 0:
-        return LatticeProfile(gen=gen, gram=gram, volume=volume)
-    n = basis.n_t
+        return prof
+    n, volume = basis.n_t, prof.volume
     min_det = _min_abs_det_sq(basis, det_search_bound, max_candidates)
-    delta = min_det / volume ** (1.0 / (2 * n))
-    eta = min_det ** (2 * n) / volume
-    return LatticeProfile(
-        gen=gen, gram=gram, volume=volume,
-        min_det_est=min_det, delta=delta, eta=eta,
+    return replace(
+        prof,
+        min_det_est=min_det,
+        delta=min_det / volume ** (1.0 / (2 * n)),
+        eta=min_det ** (2 * n) / volume,
     )
 
 
@@ -265,7 +284,7 @@ def profile_from_generator(gen: np.ndarray) -> LatticeProfile:
     gram = gen.T @ gen
     det_gram = float(np.linalg.det(gram))
     if det_gram <= 0:
-        raise ValueError("degenerate generator")
+        raise ValueError("degenerate lattice: Gram matrix is not positive definite")
     return LatticeProfile(gen=gen, gram=gram, volume=float(np.sqrt(det_gram)))
 
 
@@ -275,17 +294,19 @@ def _ranks(mats: np.ndarray) -> np.ndarray:
     return (svals > cutoff).sum(axis=1)
 
 
-def _min_rank_of_chunk(mats: np.ndarray, side: int) -> int:
-    """Minimum rank across a stack of square matrices.
+def _min_rank_of_chunk(mats: np.ndarray) -> int:
+    """Minimum rank across a stack of matrices.
 
-    Fast path: a clearly nonzero determinant certifies full rank; only the
-    near-singular members go through the SVD.
+    Fast path for square stacks: a clearly nonzero determinant certifies
+    full rank; only the near-singular members go through the SVD.
     """
-    if mats.shape[-1] != mats.shape[-2]:
+    side = mats.shape[-1]
+    if mats.shape[-2] != side:
         return int(_ranks(mats).min())
     dets = np.abs(np.linalg.det(mats))
     scale = np.linalg.norm(mats, axis=(-2, -1)) / np.sqrt(side) + 1e-300
-    suspicious = dets < 1e-6 * scale**side
+    # <=, not <: for a zero codeword both sides underflow to 0
+    suspicious = dets <= 1e-6 * scale**side
     if not suspicious.any():
         return side
     return int(_ranks(mats[suspicious]).min())
@@ -301,18 +322,38 @@ def min_rank_difference(
     Exact over the enumerated box.  A result equal to min(n_t, T) certifies
     full diversity within the box.
     """
-    stack = np.stack(basis.mats)
-    side = min(basis.n_t, basis.T)
-    best = side
-    square = basis.n_t == basis.T
-    for chunk in _coefficient_box(basis.k, search_bound, max_candidates):
-        mats = np.tensordot(chunk, stack, axes=1)
-        m = _min_rank_of_chunk(mats, side) if square else int(_ranks(mats).min())
-        if m < best:
-            best = m
-            if best == 1:
-                return best
-    return best
+    chunks = _coefficient_box(basis.k, search_bound, max_candidates)
+    return _sweep(basis, chunks, _min_rank_of_chunk, min(basis.n_t, basis.T), stop=1)
+
+
+def _sparse_box(k: int, bound: int, max_nonzeros: int):
+    """Yield chunks of the vectors with 1..max_nonzeros nonzero entries in
+    [-bound, bound], one of each antipodal pair (positive first nonzero)."""
+    base = 2 * bound
+    vals = np.delete(np.arange(-bound, bound + 1.0), bound)
+    for nnz in range(1, max_nonzeros + 1):
+        # digits in the upper half of the base^nnz range pick a positive
+        # first value; every nonzero pattern comes once per support
+        for digits in _mixed_radix(base, nnz, base**nnz // 2, base**nnz, _CHUNK):
+            values = vals[digits]
+            supports = itertools.combinations(range(k), nnz)
+            per_chunk = _CHUNK // len(values)  # >= 1: values has at most _CHUNK rows
+            while block := list(itertools.islice(supports, per_chunk)):
+                cols = np.repeat(np.array(block), len(values), axis=0)
+                z = np.zeros((len(cols), k))
+                np.put_along_axis(z, cols, np.tile(values, (len(block), 1)), axis=1)
+                yield z
+
+
+def _random_box(k: int, bound: int, n_random: int, seed: int):
+    """Yield seeded uniform draws from the box, zero vectors dropped."""
+    rng = np.random.default_rng(seed)
+    for lo in range(0, n_random, _CHUNK):
+        size = min(_CHUNK, n_random - lo)
+        chunk = rng.integers(-bound, bound + 1, size=(size, k)).astype(float)
+        chunk = chunk[np.any(chunk, axis=1)]
+        if len(chunk):
+            yield chunk
 
 
 def min_rank_sampled(
@@ -329,45 +370,10 @@ def min_rank_sampled(
     an upper bound on the true minimum rank over the box; it is exact on the
     sparse subset.
     """
-    stack = np.stack(basis.mats)
-    k = basis.k
-    side = min(basis.n_t, basis.T)
-    square = basis.n_t == basis.T
-    best = side
-    vals = [v for v in range(-search_bound, search_bound + 1) if v != 0]
-
-    def digest(chunk: np.ndarray) -> int:
-        mats = np.tensordot(chunk, stack, axes=1)
-        return _min_rank_of_chunk(mats, side) if square else int(_ranks(mats).min())
-
-    pending = []
-    for nnz in range(1, max_nonzeros + 1):
-        for idx in itertools.combinations(range(k), nnz):
-            for assignment in itertools.product(vals, repeat=nnz):
-                if assignment[0] < 0:
-                    continue  # antipodal representative
-                z = np.zeros(k)
-                z[list(idx)] = assignment
-                pending.append(z)
-            if len(pending) >= _CHUNK:
-                best = min(best, digest(np.array(pending)))
-                pending = []
-                if best == 1:
-                    return best
-    if pending:
-        best = min(best, digest(np.array(pending)))
-        if best == 1:
-            return best
-    rng = np.random.default_rng(seed)
-    remaining = n_random
-    while remaining > 0:
-        size = min(_CHUNK, remaining)
-        remaining -= size
-        chunk = rng.integers(-search_bound, search_bound + 1, size=(size, k)).astype(float)
-        chunk = chunk[np.any(chunk, axis=1)]
-        if chunk.size == 0:
-            continue
-        best = min(best, digest(chunk))
-        if best == 1:
-            return best
-    return best
+    if search_bound < 0:
+        raise ValueError("search bound must be nonnegative")
+    chunks = itertools.chain(
+        _sparse_box(basis.k, search_bound, max_nonzeros),
+        _random_box(basis.k, search_bound, n_random, seed),
+    )
+    return _sweep(basis, chunks, _min_rank_of_chunk, min(basis.n_t, basis.T), stop=1)

@@ -21,10 +21,11 @@ from .decodability import (
     _components_of_mask,
     _default_n_r,
     _mask_to_indices,
+    _thresholded_r,
     classify,
 )
 from .decodability import draw_channel as _draw_channel
-from .lattice import WeightBasis, _equivalent_channel, vectorize
+from .lattice import WeightBasis, _equivalent_channel, _mixed_radix, vectorize
 
 __all__ = [
     "Alphabet",
@@ -187,8 +188,6 @@ def _noise_scale(mean_sig: float, cfg: ChannelConfig, snr_db: float) -> float:
 def _check_inputs(Y, H, basis: WeightBasis):
     H = np.atleast_2d(np.asarray(H, dtype=complex))
     Y = np.atleast_2d(np.asarray(Y, dtype=complex))
-    if H.shape[1] != basis.n_t:
-        raise ValueError(f"channel has {H.shape[1]} columns, expected {basis.n_t}")
     if Y.shape != (H.shape[0], basis.T):
         raise ValueError(
             f"received block has shape {Y.shape}, expected {(H.shape[0], basis.T)}"
@@ -212,21 +211,17 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
         )
     B = _equivalent_channel(basis, H, range(k))
     y = vectorize(Y)
-    place = L ** np.arange(k - 1, -1, -1, dtype=np.int64)
     best_metric = np.inf
-    best_idx = -1
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // place) % L
+    best = None
+    for digits in _mixed_radix(L, k, 0, total, _CHUNK):
         S = values[digits]
         resid = y[None, :] - S @ B.T
         metrics = np.einsum("ij,ij->i", resid, resid)
         pos = int(np.argmin(metrics))
         if metrics[pos] < best_metric:
             best_metric = float(metrics[pos])
-            best_idx = int(idx[pos])
-    digits = (best_idx // place) % L
-    coeffs = tuple(int(values[d]) for d in digits)
+            best = S[pos]
+    coeffs = tuple(int(v) for v in best)
     return DecodeResult(coeffs=coeffs, metric=best_metric, nodes_visited=total)
 
 
@@ -287,13 +282,10 @@ def sphere_decode(
     values = np.array(sorted(alphabet.values), dtype=float)
     B = _equivalent_channel(basis, H, order)
     y = vectorize(Y)
-    if B.shape[0] < k:
-        raise ValueError("rank-deficient equivalent channel: more coefficients than observations")
-    R = np.linalg.qr(B, mode="r")
-    scale = max(1.0, float(np.abs(R).max()))
-    if np.any(np.abs(np.diag(R)) <= tol * scale):
+    _, zero_mask, rank_deficient = _thresholded_r(B, tol)
+    if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
-    interact = np.abs(R) > tol * scale
+    interact = ~zero_mask
     np.fill_diagonal(interact, False)
     interact |= interact.T
     s_hat = np.zeros(k)

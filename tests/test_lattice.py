@@ -5,11 +5,14 @@ Gram matrix were computed by hand from the interleaving isometry; box minima
 were independently brute-forced before being frozen here.
 """
 
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from stlattice import lattice
 from stlattice.lattice import (
     WeightBasis,
     generator_matrix,
@@ -171,7 +174,103 @@ class TestMinRank:
     def test_rank_one_member(self):
         b = WeightBasis("diag-units", [np.diag([1.0 + 0j, 0]), np.diag([0, 1.0 + 0j])])
         assert min_rank_difference(b, search_bound=1) == 1
+        assert min_rank_sampled(b, search_bound=1, max_nonzeros=1, n_random=0) == 1
 
     def test_sampled_matches_exact_on_small_code(self):
         b = alamouti_basis()
         assert min_rank_sampled(b, search_bound=1, max_nonzeros=2, n_random=1000) == 2
+
+    def test_vacuous_searches_are_rejected(self):
+        # A bound-0 box holds no nonzero vector; returning min(n_t, T) would
+        # certify full diversity for a code whose minimum rank is 1.
+        b = WeightBasis("diag-units", [np.diag([1.0 + 0j, 0]), np.diag([0, 1.0 + 0j])])
+        with pytest.raises(ValueError, match="no coefficient vector"):
+            min_rank_difference(b, search_bound=0)
+        with pytest.raises(ValueError, match="no coefficient vector"):
+            min_rank_sampled(b, search_bound=0)
+        with pytest.raises(ValueError, match="no coefficient vector"):
+            min_rank_sampled(b, search_bound=1, max_nonzeros=0, n_random=0)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
+    def test_zero_codeword_has_rank_zero(self, shape):
+        # a dependent basis (as loaded from JSON) has a nonzero z with a zero
+        # codeword; square and wide stacks must both report rank 0
+        b = WeightBasis("dup", [np.eye(*shape), np.eye(*shape)], allow_dependent=True)
+        assert min_rank_difference(b, search_bound=1) == 0
+        assert min_rank_sampled(b, search_bound=1, max_nonzeros=2, n_random=0) == 0
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_rank_difference(alamouti_basis(), search_bound=-1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_rank_sampled(alamouti_basis(), search_bound=-1)
+
+
+def _small_integer_basis(rng, n_t, T, k):
+    """Random independent basis with sparse Gaussian-integer entries, so
+    that rank drops and exact determinant values occur in small boxes."""
+    while True:
+        re, im = rng.choice([-1, 0, 0, 1], size=(2, k, n_t, T))
+        mats = re + 1j * im
+        try:
+            return WeightBasis("small", list(mats))
+        except ValueError:
+            continue
+
+
+def _brute_force(basis, bound):
+    """(min |det|^2 or None, min rank) over every nonzero z in the box."""
+    min_det, min_rank = np.inf, min(basis.n_t, basis.T)
+    for z in itertools.product(range(-bound, bound + 1), repeat=basis.k):
+        if any(z):
+            X = basis.combination(z)
+            if basis.n_t == basis.T:
+                min_det = min(min_det, abs(np.linalg.det(X)) ** 2)
+            min_rank = min(min_rank, int(np.linalg.matrix_rank(X)))
+    return (min_det if basis.n_t == basis.T else None), min_rank
+
+
+class TestCoefficientEngine:
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_box_searches_match_brute_force(self, shape, bound):
+        rng = np.random.default_rng(100 * shape[0] + 10 * shape[1] + bound)
+        for k in range(1, 5):
+            if k > 2 * shape[0] * shape[1]:
+                continue
+            b = _small_integer_basis(rng, *shape, k)
+            min_det, min_rank = _brute_force(b, bound)
+            assert min_rank_difference(b, search_bound=bound) == min_rank
+            # exhausting every support makes the sampled search exact
+            assert min_rank_sampled(b, bound, max_nonzeros=k, n_random=0) == min_rank
+            prof = lattice_profile(b, det_search_bound=bound)
+            if min_det is None:
+                assert prof.min_det_est is None
+            else:
+                assert prof.min_det_est == pytest.approx(min_det, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bound", [1, 2])
+    def test_box_holds_one_of_each_antipodal_pair(self, k, bound):
+        rows = np.concatenate(list(lattice._coefficient_box(k, bound, 10**6)))
+        got = {tuple(int(v) for v in z) for z in rows}
+        assert len(got) == len(rows) == ((2 * bound + 1) ** k - 1) // 2
+        full = set(itertools.product(range(-bound, bound + 1), repeat=k)) - {(0,) * k}
+        assert got | {tuple(-v for v in z) for z in got} == full
+
+    @pytest.mark.parametrize("k,bound,max_nonzeros", [(4, 1, 4), (5, 2, 3), (3, 3, 2)])
+    def test_sparse_box_holds_one_of_each_antipodal_pair(self, monkeypatch, k, bound, max_nonzeros):
+        # a tiny chunk exercises both the value split and the support split
+        monkeypatch.setattr(lattice, "_CHUNK", 7)
+        chunks = list(lattice._sparse_box(k, bound, max_nonzeros))
+        assert all(0 < len(c) <= 7 for c in chunks)
+        rows = np.concatenate(chunks)
+        got = {tuple(int(v) for v in z) for z in rows}
+        expected = sum(
+            math.comb(k, m) * (2 * bound) ** m // 2 for m in range(1, max_nonzeros + 1)
+        )
+        assert len(got) == len(rows) == expected
+        for z in got:
+            nonzero = [v for v in z if v]
+            assert 1 <= len(nonzero) <= max_nonzeros and nonzero[0] > 0
+            assert max(abs(v) for v in z) <= bound

@@ -5,6 +5,8 @@ exhaustive search is the reference); calibration ratios follow from log10
 arithmetic and were verified by hand before freezing.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -216,10 +218,34 @@ class TestMLExhaustive:
         res = ml_exhaustive(np.zeros((2, 2)), np.eye(2), basis, pam(2))
         assert res.coeffs == (-1,)
 
+    def test_tie_breaks_to_lexicographically_smallest_over_three_coefficients(self):
+        # H = 0 makes every grid point a tie at metric 0
+        basis = WeightBasis("three", [np.eye(2), 1j * np.eye(2), np.diag([1.0, -1.0])])
+        res = ml_exhaustive(np.zeros((1, 2)), np.zeros((1, 2)), basis, pam(4))
+        assert res.coeffs == (-3, -3, -3)
+
     def test_rejects_mismatched_received_block(self):
         basis = code("alamouti")
         with pytest.raises(ValueError, match="shape"):
             ml_exhaustive(np.zeros((1, 3)), np.eye(2)[:1], basis, pam(2))
+
+    def test_matches_brute_force_over_the_grid(self):
+        rng = np.random.default_rng(44)
+        basis = code("alamouti")
+        cfg = default_config(basis, (0.0,), 1, 0)
+        values = sorted(pam(4).values)
+        for _ in range(10):
+            H = draw_channel(cfg, rng)
+            Y = rng.normal(size=(cfg.n_r, 2)) + 1j * rng.normal(size=(cfg.n_r, 2))
+            # first minimum in lexicographic grid order
+            best = min(
+                itertools.product(values, repeat=basis.k),
+                key=lambda s: np.linalg.norm(Y - H @ basis.combination(s)) ** 2,
+            )
+            res = ml_exhaustive(Y, H, basis, pam(4))
+            assert res.coeffs == best
+            direct = np.linalg.norm(Y - H @ basis.combination(best)) ** 2
+            assert res.metric == pytest.approx(direct, rel=1e-9)
 
 
 class TestSphereDecode:
@@ -307,6 +333,12 @@ class TestNonFiniteInputs:
         for decode in (sphere_decode, ml_exhaustive):
             with pytest.raises(ValueError, match="finite"):
                 decode(Y, H, basis, pam(2))
+
+    def test_decoders_reject_mismatched_channel(self):
+        basis = code("alamouti")
+        for decode in (sphere_decode, ml_exhaustive):
+            with pytest.raises(ValueError, match="columns"):
+                decode(np.zeros((2, 2)), np.eye(2, 3), basis, pam(2))
 
 
 class TestCampaign:
