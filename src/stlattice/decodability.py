@@ -93,6 +93,13 @@ def _components_of_mask(avail: int, bits: list) -> list:
     return comps
 
 
+def _r_blocks(zero_mask: np.ndarray) -> list:
+    """Column blocks of an R factor that no entry above its zero threshold
+    links, as bitmasks in order of their lowest column."""
+    interact = ~(zero_mask & zero_mask.T)
+    return _components_of_mask((1 << len(zero_mask)) - 1, _adjacency_bits(interact))
+
+
 def _mask_to_indices(mask: int) -> tuple:
     out = []
     while mask:
@@ -192,11 +199,11 @@ def _check_ordering(ordering, k: int) -> tuple:
     return ordering
 
 
-def _thresholded_r(B: np.ndarray, tol: float):
-    """QR factor R of B, zero-padded to k x k, with the mask of entries at
-    most tol times the largest |r| and whether a diagonal entry is masked."""
-    k = B.shape[1]
-    R = np.linalg.qr(B, mode="r")
+def _thresholded_r(R: np.ndarray, tol: float):
+    """R, a QR factor of some B, zero-padded to k x k, with the mask of
+    entries at most tol times the largest |r| and whether a diagonal entry
+    is masked.  Every numpy QR mode gives the same R bit for bit."""
+    k = R.shape[1]
     if R.shape[0] < k:
         R = np.vstack([R, np.zeros((k - R.shape[0], k))])
     scale = max(1.0, float(np.abs(R).max()))
@@ -213,7 +220,8 @@ def r_matrix(basis: WeightBasis, H, ordering=None, tol: float = TOL) -> RMatrixP
     whose real span is deficient this happens for every channel).
     """
     order = _check_ordering(ordering, basis.k)
-    R, zero_mask, rank_deficient = _thresholded_r(_equivalent_channel(basis, H, order), tol)
+    B = _equivalent_channel(basis, H, order)
+    R, zero_mask, rank_deficient = _thresholded_r(np.linalg.qr(B, mode="r"), tol)
     signs = np.sign(np.diag(R).copy())
     signs[signs == 0] = 1.0
     R = signs[:, None] * R
@@ -383,18 +391,7 @@ def _empirical_split(basis: WeightBasis, gamma_mask: int, trials: int, seed: int
     rest = [i for i in range(basis.k) if i not in symbols]
     ordering = rest + list(symbols)
     prof = sample_r_matrix(basis, ordering, trials=trials, seed=seed)
-    offset = len(rest)
-    m = len(symbols)
-    adj = np.zeros((m, m), dtype=bool)
-    for a in range(m):
-        for b in range(m):
-            if a == b:
-                continue
-            i_pos, j_pos = offset + min(a, b), offset + max(a, b)
-            if not prof.zero_mask[i_pos, j_pos]:
-                adj[a, b] = True
-    bits = _adjacency_bits(adj)
-    comps = _components_of_mask((1 << m) - 1, bits)
+    comps = _r_blocks(prof.zero_mask[len(rest) :, len(rest) :])
     if len(comps) < 2:
         return None
     out = []

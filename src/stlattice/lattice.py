@@ -80,15 +80,16 @@ class WeightBasis:
         shape = arrs[0].shape
         if len(shape) != 2:
             raise ValueError("weight matrices must be 2-D")
-        for m in arrs:
-            if m.shape != shape:
-                raise ValueError("all weight matrices must share one shape")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("weight matrix entries must be finite")
-        for m in arrs:
-            m.setflags(write=False)
+        if any(m.shape != shape for m in arrs):
+            raise ValueError("all weight matrices must share one shape")
+        # One read-only (k, n_t, T) stack; mats are its per-matrix views.
+        stack = np.stack(arrs)
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("weight matrix entries must be finite")
+        stack.setflags(write=False)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "mats", arrs)
+        object.__setattr__(self, "mats", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "n_t", shape[0])
         object.__setattr__(self, "T", shape[1])
         object.__setattr__(self, "k", len(arrs))
@@ -110,7 +111,7 @@ class WeightBasis:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.k,):
             raise ValueError(f"expected {self.k} coefficients")
-        return np.tensordot(coeffs, np.stack(self.mats), axes=1)
+        return np.tensordot(coeffs, self._stack, axes=1)
 
     # JSON schema: {name, nt, T, k, mats: [[[re, im], ...], ...]}, row-major.
     def to_json_dict(self) -> dict:
@@ -163,7 +164,7 @@ def _equivalent_channel(basis: WeightBasis, H, order) -> np.ndarray:
         raise ValueError(f"channel has {H.shape[1]} columns, expected {basis.n_t}")
     if not np.all(np.isfinite(H)):
         raise ValueError("channel entries must be finite")
-    HB = H @ np.stack(basis.mats)[list(order)]
+    HB = H @ basis._stack[list(order)]
     # Side by side, the products' column-major traversal runs through
     # H B_i one after another, so one vectorize yields every column.
     side_by_side = HB.transpose(1, 0, 2).reshape(HB.shape[1], -1)
@@ -225,11 +226,10 @@ def _coefficient_box(k: int, bound: int, max_candidates: int):
 def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
     """Fold min(best, reduce(codewords)) over chunks of coefficient rows z,
     each turned into the codewords sum_i z_i B_i; returns early at stop."""
-    stack = np.stack(basis.mats)
     empty = True
     for chunk in chunks:
         empty = False
-        best = min(best, reduce(np.tensordot(chunk, stack, axes=1)))
+        best = min(best, reduce(np.tensordot(chunk, basis._stack, axes=1)))
         if stop is not None and best <= stop:
             break
     if empty:

@@ -2,8 +2,9 @@
 
 The codeword map is linear in the real coefficients, so decoding reduces to
 the real linear model iota(Y) = B_H s + n with B_H = [vec(H B_1) ... ].
-The sphere decoder is exact maximum likelihood: depth-first with best-first
-child ordering and an infinite initial radius that shrinks at each leaf.
+The sphere decoder is exact maximum likelihood: an iterative best-first
+depth-first loop whose radius starts infinite and shrinks at each accepted
+leaf; nodes_visited counts every child whose partial distance was computed.
 When the R factor splits into independent column blocks the decoder searches
 each block separately, which is where the classified group structure shows
 up as measured effort.
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decodability import (
-    _adjacency_bits,
     _check_ordering,
-    _components_of_mask,
     _default_n_r,
     _mask_to_indices,
+    _r_blocks,
     _thresholded_r,
     classify,
 )
@@ -44,6 +44,9 @@ __all__ = [
 ML_SPACE_LIMIT = 2**24
 _CALIBRATION_STREAM = 0x5EED
 _CHUNK = 1 << 14
+# Metrics within this relative distance of the minimum tie: the decoders sum
+# in different orders, so an exact tie can differ in the last bits.
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -147,13 +150,12 @@ def _mean_signal_power(
     if np.max(np.abs(values)) == 0:
         raise ValueError("the alphabet carries no signal power")
     rng = np.random.default_rng([cfg.seed, _CALIBRATION_STREAM])
-    mats = np.stack(basis.mats)
     total = 0.0
     done = 0
     while done < samples:
         n = min(20_000, samples - done)
         s = rng.choice(values, size=(n, basis.k))
-        X = np.einsum("sk,kij->sij", s, mats)
+        X = np.einsum("sk,kij->sij", s, basis._stack)
         Hr = rng.normal(size=(n, cfg.n_r, cfg.n_t))
         Hi = rng.normal(size=(n, cfg.n_r, cfg.n_t))
         H = cfg.sigma_h * (Hr + 1j * Hi)
@@ -185,84 +187,95 @@ def _noise_scale(mean_sig: float, cfg: ChannelConfig, snr_db: float) -> float:
     return float(np.sqrt(mean_sig / (target * 2.0 * cfg.n_r * cfg.T)))
 
 
-def _check_inputs(Y, H, basis: WeightBasis):
+def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
+    """The sorted alphabet, B_H with its columns in order, and iota(Y)."""
     H = np.atleast_2d(np.asarray(H, dtype=complex))
     Y = np.atleast_2d(np.asarray(Y, dtype=complex))
     if Y.shape != (H.shape[0], basis.T):
         raise ValueError(
             f"received block has shape {Y.shape}, expected {(H.shape[0], basis.T)}"
         )
-    return Y, H
+    values = np.array(sorted(alphabet.values), dtype=float)
+    return values, _equivalent_channel(basis, H, order), vectorize(Y)
 
 
 def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     """Global minimizer of ||Y - HX||_F^2 over the full coefficient grid.
 
-    Ties go to the lexicographically smallest coefficient vector.  Guarded
-    to |S|^k <= 2^24 grid points; nodes_visited reports the grid size.
+    Metrics within a relative 1e-9 of the minimum tie, and ties go to the
+    lexicographically smallest coefficient vector.  Guarded to
+    |S|^k <= 2^24 grid points; nodes_visited reports the grid size.
     """
-    Y, H = _check_inputs(Y, H, basis)
-    values = np.array(sorted(alphabet.values), dtype=float)
+    values, B, y = _real_model(Y, H, basis, alphabet, range(basis.k))
     L, k = len(values), basis.k
     total = L**k
     if total > ML_SPACE_LIMIT:
         raise ValueError(
             f"exhaustive search space {L}^{k} exceeds the 2^24 guard"
         )
-    B = _equivalent_channel(basis, H, range(k))
-    y = vectorize(Y)
-    best_metric = np.inf
-    best = None
+    best_metric, near = np.inf, []
     for digits in _mixed_radix(L, k, 0, total, _CHUNK):
         S = values[digits]
         resid = y[None, :] - S @ B.T
         metrics = np.einsum("ij,ij->i", resid, resid)
-        pos = int(np.argmin(metrics))
-        if metrics[pos] < best_metric:
-            best_metric = float(metrics[pos])
-            best = S[pos]
-    coeffs = tuple(int(v) for v in best)
-    return DecodeResult(coeffs=coeffs, metric=best_metric, nodes_visited=total)
+        best_metric = min(best_metric, float(metrics.min()))
+        keep = metrics <= best_metric * (1.0 + _TIE_TOL)
+        near.extend(zip(metrics[keep].tolist(), S[keep]))
+    # Rows run in lexicographic order: the first within the final window wins.
+    metric, row = next(c for c in near if c[0] <= best_metric * (1.0 + _TIE_TOL))
+    return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=total)
 
 
 def _sphere_block(R, z, values, lex_perm):
     """Exact depth-first search on one upper-triangular block.
 
-    Children are visited in order of increasing partial distance, the radius
-    shrinks at every accepted leaf, and equal-metric leaves fall back to the
-    lexicographic order of the coefficients in their original positions.
-    nodes_visited counts every child whose partial distance was computed.
+    An iterative Schnorr-Euchner loop (Agrell, Eriksson, Vardy and Zeger,
+    IEEE T-IT 2002): children are visited in order of increasing partial
+    distance (a stable sort), the radius starts infinite and shrinks to the
+    tie window of the best leaf, and the first child beyond it ends its
+    level.  Of the leaves in the final window, the lexicographically smallest
+    in the coefficients' original positions wins.  nodes_visited counts
+    every child whose partial distance was computed: the whole alphabet at
+    each expanded node.
     """
-    kc = R.shape[0]
-    best_metric = np.inf
-    best_vec = None
-    best_key = None
-    nodes = 0
-    s_vec = np.zeros(kc)
-
-    def descend(level, partial):
-        nonlocal best_metric, best_vec, best_key, nodes
-        t = z[level] - R[level, level + 1 :] @ s_vec[level + 1 :]
-        dists = (R[level, level] * values - t) ** 2
-        nodes += len(values)
-        for ci in np.argsort(dists, kind="stable"):
-            nd = partial + dists[ci]
-            if nd > best_metric:
+    kc, L = R.shape[0], len(values)
+    children = range(L)
+    vals = values.tolist()
+    # R[l, l] * values for every level in one numpy call, however small.
+    centers = (R.diagonal()[:, None] * values).tolist()
+    s = np.zeros(kc)
+    # R[l, l+1:] @ s[l+1:] stays a numpy dot, bound to views made once: a
+    # Python sum rounds differently and would move ties and nodes_visited.
+    interference = [R[l, l + 1 :].dot for l in range(kc)]
+    above = [s[l + 1 :] for l in range(kc)]
+    dists, partials, pending = [None] * kc, [0.0] * kc, [None] * kc
+    radius = best_metric = np.inf
+    near, nodes = [], 0
+    level, nd = kc, 0.0
+    while True:
+        # Expand the child just fixed one level up, at partial distance nd.
+        level -= 1
+        t = z[level] - float(interference[level](above[level]))
+        d = [(c - t) * (c - t) for c in centers[level]]
+        nodes += L
+        dists[level] = d
+        partials[level] = nd
+        pending[level] = iter(sorted(children, key=d.__getitem__))
+        while True:
+            ci = next(pending[level], None)
+            if ci is None or (nd := partials[level] + dists[level][ci]) > radius:
+                level += 1
+                if level == kc:
+                    return min(near, key=lambda leaf: tuple(leaf[1][lex_perm]))[1], nodes
+                continue
+            s[level] = vals[ci]
+            if level:
                 break
-            s_vec[level] = values[ci]
-            if level == 0:
-                key = tuple(s_vec[lex_perm])
-                if nd < best_metric or (
-                    nd == best_metric and (best_key is None or key < best_key)
-                ):
-                    best_metric = nd
-                    best_vec = s_vec.copy()
-                    best_key = key
-            else:
-                descend(level - 1, nd)
-
-    descend(kc - 1, 0.0)
-    return best_vec, nodes
+            if nd < best_metric:
+                best_metric = nd
+                radius = nd * (1.0 + _TIE_TOL)
+                near = [leaf for leaf in near if leaf[0] <= radius]
+            near.append((nd, s.copy()))
 
 
 def sphere_decode(
@@ -273,39 +286,29 @@ def sphere_decode(
     The QR factor of the ordered equivalent channel matrix is thresholded
     into connected column blocks; blocks that do not interact are searched
     separately, so nodes_visited reflects the parallel decoding trees that
-    the classification promises.  Rank-deficient equivalent channels are
-    rejected.
+    the classification promises (one block reuses the full factorisation).
+    Rank-deficient equivalent channels are rejected.
     """
-    Y, H = _check_inputs(Y, H, basis)
     k = basis.k
     order = _check_ordering(ordering, k)
-    values = np.array(sorted(alphabet.values), dtype=float)
-    B = _equivalent_channel(basis, H, order)
-    y = vectorize(Y)
-    _, zero_mask, rank_deficient = _thresholded_r(B, tol)
+    values, B, y = _real_model(Y, H, basis, alphabet, order)
+    Q, R = np.linalg.qr(B, mode="reduced")
+    _, zero_mask, rank_deficient = _thresholded_r(R, tol)
     if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
-    interact = ~zero_mask
-    np.fill_diagonal(interact, False)
-    interact |= interact.T
+    blocks = _r_blocks(zero_mask)
     s_hat = np.zeros(k)
     total_nodes = 0
-    for comp in _components_of_mask((1 << k) - 1, _adjacency_bits(interact)):
+    for comp in blocks:
         block = list(_mask_to_indices(comp))
-        cols = B[:, block]
-        Q, Rc = np.linalg.qr(cols, mode="reduced")
-        z = Q.T @ y
-        orig = np.array([order[p] for p in block])
-        s_block, nodes = _sphere_block(Rc, z, values, np.argsort(orig))
+        if len(blocks) > 1:
+            Q, R = np.linalg.qr(B[:, block], mode="reduced")
+        lex_perm = np.argsort([order[p] for p in block])
+        s_hat[block], nodes = _sphere_block(R, (Q.T @ y).tolist(), values, lex_perm)
         total_nodes += nodes
-        for p, v in zip(block, s_block):
-            s_hat[p] = v
-    coeffs = np.zeros(k, dtype=int)
-    for pos, idx in enumerate(order):
-        coeffs[idx] = int(round(s_hat[pos]))
     resid = y - B @ s_hat
     return DecodeResult(
-        coeffs=tuple(int(c) for c in coeffs),
+        coeffs=tuple(s_hat[np.argsort(order)].astype(int).tolist()),
         metric=float(resid @ resid),
         nodes_visited=total_nodes,
     )

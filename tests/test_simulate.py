@@ -9,9 +9,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from stlattice import codebook, simulate
-from stlattice.decodability import classify
+from stlattice.decodability import classify, r_matrix
 from stlattice.lattice import WeightBasis, vectorize
 from stlattice.simulate import (
     Alphabet,
@@ -300,6 +302,19 @@ class TestSphereDecode:
         res = sphere_decode(np.zeros((2, 2)), np.eye(2), basis, pam(2))
         assert res.coeffs == (-1,)
 
+    def test_exact_ties_resolve_lexicographically_despite_rounding(self):
+        # (-1, 1, -1) and (-1, 1, 1) both have metric 7 exactly, but the
+        # sphere decoder's rotated sums round them apart.
+        basis = WeightBasis(
+            "tie", [[[1 - 1j, 1 + 1j]], [[1 - 1j, -1 + 1j]], [[1 - 1j, -1j]]]
+        )
+        H = np.array([[1j]])
+        Y = np.zeros((1, 2))
+        ml = ml_exhaustive(Y, H, basis, pam(2))
+        sp = sphere_decode(Y, H, basis, pam(2))
+        assert ml.coeffs == sp.coeffs == (-1, 1, -1)
+        assert ml.metric == sp.metric == 7.0
+
     def test_rejects_rank_deficient_span(self):
         basis = code("iterated")
         cfg = default_config(basis, (0.0,), 1, 0)
@@ -320,6 +335,60 @@ class TestSphereDecode:
         with pytest.raises(ValueError, match="permutation"):
             sphere_decode(np.zeros((1, 2)), draw_channel(
                 default_config(basis, (0,), 1, 0), 1), basis, pam(2), (0, 1))
+
+
+ALPHABETS = (pam(2), pam(4), Alphabet((-2, 0, 2)))
+RECEIVED = ("noisy", "zero_block", "integer_zero_block", "integer_midpoint")
+
+
+@st.composite
+def decoding_problems(draw):
+    """A random independent Gaussian-integer basis with k <= 6, alphabet,
+    ordering, channel and received block.  Besides noisy blocks, the draws
+    force ties: a zero block makes s and -s tie, and integer channels with
+    integer blocks make the metrics exact, so distinct vectors can tie."""
+    n_t = draw(st.integers(1, 2))
+    T = draw(st.integers(n_t, 2))
+    k = draw(st.integers(1, min(6, 2 * n_t * T)))
+    size = 2 * k * n_t * T
+    parts = np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
+    mats = (parts[:size // 2] + 1j * parts[size // 2:]).reshape(k, n_t, T)
+    gen = np.stack([vectorize(m) for m in mats], axis=1)
+    assume(np.linalg.matrix_rank(gen) == k)
+    basis = WeightBasis("drawn", mats)
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    ordering = draw(st.permutations(range(k)))
+    received = draw(st.sampled_from(RECEIVED))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_r = -(-k // (2 * T)) + draw(st.integers(0, 1))
+    shape = (n_r, n_t)
+    if received.startswith("integer"):
+        H = rng.integers(-1, 2, shape) + 1j * rng.integers(-1, 2, shape)
+    else:
+        H = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assume(not r_matrix(basis, H, ordering).rank_deficient)
+    values = np.array(alphabet.values)
+    if received == "noisy":
+        sigma = rng.choice([0.0, 0.3, 1.0, 3.0])
+        noise = rng.normal(size=(n_r, T)) + 1j * rng.normal(size=(n_r, T))
+        Y = H @ basis.combination(rng.choice(values, k)) + sigma * noise
+    elif received == "integer_midpoint":
+        Y = H @ basis.combination(rng.choice(values, k) + rng.choice(values, k)) / 2
+    else:
+        Y = np.zeros((n_r, T))
+    return basis, alphabet, ordering, H, Y
+
+
+class TestSphereDecodeIsExact:
+    @given(decoding_problems())
+    def test_matches_exhaustive(self, problem):
+        basis, alphabet, ordering, H, Y = problem
+        ml = ml_exhaustive(Y, H, basis, alphabet)
+        sp = sphere_decode(Y, H, basis, alphabet, ordering)
+        assert sp.coeffs == ml.coeffs
+        assert sp.metric == pytest.approx(ml.metric, rel=1e-9, abs=1e-12)
+        assert sp.nodes_visited > 0
+        assert sp.nodes_visited % alphabet.size == 0
 
 
 class TestNonFiniteInputs:
@@ -407,6 +476,42 @@ class TestCampaign:
             rows.append((snr_db, cfg.trials, err_ml / cfg.trials,
                          err_sp / cfg.trials, float(np.mean(nodes)), max(nodes)))
         assert camp.rows == tuple(rows)
+
+    @pytest.mark.parametrize(
+        "name, decoder, snr_db, trials, csv",
+        [
+            pytest.param(
+                "srinath_rajan", "sphere", 10.0, 40,
+                "snr_db,trials,cer_ml,cer_sphere,nodes_mean,nodes_max,seconds\n"
+                "10.00,40,,0.900000,3870.300,46168,0.000\n",
+                id="srinath_rajan",
+            ),
+            pytest.param(
+                "mido_a4", "sphere", 10.0, 40,
+                "snr_db,trials,cer_ml,cer_sphere,nodes_mean,nodes_max,seconds\n"
+                "10.00,40,,0.875000,9245.400,137188,0.000\n",
+                id="mido_a4",
+            ),
+            pytest.param(
+                "silver", "sphere", 20.0, 10,
+                "snr_db,trials,cer_ml,cer_sphere,nodes_mean,nodes_max,seconds\n"
+                "20.00,10,,0.000000,51.200,156,0.000\n",
+                id="silver",
+            ),
+            pytest.param(
+                "golden", "both", 20.0, 10,
+                "snr_db,trials,cer_ml,cer_sphere,nodes_mean,nodes_max,seconds\n"
+                "20.00,10,0.000000,0.000000,56.800,164,0.000\n",
+                id="golden",
+            ),
+        ],
+    )
+    def test_pins_the_search_tree(self, name, decoder, snr_db, trials, csv):
+        # Node counts are part of the CSV: a faster search must visit the
+        # same tree.  Seed 0 and the default 100k calibration samples.
+        basis = code(name)
+        cfg = default_config(basis, (snr_db,), trials=trials, seed=0)
+        assert run_campaign(basis, pam(4), cfg, decoder=decoder).to_csv() == csv
 
     def test_rejects_unknown_decoder(self):
         basis = code("alamouti")
