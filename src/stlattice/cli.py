@@ -74,20 +74,20 @@ def _write_output(text: str, path):
 
 
 def _load_basis(source: str) -> WeightBasis:
-    """A registered family name, or a path to a basis JSON file."""
+    """A registered family name, else a path to a basis JSON file (a file
+    named like a family does not shadow it)."""
+    if source in REGISTRY:
+        return build(source)
     try:
         with open(source, "r", encoding="utf-8") as handle:
             return WeightBasis.from_json(handle.read())
     except FileNotFoundError:
-        pass
+        raise _ValidationError(
+            f"'{source}' is neither a basis JSON file nor a known family; "
+            f"known families: {sorted(REGISTRY)}"
+        ) from None
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         raise _ValidationError(f"cannot read basis from '{source}': {exc}")
-    if source in REGISTRY:
-        return build(source)
-    raise _ValidationError(
-        f"'{source}' is neither a basis JSON file nor a known family; "
-        f"known families: {sorted(REGISTRY)}"
-    )
 
 
 def _collect_params(args) -> dict:

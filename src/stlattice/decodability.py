@@ -11,6 +11,7 @@ block-orthogonal refinement that the quadratic form alone cannot see.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ EXACT_SEPARATOR_LIMIT = 16
 
 @dataclass(frozen=True)
 class HurwitzRadonProfile:
-    """delta matrix and the thresholded orthogonality graph."""
+    """delta matrix and the thresholded orthogonality graph; tol is the
+    relative cutoff that hurwitz_radon applied."""
 
     delta: np.ndarray
     adjacency: np.ndarray
@@ -52,7 +54,10 @@ class HurwitzRadonProfile:
 
 def hurwitz_radon(basis: WeightBasis, tol: float = TOL) -> HurwitzRadonProfile:
     """delta_ij = ||B_i B_j^H + B_j B_i^H||_F^2 with edges where it exceeds
-    tol scaled by the largest entry."""
+    tol * ||B_i||_F^2 * ||B_j||_F^2, so rescaling a weight keeps the graph.
+    tol must be finite and nonnegative."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
     mats = basis.mats
     k = basis.k
     delta = np.zeros((k, k))
@@ -60,10 +65,10 @@ def hurwitz_radon(basis: WeightBasis, tol: float = TOL) -> HurwitzRadonProfile:
         for j in range(i, k):
             M = mats[i] @ mats[j].conj().T + mats[j] @ mats[i].conj().T
             delta[i, j] = delta[j, i] = np.linalg.norm(M) ** 2
-    cutoff = tol * max(1.0, float(delta.max()))
-    adjacency = delta > cutoff
+    energy = np.linalg.norm(basis._stack, axis=(1, 2)) ** 2
+    adjacency = delta > tol * np.outer(energy, energy)
     np.fill_diagonal(adjacency, False)
-    return HurwitzRadonProfile(delta=delta, adjacency=adjacency, tol=cutoff)
+    return HurwitzRadonProfile(delta=delta, adjacency=adjacency, tol=tol)
 
 
 def _adjacency_bits(adjacency: np.ndarray) -> list:
@@ -111,54 +116,47 @@ def _mask_to_indices(mask: int) -> tuple:
 def _exact_separator(bits: list, k: int):
     """Smallest-complexity separator by subset enumeration.
 
-    Returns (gamma_mask, k_prime) for the separator minimizing
+    Returns (gamma_mask, k_prime, components) for the separator minimizing
     |Gamma| + largest remaining component, ties broken by the
-    lexicographically smallest Gamma (as an index set).  None when no
-    proper subset disconnects the graph.
+    lexicographically smallest Gamma (as an index set).  The search stops
+    before the first size that cannot lower k', so a Gamma that leaves only
+    isolated vertices wins a tie only against others like it.  None when
+    no proper subset disconnects the graph.
     """
     full = (1 << k) - 1
-    best = None  # (k_prime, sorted gamma indices, gamma_mask)
-    subsets_by_size = [[] for _ in range(k)]
-    for mask in range(1, full):
-        subsets_by_size[bin(mask).count("1")].append(mask)
+    # Tuples of single-bit masks order like the index sets they stand for.
+    singles = [1 << v for v in range(k)]
+    best = None  # ((k_prime, gamma as single bits), gamma_mask, components)
     for size in range(1, k - 1):
-        if best is not None and size + 1 >= best[0]:
+        if best is not None and size + 1 >= best[0][0]:
             break
-        for gamma in subsets_by_size[size]:
-            avail = full & ~gamma
-            comps = _components_of_mask(avail, bits)
+        for gamma in itertools.combinations(singles, size):
+            mask = sum(gamma)
+            comps = _components_of_mask(full ^ mask, bits)
             if len(comps) < 2:
                 continue
-            k_prime = size + max(bin(c).count("1") for c in comps)
-            key = (k_prime, _mask_to_indices(gamma))
-            if best is None or key < (best[0], best[1]):
-                best = (k_prime, _mask_to_indices(gamma), gamma)
-    if best is None:
-        return None
-    return best[2], best[0]
+            key = (size + max(c.bit_count() for c in comps), gamma)
+            if best is None or key < best[0]:
+                best = (key, mask, comps)
+    return None if best is None else (best[1], best[0][0], best[2])
 
 
 def _greedy_separator(bits: list, k: int):
-    """Heuristic separator: repeatedly remove the highest-degree vertex."""
-    full = (1 << k) - 1
-    avail = full
+    """Heuristic separator: repeatedly remove the highest-degree vertex
+    (the lowest index among equals).  Returns (gamma_mask, k_prime,
+    components), or None when no proper subset is found."""
+    avail = (1 << k) - 1
     gamma = 0
-    while True:
-        comps = _components_of_mask(avail, bits)
-        if len(comps) >= 2:
-            break
-        if bin(avail).count("1") <= 2:
+    while len(comps := _components_of_mask(avail, bits)) < 2:
+        if avail.bit_count() <= 2:
             return None
-        degrees = [
-            (bin(bits[v] & avail).count("1"), v)
-            for v in _mask_to_indices(avail)
-        ]
-        _, victim = max(degrees, key=lambda t: (t[0], -t[1]))
+        victim = max(
+            _mask_to_indices(avail),
+            key=lambda v: ((bits[v] & avail).bit_count(), -v),
+        )
         avail &= ~(1 << victim)
         gamma |= 1 << victim
-    comps = _components_of_mask(avail, bits)
-    k_prime = bin(gamma).count("1") + max(bin(c).count("1") for c in comps)
-    return gamma, k_prime
+    return gamma, gamma.bit_count() + max(c.bit_count() for c in comps), comps
 
 
 def _orthogonal_prefix(vertices: tuple, adjacency: np.ndarray) -> int:
@@ -302,23 +300,36 @@ class DecodabilityProfile:
         return out
 
 
+def _profile(family, k, k_prime, groups, conditioned=(), **extra):
+    """The one DecodabilityProfile constructor: reduction_pct and
+    fast_decodable follow from k and k'."""
+    return DecodabilityProfile(
+        family=family,
+        groups=groups,
+        conditioned=conditioned,
+        k_prime=k_prime,
+        reduction_pct=100.0 * (1.0 - k_prime / k),
+        fast_decodable=k_prime < k - 2,
+        **extra,
+    )
+
+
 def _uniform_blocks(masks: list):
     """(count, size) when all bitmask blocks share one size, else None."""
-    sizes = {bin(m).count("1") for m in masks}
+    sizes = {m.bit_count() for m in masks}
     if len(sizes) != 1:
         return None
     return len(masks), sizes.pop()
 
 
 def _sorted_groups(masks: list) -> tuple:
-    groups = [_mask_to_indices(m) for m in masks]
-    return tuple(sorted(groups))
+    return tuple(sorted(_mask_to_indices(m) for m in masks))
 
 
 def _block_orthogonal_check(
     basis: WeightBasis,
-    hr: HurwitzRadonProfile,
     gamma_mask: int,
+    part1: list,
     bits: list,
     trials: int,
     seed: int,
@@ -334,55 +345,25 @@ def _block_orthogonal_check(
     carries the finer group structure at the same complexity order.
     Returns (bo_params, k_prime, ordered_blocks) or None.
     """
-    k = basis.k
-    full = (1 << k) - 1
-    avail = full & ~gamma_mask
-    part1 = _components_of_mask(avail, bits)
-    shape1 = _uniform_blocks(part1)
-    if shape1 is None or shape1[0] != 2:
-        return None
-    n_blocks, p = shape1
-    if bin(gamma_mask).count("1") != n_blocks * p:
+    shape = _uniform_blocks(part1)
+    if shape is None or shape[0] != 2 or gamma_mask.bit_count() != shape[0] * shape[1]:
         return None
     part2 = _components_of_mask(gamma_mask, bits)
     if len(part2) == 1:
         part2 = _empirical_split(basis, gamma_mask, trials, seed)
-        if part2 is None:
-            return None
-    shape2 = _uniform_blocks(part2)
-    if shape2 != (n_blocks, p):
+    if part2 is None or _uniform_blocks(part2) != shape:
         return None
-    part1 = sorted(part1)
-    part2 = sorted(part2)
-    ordering = []
-    for m in part1 + part2:
-        ordering.extend(_mask_to_indices(m))
-    prof = sample_r_matrix(basis, ordering, trials=trials, seed=seed)
-    pos = {sym: idx for idx, sym in enumerate(ordering)}
-    blocks = part1 + part2
-    block_of = {}
-    for b_idx, m in enumerate(blocks):
-        for sym in _mask_to_indices(m):
-            block_of[sym] = b_idx
-    part_of = lambda b_idx: 0 if b_idx < len(part1) else 1
-    coupling = False
-    for i_sym in range(k):
-        for j_sym in range(k):
-            bi, bj = block_of[i_sym], block_of[j_sym]
-            if bi == bj:
-                continue
-            i_pos, j_pos = pos[i_sym], pos[j_sym]
-            if i_pos >= j_pos:
-                continue
-            if part_of(bi) == part_of(bj):
-                if not prof.zero_mask[i_pos, j_pos]:
-                    return None  # parts must stay internally block-diagonal
-            elif not prof.zero_mask[i_pos, j_pos]:
-                coupling = True
-    if not coupling:
+    blocks = tuple(_mask_to_indices(m) for m in sorted(part1) + sorted(part2))
+    ordering = [sym for b in blocks for sym in b]
+    zero_mask = sample_r_matrix(basis, ordering, trials=trials, seed=seed).zero_mask
+    block = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    part = block >= len(part1)
+    links = np.triu(~zero_mask, 1) & (block[:, None] != block[None, :])
+    # Each part must stay block-diagonal, and the two parts must couple.
+    if not links.any() or np.any(links & (part[:, None] == part[None, :])):
         return None
-    k_prime = n_blocks * p + p
-    return (2, n_blocks, p), k_prime, tuple(_mask_to_indices(m) for m in blocks)
+    n_blocks, p = shape
+    return (2, n_blocks, p), n_blocks * p + p, blocks
 
 
 def _empirical_split(basis: WeightBasis, gamma_mask: int, trials: int, seed: int):
@@ -394,13 +375,7 @@ def _empirical_split(basis: WeightBasis, gamma_mask: int, trials: int, seed: int
     comps = _r_blocks(prof.zero_mask[len(rest) :, len(rest) :])
     if len(comps) < 2:
         return None
-    out = []
-    for comp in comps:
-        mask = 0
-        for v in _mask_to_indices(comp):
-            mask |= 1 << symbols[v]
-        out.append(mask)
-    return out
+    return [sum(1 << symbols[v] for v in _mask_to_indices(c)) for c in comps]
 
 
 def classify(
@@ -417,76 +392,38 @@ def classify(
     beyond) and the block-orthogonal confirmation against sampled R factors.
     The fast-group refinement (per-group removable levels) changes reported
     complexity orders, so it only runs when refine_fast_group is set.
+    trials must be at least 1 and tol finite and nonnegative.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     hr = hurwitz_radon(basis, tol)
     k = basis.k
     bits = _adjacency_bits(hr.adjacency)
-    full = (1 << k) - 1
-    comps = _components_of_mask(full, bits)
-
+    comps = _components_of_mask((1 << k) - 1, bits)
     if len(comps) >= 2:
-        groups = _sorted_groups(comps)
-        k_prime = max(len(g) for g in groups)
-        profile = DecodabilityProfile(
-            family="multi_group",
-            groups=groups,
-            conditioned=(),
-            k_prime=k_prime,
-            reduction_pct=_reduction(k, k_prime),
-            fast_decodable=k_prime < k - 2,
-        )
-        return _maybe_refine(profile, hr, k, refine_fast_group)
+        k_prime = max(c.bit_count() for c in comps)
+        profile = _profile("multi_group", k, k_prime, _sorted_groups(comps))
+        return _maybe_refine(profile, hr, refine_fast_group)
 
-    if k <= EXACT_SEPARATOR_LIMIT:
-        found = _exact_separator(bits, k)
-    else:
-        found = _greedy_separator(bits, k)
-
-    bo = None
-    if found is not None:
-        gamma_mask, cond_k_prime = found
-        bo = _block_orthogonal_check(basis, hr, gamma_mask, bits, trials, seed)
-        if bo is not None and bo[1] <= cond_k_prime:
-            bo_params, bo_k_prime, blocks = bo
-            return DecodabilityProfile(
-                family="block_orthogonal",
-                groups=blocks,
-                conditioned=(),
-                k_prime=bo_k_prime,
-                reduction_pct=_reduction(k, bo_k_prime),
-                fast_decodable=bo_k_prime < k - 2,
-                bo_params=bo_params,
-            )
-        avail = full & ~gamma_mask
-        groups = _sorted_groups(_components_of_mask(avail, bits))
-        profile = DecodabilityProfile(
-            family="conditional_multi_group",
-            groups=groups,
-            conditioned=_mask_to_indices(gamma_mask),
-            k_prime=cond_k_prime,
-            reduction_pct=_reduction(k, cond_k_prime),
-            fast_decodable=cond_k_prime < k - 2,
-        )
-        return _maybe_refine(profile, hr, k, refine_fast_group)
-
-    return DecodabilityProfile(
-        family="none",
-        groups=(tuple(range(k)),),
-        conditioned=(),
-        k_prime=k,
-        reduction_pct=0.0,
-        fast_decodable=False,
+    search = _exact_separator if k <= EXACT_SEPARATOR_LIMIT else _greedy_separator
+    found = search(bits, k)
+    if found is None:
+        return _profile("none", k, k, (tuple(range(k)),))
+    gamma_mask, k_prime, comps = found
+    bo = _block_orthogonal_check(basis, gamma_mask, comps, bits, trials, seed)
+    if bo is not None and bo[1] <= k_prime:
+        bo_params, bo_k_prime, blocks = bo
+        return _profile("block_orthogonal", k, bo_k_prime, blocks, bo_params=bo_params)
+    conditioned = _mask_to_indices(gamma_mask)
+    profile = _profile(
+        "conditional_multi_group", k, k_prime, _sorted_groups(comps), conditioned
     )
-
-
-def _reduction(k: int, k_prime: int) -> float:
-    return 100.0 * (1.0 - k_prime / k)
+    return _maybe_refine(profile, hr, refine_fast_group)
 
 
 def _maybe_refine(
     profile: DecodabilityProfile,
     hr: HurwitzRadonProfile,
-    k: int,
     refine_fast_group: bool,
 ) -> DecodabilityProfile:
     """Fast-group refinement: remove per-group parallel levels from k'.
@@ -506,14 +443,9 @@ def _maybe_refine(
     k_prime = max(1, len(profile.conditioned) + residual)
     if k_prime >= profile.k_prime:
         return profile
-    return DecodabilityProfile(
-        family="fast_group",
-        groups=profile.groups,
-        conditioned=profile.conditioned,
-        k_prime=k_prime,
-        reduction_pct=_reduction(k, k_prime),
-        fast_decodable=k_prime < k - 2,
-        levels=levels,
+    k = len(hr.adjacency)
+    return _profile(
+        "fast_group", k, k_prime, profile.groups, profile.conditioned, levels=levels
     )
 
 

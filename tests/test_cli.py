@@ -129,6 +129,24 @@ class TestAnalyze:
         assert data["bo_params"] == [2, 2, 2]
         assert data["fast_decodable"] is False
 
+    def test_rejects_zero_trials(self, capsys):
+        for name in ("alamouti", "golden"):
+            code, out, err = run(capsys, "analyze", name, "--trials", "0")
+            assert code == 1, name
+            assert out == ""
+            assert "trial" in err
+
+    def test_family_name_is_not_shadowed_by_a_file(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "golden").write_text("not a basis\n")
+        (tmp_path / "basis.json").write_text(codebook.build("alamouti").to_json())
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "analyze", "golden")
+        assert code == 0
+        assert json.loads(out)["family"] == "block_orthogonal"
+        code, out, _ = run(capsys, "analyze", "basis.json")
+        assert code == 0
+        assert json.loads(out)["family"] == "multi_group"
+
     def test_analyze_accepts_basis_file(self, capsys, tmp_path):
         target = tmp_path / "basis.json"
         run(capsys, "construct", "alamouti", "--output", str(target))

@@ -7,13 +7,19 @@ pattern of the underlying construction and cross-checked numerically
 before being frozen here.
 """
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from stlattice import codebook
+from stlattice import codebook, decodability
 from stlattice.decodability import (
     DecodabilityProfile,
     _adjacency_bits,
+    _exact_separator,
+    _greedy_separator,
+    _mask_to_indices,
     bounds_check,
     classify,
     draw_channel,
@@ -124,6 +130,24 @@ class TestHurwitzRadon:
         with pytest.raises(ValueError):
             hr.delta[0, 0] = 5.0
 
+    def test_graph_ignores_weight_scale(self):
+        # delta_ij scales by s_i^2 s_j^2, so a cutoff relative to the
+        # largest delta would drop the edges between the smallest weights.
+        basis, _ = zoo("golden")
+        scale = 2.0 ** np.array([-12, 12, -9, 3, 10, -12, 0, 6])
+        scaled = WeightBasis("golden-scaled", [m * s for m, s in zip(basis.mats, scale)])
+        assert np.array_equal(
+            hurwitz_radon(scaled).adjacency, hurwitz_radon(basis).adjacency
+        )
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_rejects_bad_tol(self, tol):
+        basis, _ = zoo("golden")
+        with pytest.raises(ValueError, match="tol"):
+            hurwitz_radon(basis, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            classify(basis, tol=tol)
+
 
 class TestClassifyZoo:
     @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -157,6 +181,193 @@ class TestClassifyZoo:
         # k = 3 still admits a one-symbol separator, so check a 2x2 clique
         assert prof.family in ("conditional_multi_group", "none")
         assert prof.k_prime <= 3
+
+
+class TestClassifyValidation:
+    @pytest.mark.parametrize("name", ["alamouti", "golden"])
+    def test_rejects_zero_trials_before_any_work(self, name, monkeypatch):
+        basis, _ = zoo(name)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("classify did work before checking trials")
+
+        monkeypatch.setattr(decodability, "hurwitz_radon", no_work)
+        with pytest.raises(ValueError, match="trial"):
+            classify(basis, trials=0)
+
+
+def plain_components(adjacency, vertices):
+    """Components of the subgraph on vertices, by depth-first search."""
+    left = set(vertices)
+    comps = []
+    while left:
+        stack = [min(left)]
+        comp = set(stack)
+        left -= comp
+        while stack:
+            v = stack.pop()
+            for u in sorted(left):
+                if adjacency[v, u]:
+                    left.discard(u)
+                    comp.add(u)
+                    stack.append(u)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def brute_separator(adjacency):
+    """Minimum (k', gamma) over every proper vertex subset gamma whose
+    removal leaves at least two components; None when there is none.
+
+    Ties go to the lexicographically smallest gamma, except that a gamma
+    leaving only isolated vertices (|gamma| = k' - 1) loses to any other:
+    the search stops before the size that can at best tie.
+    """
+    k = len(adjacency)
+    keys = []
+    for size in range(1, k):
+        for gamma in itertools.combinations(range(k), size):
+            comps = plain_components(adjacency, set(range(k)) - set(gamma))
+            if len(comps) >= 2:
+                k_prime = size + max(map(len, comps))
+                keys.append((k_prime, size == k_prime - 1, gamma))
+    best = min(keys, default=None)
+    return None if best is None else (best[0], best[2])
+
+
+def random_graph(rng, k, density):
+    upper = np.triu(rng.random((k, k)) < density, 1)
+    return upper | upper.T
+
+
+def cycle_graph(k):
+    adjacency = np.zeros((k, k), dtype=bool)
+    for v in range(k):
+        adjacency[v, (v + 1) % k] = adjacency[(v + 1) % k, v] = True
+    return adjacency
+
+
+def component_sets(masks):
+    return {frozenset(_mask_to_indices(m)) for m in masks}
+
+
+class TestSeparators:
+    def graphs(self):
+        rng = np.random.default_rng(5)
+        for k in range(2, 10):
+            for density in (0.3, 0.5, 0.8):
+                yield random_graph(rng, k, density)
+        # cycles and complete bipartite graphs: many separators tie on k'
+        for k in range(3, 10):
+            yield cycle_graph(k)
+            side = np.arange(k) < k // 2
+            yield side[:, None] != side[None, :]
+
+    def test_exact_matches_brute_force(self):
+        for adjacency in self.graphs():
+            k = len(adjacency)
+            found = _exact_separator(_adjacency_bits(adjacency), k)
+            expected = brute_separator(adjacency)
+            if expected is None:
+                assert found is None
+                continue
+            gamma_mask, k_prime, comps = found
+            assert (k_prime, _mask_to_indices(gamma_mask)) == expected
+            rest = set(range(k)) - set(expected[1])
+            assert component_sets(comps) == set(plain_components(adjacency, rest))
+
+    def test_greedy_separates_or_gives_up(self):
+        for adjacency in self.graphs():
+            k = len(adjacency)
+            found = _greedy_separator(_adjacency_bits(adjacency), k)
+            if len(plain_components(adjacency, range(k))) >= 2:
+                continue  # classify never searches a disconnected graph
+            if found is None:
+                continue
+            gamma_mask, k_prime, comps = found
+            gamma = _mask_to_indices(gamma_mask)
+            rest = set(range(k)) - set(gamma)
+            assert component_sets(comps) == set(plain_components(adjacency, rest))
+            assert len(comps) >= 2
+            assert k_prime == len(gamma) + max(len(_mask_to_indices(c)) for c in comps)
+            assert k_prime >= brute_separator(adjacency)[0]
+
+    def test_greedy_removes_a_star_center(self):
+        adjacency = np.zeros((5, 5), dtype=bool)
+        adjacency[2, :] = adjacency[:, 2] = True
+        adjacency[2, 2] = False
+        gamma_mask, k_prime, comps = _greedy_separator(_adjacency_bits(adjacency), 5)
+        assert _mask_to_indices(gamma_mask) == (2,)
+        assert k_prime == 2
+        assert component_sets(comps) == {frozenset({v}) for v in (0, 1, 3, 4)}
+
+    def test_greedy_cuts_a_path_at_the_first_inner_vertex(self):
+        adjacency = np.zeros((5, 5), dtype=bool)
+        for v in range(4):
+            adjacency[v, v + 1] = adjacency[v + 1, v] = True
+        gamma_mask, k_prime, comps = _greedy_separator(_adjacency_bits(adjacency), 5)
+        # every inner vertex has degree 2; the lowest index goes first
+        assert _mask_to_indices(gamma_mask) == (1,)
+        assert k_prime == 4
+        assert component_sets(comps) == {frozenset({0}), frozenset({2, 3, 4})}
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_greedy_finds_nothing_in_a_complete_graph(self, k):
+        adjacency = ~np.eye(k, dtype=bool)
+        assert _greedy_separator(_adjacency_bits(adjacency), k) is None
+
+
+def loop_block_test(zero_mask, part1, part2):
+    """Reference for the block-orthogonal R test, pair by pair: no
+    nonzero entry may link two blocks of one part, and some must link
+    the parts."""
+    blocks = [_mask_to_indices(m) for m in sorted(part1) + sorted(part2)]
+    ordering = [sym for b in blocks for sym in b]
+    pos = {sym: idx for idx, sym in enumerate(ordering)}
+    block_of = {sym: idx for idx, b in enumerate(blocks) for sym in b}
+    coupling = False
+    for i_sym, j_sym in itertools.permutations(ordering, 2):
+        bi, bj = block_of[i_sym], block_of[j_sym]
+        if bi == bj or pos[i_sym] >= pos[j_sym]:
+            continue
+        if zero_mask[pos[i_sym], pos[j_sym]]:
+            continue
+        if (bi < len(part1)) == (bj < len(part1)):
+            return False
+        coupling = True
+    return coupling
+
+
+class TestBlockOrthogonalCheck:
+    def test_matches_pairwise_loop(self, monkeypatch):
+        # Part one {0, 5}, {2, 7}; the separator {1, 3, 4, 6} splits along
+        # its edges 1-4 and 3-6, so the R ordering is 0 5 2 7 1 4 3 6.
+        part1 = [0b00100001, 0b10000100]
+        gamma = 0b01011010
+        adjacency = np.zeros((8, 8), dtype=bool)
+        for a, b in ((1, 4), (3, 6)):
+            adjacency[a, b] = adjacency[b, a] = True
+        bits = _adjacency_bits(adjacency)
+        part2 = [0b00010010, 0b01001000]
+        rng = np.random.default_rng(9)
+        verdicts = set()
+        for density in (0.5, 0.9, 0.97, 1.0):
+            for _ in range(150):
+                zero_mask = rng.random((8, 8)) < density
+                monkeypatch.setattr(
+                    decodability,
+                    "sample_r_matrix",
+                    lambda *args, **kwargs: SimpleNamespace(zero_mask=zero_mask),
+                )
+                found = decodability._block_orthogonal_check(
+                    None, gamma, part1, bits, trials=1, seed=0
+                )
+                expected = loop_block_test(zero_mask, part1, part2)
+                assert (found is not None) == expected
+                verdicts.add(expected)
+                if found is not None:
+                    assert found == ((2, 2, 2), 6, ((0, 5), (2, 7), (1, 4), (3, 6)))
+        assert verdicts == {True, False}
 
 
 class TestRMatrix:
@@ -305,6 +516,25 @@ class TestInvariances:
             len(g) for g in prof.groups
         )
         assert len(other.conditioned) == len(prof.conditioned)
+        # Every shipped code under random permutations with power-of-two
+        # rescaling (exact in floating point).  A permutation may pick a
+        # different separator of the same size, so groups are not compared.
+        rng = np.random.default_rng(7)
+        for name in codebook.REGISTRY:
+            basis, prof = zoo(name)
+            for _ in range(5):
+                perm = rng.permutation(basis.k)
+                scale = 2.0 ** rng.integers(-8, 9, size=basis.k)
+                mats = [basis.mats[i] * s for i, s in zip(perm, scale)]
+                dependent = basis.rank < basis.k
+                other = classify(WeightBasis(name, mats, allow_dependent=dependent))
+                assert (other.family, other.k_prime) == (prof.family, prof.k_prime), name
+
+    def test_small_weights_keep_their_family(self):
+        basis, prof = zoo("golden")
+        small = WeightBasis("golden-small", [m * 2.0**-10 for m in basis.mats])
+        other = classify(small)
+        assert (other.family, other.k_prime) == (prof.family, prof.k_prime)
 
     def test_global_unitary(self):
         basis, prof = zoo("golden")
