@@ -56,8 +56,7 @@ def hurwitz_radon(basis: WeightBasis, tol: float = TOL) -> HurwitzRadonProfile:
     """delta_ij = ||B_i B_j^H + B_j B_i^H||_F^2 with edges where it exceeds
     tol * ||B_i||_F^2 * ||B_j||_F^2, so rescaling a weight keeps the graph.
     tol must be finite and nonnegative."""
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
+    _check_tol(tol)
     mats = basis.mats
     k = basis.k
     delta = np.zeros((k, k))
@@ -69,6 +68,11 @@ def hurwitz_radon(basis: WeightBasis, tol: float = TOL) -> HurwitzRadonProfile:
     adjacency = delta > tol * np.outer(energy, energy)
     np.fill_diagonal(adjacency, False)
     return HurwitzRadonProfile(delta=delta, adjacency=adjacency, tol=tol)
+
+
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
 
 
 def _adjacency_bits(adjacency: np.ndarray) -> list:
@@ -200,7 +204,9 @@ def _check_ordering(ordering, k: int) -> tuple:
 def _thresholded_r(R: np.ndarray, tol: float):
     """R, a QR factor of some B, zero-padded to k x k, with the mask of
     entries at most tol times the largest |r| and whether a diagonal entry
-    is masked.  Every numpy QR mode gives the same R bit for bit."""
+    is masked.  Every numpy QR mode gives the same R bit for bit.  tol must
+    be finite and nonnegative: a NaN one would mask nothing."""
+    _check_tol(tol)
     k = R.shape[1]
     if R.shape[0] < k:
         R = np.vstack([R, np.zeros((k - R.shape[0], k))])

@@ -142,7 +142,10 @@ def _mean_signal_power(
     """Monte Carlo estimate of E||HX||_F^2 over symbols and channels.
 
     The stream is seeded by cfg.seed alone, so the estimate does not depend
-    on the SNR it is used for.
+    on the SNR it is used for.  The codewords X are a real einsum of the
+    symbols with the stack's float view, viewed back as complex: with real
+    symbols it adds the same products over k in the same order as a complex
+    einsum, so X has the same bits, in about a third of the time.
     """
     if samples < 10_000:
         raise ValueError("calibration needs at least 10^4 samples")
@@ -150,12 +153,13 @@ def _mean_signal_power(
     if np.max(np.abs(values)) == 0:
         raise ValueError("the alphabet carries no signal power")
     rng = np.random.default_rng([cfg.seed, _CALIBRATION_STREAM])
+    flat = basis._stack.view(float).reshape(basis.k, -1)
     total = 0.0
     done = 0
     while done < samples:
         n = min(20_000, samples - done)
         s = rng.choice(values, size=(n, basis.k))
-        X = np.einsum("sk,kij->sij", s, basis._stack)
+        X = np.einsum("sk,ke->se", s, flat).view(complex).reshape(n, basis.n_t, basis.T)
         Hr = rng.normal(size=(n, cfg.n_r, cfg.n_t))
         Hi = rng.normal(size=(n, cfg.n_r, cfg.n_t))
         H = cfg.sigma_h * (Hr + 1j * Hi)

@@ -28,6 +28,7 @@ from stlattice.decodability import (
     sample_r_matrix,
 )
 from stlattice.lattice import WeightBasis
+from stlattice.simulate import pam, sphere_decode
 
 I2 = np.eye(2, dtype=complex)
 
@@ -475,6 +476,19 @@ class TestSampleRMatrix:
         basis, _ = zoo("alamouti")
         with pytest.raises(ValueError, match="trial"):
             sample_r_matrix(basis, trials=0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_r_factor_thresholds_reject_bad_tol(tol):
+    # A NaN tol masked no entry, so a zero channel read as full rank.
+    basis, _ = zoo("alamouti")
+    with pytest.raises(ValueError, match="tol"):
+        r_matrix(basis, np.zeros((2, 2)), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        sample_r_matrix(basis, trials=2, tol=tol)
+    H = draw_channel(1, 2, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="tol"):
+        sphere_decode(np.zeros((1, 2)), H, basis, pam(2), tol=tol)
 
 
 class TestOrthogonalityImpliesZeroEntry:

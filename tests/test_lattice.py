@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stlattice import lattice
+from stlattice.codebook import build
 from stlattice.lattice import (
     WeightBasis,
     generator_matrix,
@@ -95,6 +98,20 @@ class TestWeightBasis:
         for m1, m2 in zip(b.mats, again.mats):
             assert np.array_equal(m1, m2)
 
+    def test_small_weights_build(self):
+        # the rank test is relative: golden's weights at 2^-35 are as
+        # independent as at scale 1
+        golden = build("golden")
+        small = WeightBasis("golden-small", [m * 2.0**-35 for m in golden.mats])
+        assert small.rank == golden.rank == golden.k
+
+    @pytest.mark.parametrize("e", [-40, 0, 40])
+    def test_dependent_basis_rejected_at_any_scale(self, e):
+        g = build("golden").mats
+        for mats in ([I2, 2 * I2], [g[0], g[1], g[0] + g[1]]):
+            with pytest.raises(ValueError, match="dependent"):
+                WeightBasis("bad", [m * 2.0**e for m in mats])
+
     def test_json_rejects_mismatched_counts(self):
         data = alamouti_basis().to_json_dict()
         data["k"] = 3
@@ -119,6 +136,21 @@ class TestLatticeProfile:
         assert np.allclose(prof.gram, [[1, -0.5], [-0.5, 1]], atol=1e-12)
         assert float(np.linalg.det(prof.gram)) == pytest.approx(0.75, abs=1e-12)
         assert prof.volume == pytest.approx(np.sqrt(3) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("e", [-300, -40])
+    def test_volume_survives_gram_determinant_underflow(self, e):
+        # det(Gram) of srinath_rajan's generator (k = 16, full rank) times
+        # 2^e underflows to 0 at both scales; the volume is 2^(k e) times
+        # the unscaled one (below the smallest double at e = -300)
+        gen = generator_matrix(build("srinath_rajan"))
+        assert np.linalg.det(np.ldexp(gen, e).T @ np.ldexp(gen, e)) == 0.0
+        volume = profile_from_generator(gen).volume
+        scaled = profile_from_generator(np.ldexp(gen, e)).volume
+        assert scaled == pytest.approx(math.ldexp(volume, gen.shape[1] * e), rel=1e-12)
+
+    def test_singular_gram_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            profile_from_generator(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     def test_alamouti_min_det(self):
         prof = lattice_profile(alamouti_basis(), det_search_bound=2)
@@ -274,3 +306,77 @@ class TestCoefficientEngine:
             nonzero = [v for v in z if v]
             assert 1 <= len(nonzero) <= max_nonzeros and nonzero[0] > 0
             assert max(abs(v) for v in z) <= bound
+
+
+def _div_mod_digits(base, k, start, stop, chunk):
+    """The per-digit div/mod enumerator that _mixed_radix's table replaced."""
+    powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for lo in range(start, stop, chunk):
+        ids = np.arange(lo, min(lo + chunk, stop), dtype=np.int64)
+        yield (ids[:, None] // powers[None, :]) % base
+
+
+@st.composite
+def radix_ranges(draw):
+    base = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 6))
+    start = draw(st.integers(0, base**k))
+    stop = draw(st.integers(start, base**k))
+    return base, k, start, stop, draw(st.integers(1, 80))
+
+
+class TestMixedRadix:
+    @given(radix_ranges())
+    def test_matches_div_mod_formula(self, args):
+        got = list(lattice._mixed_radix(*args))
+        want = list(_div_mod_digits(*args))
+        assert [len(c) for c in got] == [len(c) for c in want]
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+class TestClosedFormDet:
+    @pytest.mark.parametrize("side", [2, 3, 4])
+    @pytest.mark.parametrize("e", [-60, 0, 60])
+    def test_matches_lapack(self, side, e):
+        rng = np.random.default_rng([side, e + 60])
+        X = rng.normal(size=(3000, side, side)) + 1j * rng.normal(size=(3000, side, side))
+        X[::7, -1] = X[::7, 0]  # exactly singular rows
+        X[1::7, -1] = 3 * X[1::7, 0] + 1e-9 * X[1::7, -1]  # nearly singular rows
+        X = np.ldexp(X.real, e) + 1j * np.ldexp(X.imag, e)
+        # relative to ||X||_F^n, which bounds |det X| and the rounding of both
+        err = np.abs(lattice._det(X) - np.linalg.det(X))
+        assert np.all(err <= 1e-12 * np.linalg.norm(X, axis=(1, 2)) ** side)
+
+
+def _lapack_min_abs_det_sq(basis, bound):
+    """The sweep _min_abs_det_sq replaced: LAPACK's det of every codeword,
+    each built by tensordot."""
+    best = np.inf
+    for z in lattice._coefficient_box(basis.k, bound, lattice.MAX_CANDIDATES):
+        mats = np.tensordot(z, basis._stack, axes=1)
+        best = min(best, float((np.abs(np.linalg.det(mats)) ** 2).min()))
+    return best
+
+
+class TestMinAbsDetSq:
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["alamouti", "golden", "silver"])
+    def test_bit_equal_to_lapack_sweep(self, name, bound):
+        b = build(name)
+        got = lattice._min_abs_det_sq(b, bound, lattice.MAX_CANDIDATES)
+        assert got.hex() == _lapack_min_abs_det_sq(b, bound).hex()
+
+    def test_bit_equal_on_small_and_dependent_bases(self):
+        rng = np.random.default_rng(11)
+        bases = [_small_integer_basis(rng, n, n, k) for n in (2, 3, 4, 5) for k in (1, 2, 4)]
+        g = build("golden").mats
+        bases += [
+            # zero codewords, exact and up to rounding
+            WeightBasis("dup", [I2, I2], allow_dependent=True),
+            WeightBasis("golden-dep", [g[0], g[1], g[0] + g[1]], allow_dependent=True),
+        ]
+        for b in bases:
+            for bound in (1, 2):
+                got = lattice._min_abs_det_sq(b, bound, lattice.MAX_CANDIDATES)
+                assert got.hex() == _lapack_min_abs_det_sq(b, bound).hex(), b.name

@@ -171,6 +171,32 @@ class TestCalibration:
         sigma_n = calibrate_noise(basis, pam(4), cfg, 10.0, samples=20_000)
         assert sigma_n == pytest.approx(exact, rel=0.01)
 
+    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    def test_real_einsum_keeps_every_bit(self, name):
+        basis = code(name)
+        for size in (2, 4):
+            for seed in (0, 3, 7):
+                cfg = default_config(basis, (0.0,), 1, seed)
+                got = simulate._mean_signal_power(basis, pam(size), cfg, 10_000)
+                want = _complex_einsum_signal_power(basis, pam(size), cfg, 10_000)
+                assert got.hex() == want.hex(), (size, seed)
+
+
+def _complex_einsum_signal_power(basis, alphabet, cfg, samples):
+    """_mean_signal_power as it was, with a complex einsum for the codewords."""
+    values = np.array(sorted(alphabet.values), dtype=float)
+    rng = np.random.default_rng([cfg.seed, simulate._CALIBRATION_STREAM])
+    total = 0.0
+    for done in range(0, samples, 20_000):
+        n = min(20_000, samples - done)
+        s = rng.choice(values, size=(n, basis.k))
+        X = np.einsum("sk,kij->sij", s, basis._stack)
+        Hr = rng.normal(size=(n, cfg.n_r, cfg.n_t))
+        Hi = rng.normal(size=(n, cfg.n_r, cfg.n_t))
+        H = cfg.sigma_h * (Hr + 1j * Hi)
+        total += float(np.sum(np.abs(H @ X) ** 2))
+    return total / samples
+
 
 class TestMLExhaustive:
     def test_noiseless_recovery(self):
