@@ -101,10 +101,7 @@ class CyclicAlgebra:
 
     def sigma_rows(self) -> list:
         """Embedding-row index of sigma^j composed with the canonical row."""
-        rows = [0]
-        for _ in range(self.n - 1):
-            rows.append(self.sigma_perm[rows[-1]])
-        return rows
+        return [_perm_power(self.sigma_perm, j)[0] for j in range(self.n)]
 
     def value(self, coeff_vec, row: int = 0) -> complex:
         """Value of an L-element (coefficient vector) under embedding row."""
@@ -414,22 +411,27 @@ def relay_field(radical_basis: bool = False) -> NumberField:
     )
 
 
-def relay_algebra() -> CyclicAlgebra:
-    """Degree-2 algebra (Q(sqrt5,i,sqrt-3) / Q(sqrt5,i), sigma, -2/sqrt5)."""
-    field = relay_field()
-    gamma = -2 / np.sqrt(5)
-    gc = np.zeros(field.dim)
-    gc[0], gc[1] = 0.4, -0.8  # -2/sqrt5 = (2 - 4*t5)/5
+def _degree2_algebra(field: NumberField, gamma, gamma_coeffs, name_L: str,
+                     name_K: str) -> CyclicAlgebra:
+    """(L/K, sigma, gamma) for a field L with a 'sigma' of order 2."""
     return CyclicAlgebra(
         n=2,
         gamma=gamma,
         basis_labels=field.basis_labels,
         full_emb=field.full_emb,
         sigma_perm=field.autos["sigma"],
-        gamma_coeffs=gc,
-        name_L="Q(sqrt5,i,sqrt-3)",
-        name_K="Q(sqrt5,i)",
+        gamma_coeffs=gamma_coeffs,
+        name_L=name_L,
+        name_K=name_K,
     )
+
+
+def relay_algebra() -> CyclicAlgebra:
+    """Degree-2 algebra (Q(sqrt5,i,sqrt-3) / Q(sqrt5,i), sigma, -2/sqrt5)."""
+    field = relay_field()
+    gc = np.zeros(field.dim)
+    gc[0], gc[1] = 0.4, -0.8  # -2/sqrt5 = (2 - 4*t5)/5
+    return _degree2_algebra(field, -2 / np.sqrt(5), gc, "Q(sqrt5,i,sqrt-3)", "Q(sqrt5,i)")
 
 
 def mimo_relay_field(p: int = 7) -> NumberField:
@@ -442,23 +444,17 @@ def mimo_relay_field(p: int = 7) -> NumberField:
     if p < 5 or any(p % f == 0 for f in range(2, int(p**0.5) + 1)):
         raise ValueError("p must be a prime >= 5")
     M = (p - 1) // 2
-    # orbit of 1 under m -> 2m (mod p, folded to 1..M)
-    orbit = [1]
-    while True:
-        nxt = (2 * orbit[-1]) % p
-        nxt = min(nxt, p - nxt)
-        if nxt == 1:
-            break
-        orbit.append(nxt)
-        if len(orbit) > M:
-            break
-    if sorted(orbit) != list(range(1, M + 1)):
+    signs = [(m, e) for m in range(1, M + 1) for e in (0, 1)]
+    idx = {s: r for r, s in enumerate(signs)}
+    sigma = [idx[(m, 1 - e)] for m, e in signs]
+    # eta: m -> 2m (mod p, folded to 1..M), which must cycle row 0 through
+    # all M conjugates
+    eta = [idx[(min(2 * m % p, p - 2 * m % p), e)] for m, e in signs]
+    if len({_perm_power(eta, j)[0] for j in range(M)}) < M:
         raise ValueError(
             f"the doubling map is not transitive on the conjugates for p={p}"
         )
     omega = 1j * np.sqrt(5)
-    ms = list(range(1, M + 1))
-    signs = [(m, e) for m in ms for e in (0, 1)]
     rows = []
     for m, e in signs:
         xi = 2 * np.cos(2 * np.pi * m / p)
@@ -466,14 +462,6 @@ def mimo_relay_field(p: int = 7) -> NumberField:
         xs = [xi**t for t in range(M)]
         rows.append([b * w**u for u in (0, 1) for b in xs])
     emb = np.array(rows)
-    idx = {s: r for r, s in enumerate(signs)}
-    sigma = [idx[(m, 1 - e)] for m, e in signs]
-
-    def next_m(m):
-        nm = (2 * m) % p
-        return min(nm, p - nm)
-
-    eta = [idx[(next_m(m), e)] for m, e in signs]
     labels = tuple(
         f"xi^{t}{w}" for w in ("", "*w") for t in range(M)
     )
@@ -493,13 +481,4 @@ def mimo_relay_algebra(p: int = 7) -> CyclicAlgebra:
         # solve for the coefficients from the per-embedding values of gamma
         vals = -2 / (1 + field.full_emb[:, 1])
         gc = _solve_real(field.full_emb, vals)
-    return CyclicAlgebra(
-        n=2,
-        gamma=gamma,
-        basis_labels=field.basis_labels,
-        full_emb=field.full_emb,
-        sigma_perm=field.autos["sigma"],
-        gamma_coeffs=gc,
-        name_L="Q(xi,sqrt-5)",
-        name_K="Q(xi)",
-    )
+    return _degree2_algebra(field, gamma, gc, "Q(xi,sqrt-5)", "Q(xi)")

@@ -109,12 +109,6 @@ def _cmd_construct(args) -> int:
 
 def _cmd_lattice(args) -> int:
     basis = _load_basis(args.source)
-    if basis.rank < basis.k:
-        raise _ValidationError(
-            f"the {basis.k} coefficient matrices of '{basis.name}' span only "
-            f"{basis.rank} real dimensions; the lattice is degenerate and has "
-            "no volume or determinant figures"
-        )
     prof = lattice_profile(basis, det_search_bound=args.bound)
     data = {
         "name": basis.name,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import (
     NumberField,
+    _perm_power,
     alamouti_algebra,
     golden_algebra,
     mido_algebra,
@@ -43,15 +44,9 @@ __all__ = [
 ]
 
 
-def _unit(i: int, k: int) -> np.ndarray:
-    v = np.zeros(k)
-    v[i] = 1.0
-    return v
-
-
 def weights_from_linear_map(fn: Callable, k: int, name: str) -> WeightBasis:
     """Weight matrices of a codeword map that is linear over the reals."""
-    mats = [np.asarray(fn(_unit(i, k)), dtype=complex) for i in range(k)]
+    mats = [np.asarray(fn(unit), dtype=complex) for unit in np.eye(k)]
     rng = np.random.default_rng(0)
     for _ in range(3):
         s = rng.normal(size=k)
@@ -66,16 +61,19 @@ def weights_from_linear_map(fn: Callable, k: int, name: str) -> WeightBasis:
 # 2x2 families.
 
 
+def _regular_weights(alg, order) -> list:
+    """left_regular images of the unit coefficients at (comp, b), in order."""
+    mats = []
+    for comp, b in order:
+        x = np.zeros((alg.n, alg.dim_L))
+        x[comp, b] = 1.0
+        mats.append(alg.left_regular(x))
+    return mats
+
+
 def alamouti() -> WeightBasis:
     """The rank-4 orthogonal 2x2 code from the Hamiltonian quaternions."""
-    alg = alamouti_algebra()
-    mats = []
-    for comp in range(2):
-        for b in range(2):
-            x = np.zeros((2, 2))
-            x[comp, b] = 1.0
-            mats.append(alg.left_regular(x))
-    return WeightBasis("alamouti", mats)
+    return WeightBasis("alamouti", _regular_weights(alamouti_algebra(), np.ndindex(2, 2)))
 
 
 def golden(gamma: complex = 1j) -> WeightBasis:
@@ -85,14 +83,8 @@ def golden(gamma: complex = 1j) -> WeightBasis:
     [x2 + theta*x3, x0 + sigma(theta)*x1]] with Gaussian-integer symbols;
     coefficients are ordered x0, x1, x2, x3 with the real part first.
     """
-    alg = golden_algebra(gamma)
     order = [(0, 0), (0, 2), (0, 1), (0, 3), (1, 0), (1, 2), (1, 1), (1, 3)]
-    mats = []
-    for comp, b in order:
-        x = np.zeros((2, 4))
-        x[comp, b] = 1.0
-        mats.append(alg.left_regular(x))
-    return WeightBasis("golden", mats)
+    return WeightBasis("golden", _regular_weights(golden_algebra(gamma), order))
 
 
 def silver() -> WeightBasis:
@@ -185,18 +177,42 @@ def quaternionic_embed(X, gamma: complex) -> np.ndarray:
 def mido_a4(gamma: float = -8.0 / 9.0) -> WeightBasis:
     """The rank-16 4x4 code from the degree-4 cyclic algebra over Q(zeta5),
     conjugated into quaternionic block form."""
-    alg = mido_algebra(gamma)
-    mats = []
-    for comp in range(4):
-        for b in range(4):
-            x = np.zeros((4, 4))
-            x[comp, b] = 1.0
-            mats.append(quaternionic_embed(alg.left_regular(x), gamma))
-    return WeightBasis("mido_a4", mats)
+    mats = _regular_weights(mido_algebra(gamma), np.ndindex(4, 4))
+    return WeightBasis("mido_a4", [quaternionic_embed(X, gamma) for X in mats])
 
 
 # ----------------------------------------------------------------------
 # Distributed (relay) families and the iterated construction.
+
+
+def _inner(field: NumberField, row: int, b: int, comp: int, t: float) -> np.ndarray:
+    """Inner 2x2 block of basis element b at embedding row.
+
+    With v and sv the values of b at row and at its sigma image, component
+    0 gives diag(v, sv) and component 1 gives [[0, -t*sv], [t*v, 0]].
+    """
+    v = field.full_emb[row, b]
+    sv = field.full_emb[field.row_after(row, "sigma"), b]
+    if comp == 0:
+        return np.array([[v, 0], [0, sv]])
+    return np.array([[0, -t * sv], [t * v, 0]])
+
+
+def _eta_orbit(field: NumberField, M: int) -> list:
+    """Rows 0, eta(0), ..., eta^{M-1}(0); eta^M must return to row 0."""
+    eta = field.autos["eta"]
+    if M < 1 or _perm_power(eta, M)[0] != 0:
+        raise ValueError(f"eta does not return to the canonical embedding after {M} steps")
+    return [_perm_power(eta, j)[0] for j in range(M)]
+
+
+def _blockdiag(blocks) -> np.ndarray:
+    """Square blocks of one side placed along the diagonal."""
+    n = len(blocks[0])
+    out = np.zeros((len(blocks) * n, len(blocks) * n), dtype=complex)
+    for j, blk in enumerate(blocks):
+        out[j * n : (j + 1) * n, j * n : (j + 1) * n] = blk
+    return out
 
 
 def simo_relay(field: NumberField | None = None, gamma: float | None = None,
@@ -215,6 +231,11 @@ def simo_relay(field: NumberField | None = None, gamma: float | None = None,
     conditioned sqrt-3 half from the four two-symbol groups.  A custom
     tower can be passed as a NumberField with 'sigma' and 'eta'
     automorphisms together with a real gamma < 0.
+
+    Weight (comp, b) holds at diagonal block j the inner block diag(v, sv)
+    for comp 0 and [[0, -t*sv], [t*v, 0]] for comp 1, where v and sv are
+    the values of basis element b at the embedding row eta^j(0) and at its
+    sigma image.
     """
     if field is None:
         field = relay_field(radical_basis=True)
@@ -225,26 +246,12 @@ def simo_relay(field: NumberField | None = None, gamma: float | None = None,
     if not np.isreal(gamma) or gamma >= 0:
         raise ValueError("gamma must be a negative real number")
     t = np.sqrt(-float(np.real(gamma)))
-    rows_id = [0]
-    for _ in range(M - 1):
-        rows_id.append(field.row_after(rows_id[-1], "eta"))
-    if field.row_after(rows_id[-1], "eta") != 0:
-        raise ValueError("eta does not return to the canonical embedding after M steps")
-    d = field.dim
-    mats = []
-    for comp in range(2):
-        for b in range(d):
-            W = np.zeros((2 * M, 2 * M), dtype=complex)
-            for j, rid in enumerate(rows_id):
-                rsg = field.row_after(rid, "sigma")
-                v, sv = field.full_emb[rid, b], field.full_emb[rsg, b]
-                if comp == 0:
-                    W[2 * j, 2 * j] = v
-                    W[2 * j + 1, 2 * j + 1] = sv
-                else:
-                    W[2 * j, 2 * j + 1] = -t * sv
-                    W[2 * j + 1, 2 * j] = t * v
-            mats.append(W)
+    rows = _eta_orbit(field, M)
+    mats = [
+        _blockdiag([_inner(field, r, b, comp, t) for r in rows])
+        for comp in range(2)
+        for b in range(field.dim)
+    ]
     return WeightBasis("simo_relay", mats)
 
 
@@ -256,6 +263,12 @@ def mimo_relay(M: int = 3, p: int | None = None) -> WeightBasis:
     (X, Y) with scalars from theta = -theta' and theta' = 3(xi-1) > 0.
     The scalars sqrt(-gamma) and sqrt(theta') are evaluated at the canonical
     embedding and reused in every block.
+
+    Weight (part, comp, b) holds at diagonal block j the 4x4 block
+    [[X, 0], [0, tau(X)]] for part 0 and [[0, zeta*s*tau(X)], [s*X, 0]]
+    for part 1, with zeta = -1 and s = sqrt(theta').  X is simo_relay's
+    inner block (comp, b) at the embedding row eta^j(0), and tau(X) is the
+    one at its sigma image.
     """
     if p is None:
         p = 2 * M + 1
@@ -271,34 +284,22 @@ def mimo_relay(M: int = 3, p: int | None = None) -> WeightBasis:
         raise ValueError("theta' is not positive at the canonical embedding")
     s = np.sqrt(theta_prime)
     zeta = -1.0
-    rows_id = [0]
-    for _ in range(M - 1):
-        rows_id.append(field.row_after(rows_id[-1], "eta"))
-    if field.row_after(rows_id[-1], "eta") != 0:
-        raise ValueError("eta does not have order M on the embeddings")
+    rows = _eta_orbit(field, M)
     mats = []
     for part in range(2):  # 0: X slot, 1: Y slot of the doubling map
         for comp in range(2):
             for b in range(d):
-                W = np.zeros((4 * M, 4 * M), dtype=complex)
-                for j, rid in enumerate(rows_id):
-                    rsg = field.row_after(rid, "sigma")
-                    v, sv = field.full_emb[rid, b], field.full_emb[rsg, b]
-                    if comp == 0:
-                        inner = np.array([[v, 0], [0, sv]])
-                        tinner = np.array([[sv, 0], [0, v]])
-                    else:
-                        inner = np.array([[0, -t * sv], [t * v, 0]])
-                        tinner = np.array([[0, -t * v], [t * sv, 0]])
-                    blk = np.zeros((4, 4), dtype=complex)
+                blocks = []
+                for r in rows:
+                    # tau(X) of the doubling map is the inner block at the
+                    # sigma row, since sigma is an involution
+                    X = _inner(field, r, b, comp, t)
+                    tX = _inner(field, field.row_after(r, "sigma"), b, comp, t)
                     if part == 0:
-                        blk[0:2, 0:2] = inner
-                        blk[2:4, 2:4] = tinner
-                    else:
-                        blk[0:2, 2:4] = zeta * s * tinner
-                        blk[2:4, 0:2] = s * inner
-                    W[4 * j : 4 * j + 4, 4 * j : 4 * j + 4] = blk
-                mats.append(W)
+                        blocks.append(_blockdiag([X, tX]))
+                    else:  # swapping the column halves gives [[0, zeta*s*tX], [s*X, 0]]
+                        blocks.append(_blockdiag([zeta * s * tX, s * X])[:, [2, 3, 0, 1]])
+                mats.append(_blockdiag(blocks))
     return WeightBasis("mimo_relay", mats)
 
 
@@ -316,26 +317,15 @@ def iterated() -> WeightBasis:
     sg, ta = field.autos["sigma"], field.autos["tau"]
     if [sg[ta[r]] for r in range(field.dim)] != [ta[sg[r]] for r in range(field.dim)]:
         raise ValueError("tau and sigma do not commute on the embeddings")
-    gamma = -2 / np.sqrt(5)
-    t = np.sqrt(-gamma)
-
-    def inner(rid, rsg, comp, b):
-        v, sv = field.full_emb[rid, b], field.full_emb[rsg, b]
-        if comp == 0:
-            return np.array([[v, 0], [0, sv]])
-        return np.array([[0, -t * sv], [t * v, 0]])
-
-    r_id, r_sg = 0, field.row_after(0, "sigma")
-    r_ta, r_ts = field.row_after(0, "tau"), field.row_after(0, "tau", "sigma")
-    d = field.dim
+    t = np.sqrt(2 / np.sqrt(5))  # sqrt(-gamma), gamma = -2/sqrt5
+    r_ta = field.row_after(0, "tau")
     mats = []
-    for block in range(2):
-        rows = slice(0, 2) if block == 0 else slice(2, 4)
+    for rows in (slice(0, 2), slice(2, 4)):
         for comp in range(2):
-            for b in range(d):
+            for b in range(field.dim):
                 W = np.zeros((4, 4), dtype=complex)
-                W[rows, 0:2] = inner(r_id, r_sg, comp, b)
-                W[rows, 2:4] = inner(r_ta, r_ts, comp, b)
+                W[rows, 0:2] = _inner(field, 0, b, comp, t)
+                W[rows, 2:4] = _inner(field, r_ta, b, comp, t)
                 mats.append(W)
     return WeightBasis("iterated", mats, allow_dependent=True)
 
@@ -409,11 +399,7 @@ def relay_blockdiag(X, eta: Callable, M: int, tol: float = 1e-9) -> np.ndarray:
         cur = np.asarray(eta(cur), dtype=complex)
     if not np.allclose(cur, X, atol=tol * (1 + np.abs(X).max())):
         raise ValueError("eta^M does not fix X within tolerance")
-    n = X.shape[0]
-    out = np.zeros((M * n, M * n), dtype=complex)
-    for j, blk in enumerate(blocks):
-        out[j * n : (j + 1) * n, j * n : (j + 1) * n] = blk
-    return out
+    return _blockdiag(blocks)
 
 
 # ----------------------------------------------------------------------

@@ -241,7 +241,11 @@ def _default_n_r(basis: WeightBasis) -> int:
 def draw_channel(n_r: int, n_t: int, rng, sigma_h: float = 1.0 / np.sqrt(2.0)) -> np.ndarray:
     """Rayleigh channel: entries with independent N(0, sigma_h^2) real and
     imaginary parts, the real parts drawn first."""
-    shape = (n_r, n_t)
+    return _rayleigh((n_r, n_t), rng, sigma_h)
+
+
+def _rayleigh(shape, rng, sigma_h: float) -> np.ndarray:
+    """draw_channel's draw over any shape, such as a batch of channels."""
     return sigma_h * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 

@@ -54,12 +54,12 @@ def vectorize(U: np.ndarray) -> np.ndarray:
 
 
 def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vectorize` for a matrix of known shape."""
-    v = np.asarray(v, dtype=float)
+    """Inverse of :func:`vectorize` for a matrix of known shape; each
+    (Re, Im) pair is read in place as one complex, so signed zeros survive."""
+    v = np.array(v, dtype=float).reshape(-1)
     if v.size != 2 * rows * cols:
         raise ValueError("vector length does not match the requested shape")
-    z = v[0::2] + 1j * v[1::2]
-    return z.reshape(cols, rows).T
+    return v.view(complex).reshape(cols, rows).T
 
 
 @dataclass(frozen=True)
@@ -98,10 +98,9 @@ class WeightBasis:
                 f"{self.k} matrices cannot be independent in a "
                 f"{self.n_t}x{self.T} space (max {2 * self.n_t * self.T})"
             )
-        gen = generator_matrix(self)
         # Relative to the largest singular value alone, so that rescaling
         # every weight never changes the verdict.
-        rank = int(np.linalg.matrix_rank(gen, tol=RANK_TOL * _spectral(gen)))
+        rank = int(_ranks(generator_matrix(self)[None])[0])
         object.__setattr__(self, "rank", rank)
         if rank < self.k and not allow_dependent:
             raise ValueError("weight matrices are linearly dependent over the reals")
@@ -145,10 +144,6 @@ class WeightBasis:
     @classmethod
     def from_json(cls, text: str) -> "WeightBasis":
         return cls.from_json_dict(json.loads(text))
-
-
-def _spectral(A: np.ndarray) -> float:
-    return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
 def generator_matrix(basis: WeightBasis) -> np.ndarray:
@@ -363,6 +358,12 @@ def profile_from_generator(gen: np.ndarray) -> LatticeProfile:
     gen = np.asarray(gen, dtype=float)
     if gen.ndim != 2:
         raise ValueError("generator must be a matrix")
+    k, rank = gen.shape[1], int(_ranks(gen[None])[0])
+    if rank < k:
+        raise ValueError(
+            f"degenerate lattice: the {k} generator columns span only {rank} "
+            "real dimensions"
+        )
     gram = gen.T @ gen
     # From the log-determinant, which neither underflows nor overflows
     # where det(Gram) itself would at large k or extreme scales.

@@ -21,10 +21,10 @@ from .decodability import (
     _default_n_r,
     _mask_to_indices,
     _r_blocks,
+    _rayleigh,
     _thresholded_r,
     classify,
 )
-from .decodability import draw_channel as _draw_channel
 from .lattice import WeightBasis, _equivalent_channel, _mixed_radix, vectorize
 
 __all__ = [
@@ -97,8 +97,16 @@ class ChannelConfig:
         if self.sigma_h < 0:
             raise ValueError("sigma_h cannot be negative")
         object.__setattr__(
-            self, "snr_db_grid", tuple(float(x) for x in self.snr_db_grid)
+            self, "snr_db_grid", tuple(_check_snr(x) for x in self.snr_db_grid)
         )
+
+
+def _check_snr(snr_db) -> float:
+    """An SNR in dB as a float; +inf is the noiseless point."""
+    snr_db = float(snr_db)
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError("SNR values must be numbers or +inf dB, not NaN or -inf")
+    return snr_db
 
 
 def default_config(
@@ -133,7 +141,7 @@ def draw_channel(cfg: ChannelConfig, rng_state) -> np.ndarray:
     """One n_r x n_t channel draw; real and imaginary parts are
     independent N(0, sigma_h^2)."""
     # default_rng hands a Generator back unchanged and seeds anything else.
-    return _draw_channel(cfg.n_r, cfg.n_t, np.random.default_rng(rng_state), cfg.sigma_h)
+    return _rayleigh((cfg.n_r, cfg.n_t), np.random.default_rng(rng_state), cfg.sigma_h)
 
 
 def _mean_signal_power(
@@ -160,9 +168,7 @@ def _mean_signal_power(
         n = min(20_000, samples - done)
         s = rng.choice(values, size=(n, basis.k))
         X = np.einsum("sk,ke->se", s, flat).view(complex).reshape(n, basis.n_t, basis.T)
-        Hr = rng.normal(size=(n, cfg.n_r, cfg.n_t))
-        Hi = rng.normal(size=(n, cfg.n_r, cfg.n_t))
-        H = cfg.sigma_h * (Hr + 1j * Hi)
+        H = _rayleigh((n, cfg.n_r, cfg.n_t), rng, cfg.sigma_h)
         total += float(np.sum(np.abs(H @ X) ** 2))
         done += n
     return total / samples
@@ -181,6 +187,7 @@ def calibrate_noise(
     noise power is the exact n_r * T * 2 * sigma_n^2, so the returned scale
     satisfies the ratio to Monte Carlo accuracy.
     """
+    snr_db = _check_snr(snr_db)
     return _noise_scale(_mean_signal_power(basis, alphabet, cfg, samples), cfg, snr_db)
 
 

@@ -84,6 +84,16 @@ class TestConstruct:
         assert WeightBasis.from_json(target.read_text()).k == 4
 
 
+class TestConstructAnalyzeRoundTrip:
+    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    def test_file_analyzes_like_the_family(self, capsys, tmp_path, name):
+        target = tmp_path / f"{name}.json"
+        assert run(capsys, "construct", name, "--output", str(target))[0] == 0
+        code, from_file, _ = run(capsys, "analyze", str(target))
+        assert code == 0
+        assert from_file == run(capsys, "analyze", name)[1]
+
+
 class TestLattice:
     def test_alamouti_figures(self, capsys):
         code, out, _ = run(capsys, "lattice", "alamouti")
@@ -182,6 +192,23 @@ class TestSimulate:
             capsys, "simulate", "alamouti", "--decoder", "turbo",
         )
         assert code == 1
+
+    @pytest.mark.parametrize("snr", ["-inf", "nan", "0,nan"])
+    def test_rejects_nan_and_minus_inf_snr(self, capsys, snr):
+        code, out, err = run(
+            capsys, "simulate", "alamouti", f"--snr={snr}", "--trials", "1",
+            "--cal-samples", "10000",
+        )
+        assert code == 1 and out == ""
+        assert "SNR values must be" in err
+
+    def test_plus_inf_snr_is_the_noiseless_point(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "alamouti", "--snr=inf", "--trials", "2",
+            "--cal-samples", "10000",
+        )
+        assert code == 0
+        assert out.splitlines()[1].startswith("inf,2,0.000000,0.000000,")
 
     def test_rejects_bad_snr_list(self, capsys):
         code, _, err = run(

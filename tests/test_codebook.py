@@ -19,6 +19,7 @@ from stlattice.codebook import (
     relay_blockdiag,
     weights_from_linear_map,
 )
+from stlattice.algebra import mimo_relay_field, relay_field
 from stlattice.lattice import min_rank_difference, min_rank_sampled
 
 THETA = (1 + np.sqrt(5)) / 2
@@ -234,6 +235,74 @@ class TestIterated:
             assert np.allclose(b.mats[i][2:4, :], 0, atol=1e-12)
         for i in range(16, 32):
             assert np.allclose(b.mats[i][0:2, :], 0, atol=1e-12)
+
+
+def eta_rows(field, M):
+    """Embedding rows 0, eta(0), ..., eta^{M-1}(0)."""
+    rows = [0]
+    for _ in range(M - 1):
+        rows.append(field.autos["eta"][rows[-1]])
+    return rows
+
+
+class TestRelayFormulas:
+    """Every entry of the relay stacks against the docstring formulas, with ==.
+
+    v and sv are read from the field's embedding table at an embedding row r
+    and at sigma(r), for all basis elements b at once.  The inner 2x2 block
+    is diag(v, sv) for the first component and [[0, -t*sv], [t*v, 0]] for
+    the second, with t = sqrt(-gamma); every other entry is 0.
+    """
+
+    def test_simo_relay(self):
+        field = relay_field(radical_basis=True)
+        t = np.sqrt(2 / np.sqrt(5))
+        d = field.dim
+        want = np.zeros((2 * d, 4, 4), dtype=complex)
+        for j, r in enumerate(eta_rows(field, 2)):
+            v, sv = field.full_emb[r], field.full_emb[field.autos["sigma"][r]]
+            a, c = 2 * j, 2 * j + 1
+            want[:d, a, a], want[:d, c, c] = v, sv
+            want[d:, a, c], want[d:, c, a] = -t * sv, t * v
+        assert np.array_equal(codebook.simo_relay()._stack, want)
+
+    @pytest.mark.parametrize("M", [3, 5])
+    def test_mimo_relay(self, M):
+        # block j holds [[X, 0], [0, tau(X)]] for the X slot and
+        # [[0, zeta*s*tau(Y)], [s*Y, 0]] for the Y slot, zeta = -1 and
+        # s = sqrt(theta'); tau(X) is X with v and sv swapped
+        field = mimo_relay_field(2 * M + 1)
+        xi = field.full_emb[0, 1].real
+        t, s = np.sqrt(2 / (1 + xi)), np.sqrt(3 * (xi - 1))
+        d = field.dim
+        want = np.zeros((4 * d, 4 * M, 4 * M), dtype=complex)
+        X0, X1, Y0, Y1 = (want[i * d : (i + 1) * d] for i in range(4))
+        for j, r in enumerate(eta_rows(field, M)):
+            v, sv = field.full_emb[r], field.full_emb[field.autos["sigma"][r]]
+            o0, o1, o2, o3 = range(4 * j, 4 * j + 4)
+            X0[:, o0, o0], X0[:, o1, o1], X0[:, o2, o2], X0[:, o3, o3] = v, sv, sv, v
+            X1[:, o0, o1], X1[:, o1, o0] = -t * sv, t * v
+            X1[:, o2, o3], X1[:, o3, o2] = -t * v, t * sv
+            Y0[:, o0, o2], Y0[:, o1, o3] = -s * sv, -s * v
+            Y0[:, o2, o0], Y0[:, o3, o1] = s * v, s * sv
+            Y1[:, o0, o3], Y1[:, o1, o2] = -s * (-t * v), -s * (t * sv)
+            Y1[:, o2, o1], Y1[:, o3, o0] = s * (-t * sv), s * (t * v)
+        assert np.array_equal(codebook.mimo_relay(M=M)._stack, want)
+
+    def test_iterated(self):
+        # [[X1, tau(X1)], [X2, tau(X2)]]: X at row 0, tau(X) at row tau(0)
+        field = relay_field()
+        t = np.sqrt(2 / np.sqrt(5))
+        d = field.dim
+        want = np.zeros((4 * d, 4, 4), dtype=complex)
+        for half in range(2):
+            a, c = 2 * half, 2 * half + 1
+            first, second = want[a * d : c * d], want[c * d : (c + 1) * d]
+            for col, r in ((0, 0), (2, field.autos["tau"][0])):
+                v, sv = field.full_emb[r], field.full_emb[field.autos["sigma"][r]]
+                first[:, a, col], first[:, c, col + 1] = v, sv
+                second[:, a, col + 1], second[:, c, col] = -t * sv, t * v
+        assert np.array_equal(codebook.iterated()._stack, want)
 
 
 class TestIterateMap:

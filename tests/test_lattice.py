@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stlattice import lattice
-from stlattice.codebook import build
+from stlattice.codebook import REGISTRY, build
 from stlattice.lattice import (
     WeightBasis,
     generator_matrix,
@@ -38,6 +38,15 @@ ALAMOUTI_MATS = [
 
 def alamouti_basis():
     return WeightBasis("alamouti", ALAMOUTI_MATS)
+
+
+@st.composite
+def finite_matrices(draw):
+    """Complex matrices up to 4x4 over all finite doubles, signed zeros too."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    parts = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(complex).reshape(rows, cols)
 
 
 class TestVectorize:
@@ -65,6 +74,11 @@ class TestVectorize:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             vectorize(np.array([[np.nan, 0], [0, 0]]))
+
+    @given(finite_matrices())
+    def test_round_trip_keeps_every_bit(self, U):
+        back = unvectorize(vectorize(U), *U.shape)
+        assert back.shape == U.shape and back.tobytes() == U.tobytes()
 
 
 class TestWeightBasis:
@@ -112,6 +126,11 @@ class TestWeightBasis:
             with pytest.raises(ValueError, match="dependent"):
                 WeightBasis("bad", [m * 2.0**e for m in mats])
 
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_json_round_trip_keeps_every_bit(self, name):
+        b = build(name)
+        assert WeightBasis.from_json(b.to_json())._stack.tobytes() == b._stack.tobytes()
+
     def test_json_rejects_mismatched_counts(self):
         data = alamouti_basis().to_json_dict()
         data["k"] = 3
@@ -147,6 +166,12 @@ class TestLatticeProfile:
         volume = profile_from_generator(gen).volume
         scaled = profile_from_generator(np.ldexp(gen, e)).volume
         assert scaled == pytest.approx(math.ldexp(volume, gen.shape[1] * e), rel=1e-12)
+
+    def test_rank_deficient_generator_rejected(self):
+        # iterated's 32 weights span 16 real dimensions; its Gram matrix is
+        # singular only up to rounding, so the determinant alone gave a volume
+        with pytest.raises(ValueError, match="degenerate.* 32 .* 16 "):
+            lattice_profile(build("iterated"), det_search_bound=0)
 
     def test_singular_gram_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -82,6 +82,11 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match="negative"):
             ChannelConfig(n_t=2, n_r=1, T=2, snr_db_grid=(0,), trials=-1, seed=0)
 
+    @pytest.mark.parametrize("grid", [(-np.inf,), (np.nan,), (0.0, np.nan)])
+    def test_rejects_nan_and_minus_inf_snr(self, grid):
+        with pytest.raises(ValueError, match="SNR"):
+            ChannelConfig(n_t=2, n_r=1, T=2, snr_db_grid=grid, trials=1, seed=0)
+
     def test_default_receive_antennas(self):
         assert default_config(code("alamouti"), (0,), 1, 0).n_r == 1
         assert default_config(code("golden"), (0,), 1, 0).n_r == 2
@@ -125,6 +130,13 @@ class TestCalibration:
         sig = float(np.mean(np.sum(np.abs(H @ X) ** 2, axis=(1, 2))))
         ratio = sig / (2.0 * cfg.n_r * cfg.T * sigma_n**2)
         assert abs(10 * np.log10(ratio)) <= 0.1
+
+    @pytest.mark.parametrize("snr", [-np.inf, np.nan])
+    def test_rejects_nan_and_minus_inf_snr(self, snr):
+        basis = code("alamouti")
+        cfg = default_config(basis, (0.0,), 1, 9)
+        with pytest.raises(ValueError, match="SNR"):
+            calibrate_noise(basis, pam(2), cfg, snr, samples=20_000)
 
     def test_three_db_shift_scales_noise_by_sqrt2(self):
         basis = code("alamouti")
