@@ -11,7 +11,6 @@ block-orthogonal refinement that the quadratic form alone cannot see.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,23 +125,59 @@ def _exact_separator(bits: list, k: int):
     before the first size that cannot lower k', so a Gamma that leaves only
     isolated vertices wins a tie only against others like it.  None when
     no proper subset disconnects the graph.
+
+    Every Gamma of one size is tested at once: a breadth-first search from
+    each row's lowest remaining vertex over a 2^k table of neighbourhoods
+    (nbr[m] is the union of bits[v] for v in m) marks the rows that split,
+    and only those are peeled for their largest component.  Among equal
+    sizes the lexicographically smallest index set has the largest
+    bit-reversed mask.  The tables live for one call.
     """
     full = (1 << k) - 1
-    # Tuples of single-bit masks order like the index sets they stand for.
-    singles = [1 << v for v in range(k)]
-    best = None  # ((k_prime, gamma as single bits), gamma_mask, components)
+    nbr, pop, rev = (np.zeros(1 << k, dtype=np.int64) for _ in range(3))
+    for v in range(k):
+        lo, hi = 1 << v, 1 << (v + 1)
+        nbr[lo:hi] = nbr[:lo] | bits[v]
+        pop[lo:hi] = pop[:lo] + 1
+        rev[lo:hi] = rev[:lo] | (1 << (k - 1 - v))
+    best = None  # ((k_prime, gamma as indices), gamma_mask)
     for size in range(1, k - 1):
         if best is not None and size + 1 >= best[0][0]:
             break
-        for gamma in itertools.combinations(singles, size):
-            mask = sum(gamma)
-            comps = _components_of_mask(full ^ mask, bits)
-            if len(comps) < 2:
-                continue
-            key = (size + max(c.bit_count() for c in comps), gamma)
-            if best is None or key < best[0]:
-                best = (key, mask, comps)
-    return None if best is None else (best[1], best[0][0], best[2])
+        gammas = np.flatnonzero(pop == size)
+        avail = full ^ gammas
+        comp = _grow(avail & -avail, avail, nbr)
+        split = comp != avail
+        if not split.any():
+            continue
+        gammas, avail, comp = gammas[split], avail[split], comp[split]
+        largest = pop[comp]
+        rem = avail & ~comp
+        while (live := np.flatnonzero(rem)).size:
+            left = rem[live]
+            comp = _grow(left & -left, avail[live], nbr)
+            largest[live] = np.maximum(largest[live], pop[comp])
+            rem[live] = left & ~comp
+        k_prime = size + int(largest.min())
+        ties = gammas[largest == k_prime - size]
+        mask = int(ties[np.argmax(rev[ties])])
+        key = (k_prime, _mask_to_indices(mask))
+        if best is None or key < best[0]:
+            best = (key, mask)
+    if best is None:
+        return None
+    (k_prime, _), mask = best
+    return mask, k_prime, _components_of_mask(full ^ mask, bits)
+
+
+def _grow(comp: np.ndarray, avail: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Each row's component: comp grown through the neighbourhood table
+    inside avail until it stops changing."""
+    while True:
+        nxt = (comp | nbr[comp]) & avail
+        if np.array_equal(nxt, comp):
+            return comp
+        comp = nxt
 
 
 def _greedy_separator(bits: list, k: int):
@@ -204,14 +239,16 @@ def _check_ordering(ordering, k: int) -> tuple:
 def _thresholded_r(R: np.ndarray, tol: float):
     """R, a QR factor of some B, zero-padded to k x k, with the mask of
     entries at most tol times the largest |r| and whether a diagonal entry
-    is masked.  Every numpy QR mode gives the same R bit for bit.  tol must
-    be finite and nonnegative: a NaN one would mask nothing."""
+    is masked.  The cutoff has no absolute floor, so scaling B keeps the
+    mask and an all-zero R is deficient.  Every numpy QR mode gives the
+    same R bit for bit.  tol must be finite and nonnegative: a NaN one
+    would mask nothing."""
     _check_tol(tol)
     k = R.shape[1]
     if R.shape[0] < k:
         R = np.vstack([R, np.zeros((k - R.shape[0], k))])
-    scale = max(1.0, float(np.abs(R).max()))
-    zero_mask = np.abs(R) <= tol * scale
+    mag = np.abs(R)
+    zero_mask = mag <= tol * float(mag.max())
     return R, zero_mask, bool(np.any(np.diag(zero_mask)))
 
 

@@ -193,13 +193,11 @@ def _mixed_radix(base: int, k: int, start: int, stop: int, chunk: int):
     The low m digits, with base^m <= chunk, repeat with period base^m: they
     are tabulated once per call, and each block copies its rows from that
     table and repeats the high digits of the few periods ("tiles") it
-    spans, so the div/mod formula runs only on the table and the tiles.
+    spans, so the div/mod formula runs only on the tiles.
     """
-    m = 0
-    while m < k and base ** (m + 1) <= chunk:
-        m += 1
+    m = _table_width(base, k, chunk)
     period = base**m
-    low = _digits(np.arange(period, dtype=np.int64), base, m)
+    low = _digit_table(base, m)
     for lo in range(start, stop, chunk):
         hi = min(lo + chunk, stop)
         first = lo // period
@@ -210,6 +208,21 @@ def _mixed_radix(base: int, k: int, start: int, stop: int, chunk: int):
             rows[a - lo : b - lo, : k - m] = high
             rows[a - lo : b - lo, k - m :] = low[a - tile * period : b - tile * period]
         yield rows
+
+
+def _table_width(base: int, k: int, chunk: int) -> int:
+    """The largest m <= k with base^m <= chunk: how many low digits fit in
+    one table."""
+    m = 0
+    while m < k and base ** (m + 1) <= chunk:
+        m += 1
+    return m
+
+
+def _digit_table(base: int, m: int) -> np.ndarray:
+    """The m base-``base`` digits, most significant first, of every index
+    in [0, base^m): _digits of that range, read off np.indices."""
+    return np.indices((base,) * m, dtype=np.int64).reshape(m, base**m).T
 
 
 def _digits(ids: np.ndarray, base: int, n: int) -> np.ndarray:

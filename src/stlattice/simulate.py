@@ -25,7 +25,14 @@ from .decodability import (
     _thresholded_r,
     classify,
 )
-from .lattice import WeightBasis, _equivalent_channel, _mixed_radix, vectorize
+from .lattice import (
+    WeightBasis,
+    _digit_table,
+    _equivalent_channel,
+    _mixed_radix,
+    _table_width,
+    vectorize,
+)
 
 __all__ = [
     "Alphabet",
@@ -216,6 +223,13 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     Metrics within a relative 1e-9 of the minimum tie, and ties go to the
     lexicographically smallest coefficient vector.  Guarded to
     |S|^k <= 2^24 grid points; nodes_visited reports the grid size.
+
+    The grid splits into leading (hi) and trailing (lo) digits, with at
+    most 2^14 lo rows.  The lo products S_lo B_lo^T are formed once; each
+    block of hi rows (at most 2^14 grid rows a block) takes its residuals
+    y - S_hi B_hi^T, and every metric is the squared norm of such a
+    residual minus a lo product.  The reported metric can therefore differ
+    from the direct ||y - B s||^2 in its last bits.
     """
     values, B, y = _real_model(Y, H, basis, alphabet, range(basis.k))
     L, k = len(values), basis.k
@@ -224,14 +238,19 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
         raise ValueError(
             f"exhaustive search space {L}^{k} exceeds the 2^24 guard"
         )
+    m = _table_width(L, k, _CHUNK)
+    S_lo = values[_digit_table(L, m)]
+    P_lo = S_lo @ B[:, k - m :].T
+    B_hi = B[:, : k - m]
     best_metric, near = np.inf, []
-    for digits in _mixed_radix(L, k, 0, total, _CHUNK):
-        S = values[digits]
-        resid = y[None, :] - S @ B.T
-        metrics = np.einsum("ij,ij->i", resid, resid)
+    for digits in _mixed_radix(L, k - m, 0, L ** (k - m), _CHUNK // L**m):
+        S_hi = values[digits]
+        diff = (y - S_hi @ B_hi.T)[:, None, :] - P_lo[None, :, :]
+        metrics = np.einsum("ijn,ijn->ij", diff, diff)
         best_metric = min(best_metric, float(metrics.min()))
-        keep = metrics <= best_metric * (1.0 + _TIE_TOL)
-        near.extend(zip(metrics[keep].tolist(), S[keep]))
+        hi, lo = np.nonzero(metrics <= best_metric * (1.0 + _TIE_TOL))
+        rows = np.concatenate([S_hi[hi], S_lo[lo]], axis=1)
+        near.extend(zip(metrics[hi, lo].tolist(), rows))
     # Rows run in lexicographic order: the first within the final window wins.
     metric, row = next(c for c in near if c[0] <= best_metric * (1.0 + _TIE_TOL))
     return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=total)

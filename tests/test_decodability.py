@@ -17,6 +17,7 @@ from stlattice import codebook, decodability
 from stlattice.decodability import (
     DecodabilityProfile,
     _adjacency_bits,
+    _default_n_r,
     _exact_separator,
     _greedy_separator,
     _mask_to_indices,
@@ -318,6 +319,55 @@ class TestSeparators:
         assert _greedy_separator(_adjacency_bits(adjacency), k) is None
 
 
+def loop_exact_separator(bits, k):
+    """The subset loop that _exact_separator replaced: every Gamma in
+    itertools.combinations order, one component search per Gamma."""
+    full = (1 << k) - 1
+    singles = [1 << v for v in range(k)]
+    best = None
+    for size in range(1, k - 1):
+        if best is not None and size + 1 >= best[0][0]:
+            break
+        for gamma in itertools.combinations(singles, size):
+            mask = sum(gamma)
+            comps = decodability._components_of_mask(full ^ mask, bits)
+            if len(comps) < 2:
+                continue
+            key = (size + max(c.bit_count() for c in comps), gamma)
+            if best is None or key < best[0]:
+                best = (key, mask, comps)
+    return None if best is None else (best[1], best[0][0], best[2])
+
+
+class TestExactSeparatorMatchesLoop:
+    """The batched search returns the loop's separator, k' and components,
+    in the same order, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "name", [n for n in sorted(codebook.REGISTRY) if codebook.build(n).k <= 16]
+    )
+    def test_registry_graphs(self, name):
+        basis, _ = zoo(name)
+        bits = _adjacency_bits(hurwitz_radon(basis).adjacency)
+        assert _exact_separator(bits, basis.k) == loop_exact_separator(bits, basis.k)
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(17)
+        for k in range(2, 17):
+            # the loop takes up to 0.25 s a graph at k = 16
+            for density in (0.3, 0.5, 0.8) * (4 if k <= 12 else 1):
+                bits = _adjacency_bits(random_graph(rng, k, density))
+                assert _exact_separator(bits, k) == loop_exact_separator(bits, k)
+
+    def test_structured_graphs(self):
+        # many separators tie on k' in cycles and complete bipartite graphs
+        for k in range(3, 13):
+            side = np.arange(k) < k // 2
+            for adjacency in (cycle_graph(k), side[:, None] != side[None, :]):
+                bits = _adjacency_bits(adjacency)
+                assert _exact_separator(bits, k) == loop_exact_separator(bits, k)
+
+
 def loop_block_test(zero_mask, part1, part2):
     """Reference for the block-orthogonal R test, pair by pair: no
     nonzero entry may link two blocks of one part, and some must link
@@ -429,6 +479,20 @@ class TestRMatrix:
         rng = np.random.default_rng(1)
         H = draw_channel(4, basis.n_t, rng)
         assert r_matrix(basis, H).rank_deficient
+
+    @pytest.mark.parametrize("name", ["golden", "srinath_rajan"])
+    def test_weak_channel_keeps_its_pattern(self, name):
+        # The cutoff had an absolute floor of tol, so a channel scaled by
+        # 2^-40 masked every entry of R and read as rank-deficient.
+        basis, _ = zoo(name)
+        H = draw_channel(_default_n_r(basis), basis.n_t, np.random.default_rng(5))
+        strong = r_matrix(basis, H)
+        for exponent in (-40, 40):
+            weak = r_matrix(basis, H * 2.0**exponent)
+            assert np.array_equal(weak.zero_mask, strong.zero_mask)
+            assert not weak.rank_deficient
+        zero = r_matrix(basis, np.zeros_like(H))
+        assert zero.rank_deficient and zero.zero_mask.all()
 
     def test_srinath_rajan_block_pattern(self):
         basis, prof = zoo("srinath_rajan")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from stlattice import codebook, simulate
 from stlattice.decodability import classify, r_matrix
-from stlattice.lattice import WeightBasis, vectorize
+from stlattice.lattice import WeightBasis, _mixed_radix, vectorize
 from stlattice.simulate import (
     Alphabet,
     ChannelConfig,
@@ -288,6 +288,63 @@ class TestMLExhaustive:
             assert res.metric == pytest.approx(direct, rel=1e-9)
 
 
+def grid_ml_exhaustive(Y, H, basis, alphabet):
+    """The chunked grid that ml_exhaustive replaced: each block of at most
+    2^14 grid rows takes its metrics from the direct product S B^T."""
+    values, B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
+    L, k = len(values), basis.k
+    best_metric, near = np.inf, []
+    for digits in _mixed_radix(L, k, 0, L**k, simulate._CHUNK):
+        S = values[digits]
+        resid = y[None, :] - S @ B.T
+        metrics = np.einsum("ij,ij->i", resid, resid)
+        best_metric = min(best_metric, float(metrics.min()))
+        keep = metrics <= best_metric * (1.0 + simulate._TIE_TOL)
+        near.extend(zip(metrics[keep].tolist(), S[keep]))
+    metric, row = next(
+        c for c in near if c[0] <= best_metric * (1.0 + simulate._TIE_TOL)
+    )
+    return tuple(int(v) for v in row), metric
+
+
+class TestMLMatchesGrid:
+    """The split-digit search returns the direct grid's coefficients
+    exactly; its metric sums in another order, so it is held to 1e-12."""
+
+    @pytest.mark.parametrize(
+        "name, alphabet",
+        [("alamouti", pam(4)), ("golden", pam(4)), ("silver", pam(2))],
+    )
+    @pytest.mark.parametrize("snr", [0.0, 10.0, 20.0])
+    def test_registry_codes(self, name, alphabet, snr):
+        basis = code(name)
+        cfg = default_config(basis, (snr,), 1, 0)
+        sigma_n = calibrate_noise(basis, alphabet, cfg, snr, samples=20_000)
+        for t in range(4):
+            H, _, Y = noisy_trial(basis, alphabet, cfg, sigma_n, [11, 0, t])
+            coeffs, metric = grid_ml_exhaustive(Y, H, basis, alphabet)
+            res = ml_exhaustive(Y, H, basis, alphabet)
+            assert res.coeffs == coeffs
+            assert res.metric == pytest.approx(metric, rel=1e-12)
+
+    def test_partial_blocks(self):
+        # 3^10 grid points: 3^8 = 6561 trailing rows, which do not divide
+        # 2^14, so the nine leading rows go in blocks of 2, 2, 2, 2 and 1.
+        rng = np.random.default_rng(29)
+        mats = rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3))
+        basis = WeightBasis("ten", mats)
+        alphabet = Alphabet((-2, 0, 2))
+        for t in range(3):
+            H = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+            Y = H @ basis.combination(rng.choice([-2, 0, 2], 10))
+            Y = Y + 0.5 * (rng.normal(size=Y.shape) + 1j * rng.normal(size=Y.shape))
+            coeffs, metric = grid_ml_exhaustive(Y, H, basis, alphabet)
+            res = ml_exhaustive(Y, H, basis, alphabet)
+            assert res.coeffs == coeffs
+            assert res.metric == pytest.approx(metric, rel=1e-12)
+            assert res.nodes_visited == 3**10
+
+
 class TestSphereDecode:
     def test_matches_exhaustive_on_alamouti(self):
         basis = code("alamouti")
@@ -368,6 +425,19 @@ class TestSphereDecode:
         with pytest.raises(ValueError, match="rank-deficient"):
             sphere_decode(np.zeros((1, 2)), H, basis, pam(2))
 
+    def test_weak_channel_decodes(self):
+        # The R-factor cutoff had an absolute floor, so at 2^-40 every entry
+        # was masked and a full-rank channel raised "rank-deficient".
+        basis = code("golden")
+        cfg = default_config(basis, (10.0,), 1, 0)
+        sigma_n = calibrate_noise(basis, pam(4), cfg, 10.0, samples=20_000)
+        scale = 2.0**-40
+        for t in range(5):
+            H, _, Y = noisy_trial(basis, pam(4), cfg, sigma_n, [4, 0, t])
+            expected = ml_exhaustive(Y, H, basis, pam(4)).coeffs
+            assert ml_exhaustive(Y * scale, H * scale, basis, pam(4)).coeffs == expected
+            assert sphere_decode(Y * scale, H * scale, basis, pam(4)).coeffs == expected
+
     def test_rejects_bad_ordering(self):
         basis = code("alamouti")
         with pytest.raises(ValueError, match="permutation"):
@@ -381,20 +451,27 @@ RECEIVED = ("noisy", "zero_block", "integer_zero_block", "integer_midpoint")
 
 @st.composite
 def decoding_problems(draw):
-    """A random independent Gaussian-integer basis with k <= 6, alphabet,
-    ordering, channel and received block.  Besides noisy blocks, the draws
+    """A random independent Gaussian-integer basis with k <= 10 and at most
+    2^16 grid points, alphabet, ordering, channel and received block, the
+    last two scaled by 2^e with |e| <= 40.  Besides noisy blocks, the draws
     force ties: a zero block makes s and -s tie, and integer channels with
-    integer blocks make the metrics exact, so distinct vectors can tie."""
-    n_t = draw(st.integers(1, 2))
-    T = draw(st.integers(n_t, 2))
-    k = draw(st.integers(1, min(6, 2 * n_t * T)))
+    integer blocks make the metrics exact, so distinct vectors can tie;
+    scaling by a power of two keeps every tie."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    n_t = draw(st.integers(1, 3))
+    T = draw(st.integers(n_t, 3))
+    k_cap = 1
+    while k_cap < min(10, 2 * n_t * T) and alphabet.size ** (k_cap + 1) <= 2**16:
+        k_cap += 1
+    # Half the draws take the largest k, so grids beyond one 2^14-row block
+    # (L^k > 2^14, split into leading and trailing digits) come up often.
+    k = draw(st.one_of(st.just(k_cap), st.integers(1, k_cap)))
     size = 2 * k * n_t * T
     parts = np.array(draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)))
     mats = (parts[:size // 2] + 1j * parts[size // 2:]).reshape(k, n_t, T)
     gen = np.stack([vectorize(m) for m in mats], axis=1)
     assume(np.linalg.matrix_rank(gen) == k)
     basis = WeightBasis("drawn", mats)
-    alphabet = draw(st.sampled_from(ALPHABETS))
     ordering = draw(st.permutations(range(k)))
     received = draw(st.sampled_from(RECEIVED))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -414,6 +491,8 @@ def decoding_problems(draw):
         Y = H @ basis.combination(rng.choice(values, k) + rng.choice(values, k)) / 2
     else:
         Y = np.zeros((n_r, T))
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    H, Y = H * scale, Y * scale
     return basis, alphabet, ordering, H, Y
 
 
