@@ -14,15 +14,17 @@ from stlattice import (
     build,
     classify,
     default_config,
+    draw_channel,
     ml_exhaustive,
     pam,
     run_campaign,
     sphere_decode,
 )
-from stlattice.decodability import draw_channel
 
 basis = build("alamouti")
 alphabet = pam(4)
+# The campaign's config (n_r = 1) also draws the agreement trials' channels.
+cfg = default_config(basis, snr_db_grid=(0.0, 8.0, 16.0), trials=300, seed=42)
 
 # Decoder agreement on a handful of noisy trials.
 prof = classify(basis)
@@ -34,7 +36,7 @@ nodes_ml = 0
 trials = 200
 for t in range(trials):
     rng = np.random.default_rng([5, t])
-    H = draw_channel(1, basis.n_t, rng)
+    H = draw_channel(cfg, rng)
     s = rng.choice(values, size=basis.k)
     X = np.tensordot(s, np.stack(basis.mats), axes=1)
     noise = rng.normal(size=(1, basis.T)) + 1j * rng.normal(size=(1, basis.T))
@@ -50,7 +52,6 @@ print(f"sphere work fraction: {nodes_sphere / nodes_ml:.3f}")
 print()
 
 # A reproducible campaign over three SNR points.
-cfg = default_config(basis, snr_db_grid=(0.0, 8.0, 16.0), trials=300, seed=42)
 campaign = run_campaign(basis, alphabet, cfg, calibration_samples=20_000)
 print(campaign.to_csv())
 

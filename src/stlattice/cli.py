@@ -16,33 +16,29 @@ import sys
 import numpy as np
 
 from .codebook import REGISTRY, CodeDescriptor, build
-from .decodability import bounds_check, classify
+from .decodability import TOL, bounds_check, classify
 from .lattice import WeightBasis, lattice_profile
 from .simulate import Alphabet, default_config, pam, run_campaign
 
 __all__ = ["main"]
 
 
-class _ValidationError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _ValidationError(message)
+        raise ValueError(message)
 
 
 def _parse_scalar(text: str):
     """Numeric flag values: real, complex ('i' or 'j' notation), or a/b."""
     s = text.strip().replace(" ", "")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        return float(num) / float(den)
     try:
+        if "/" in s:
+            num, _, den = s.partition("/")
+            return float(num) / float(den)
         value = complex(s.replace("i", "j"))
-    except ValueError:
-        raise _ValidationError(f"cannot parse numeric value '{text}'")
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse numeric value '{text}'") from None
     return value.real if value.imag == 0 else value
 
 
@@ -50,19 +46,13 @@ def _parse_float_list(text: str):
     try:
         return tuple(float(x) for x in text.split(",") if x.strip() != "")
     except ValueError:
-        raise _ValidationError(f"cannot parse list of numbers '{text}'")
+        raise ValueError(f"cannot parse list of numbers '{text}'") from None
 
 
 def _parse_alphabet(text: str) -> Alphabet:
     if "," in text:
-        try:
-            return Alphabet(tuple(int(x) for x in text.split(",")))
-        except ValueError as exc:
-            raise _ValidationError(str(exc))
-    try:
-        return pam(int(text))
-    except ValueError as exc:
-        raise _ValidationError(str(exc))
+        return Alphabet(tuple(int(x) for x in text.split(",")))
+    return pam(int(text))
 
 
 def _write_output(text: str, path):
@@ -82,12 +72,12 @@ def _load_basis(source: str) -> WeightBasis:
         with open(source, "r", encoding="utf-8") as handle:
             return WeightBasis.from_json(handle.read())
     except FileNotFoundError:
-        raise _ValidationError(
+        raise ValueError(
             f"'{source}' is neither a basis JSON file nor a known family; "
             f"known families: {sorted(REGISTRY)}"
         ) from None
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise _ValidationError(f"cannot read basis from '{source}': {exc}")
+        raise ValueError(f"cannot read basis from '{source}': {exc}") from None
 
 
 def _collect_params(args) -> dict:
@@ -192,8 +182,13 @@ def _cmd_zoo(args) -> int:
 
 def _add_common(sub):
     sub.add_argument("--output", default=None, help="write to a file instead of stdout")
-    sub.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
+
+
+def _add_classify(sub):
+    """classify's arguments, read by analyze and zoo."""
+    sub.add_argument("--trials", type=int, default=20, help="channel samples for R structure")
+    sub.add_argument("--tol", type=float, default=TOL, help="relative classification tolerance")
+    sub.add_argument("--seed", type=int, default=0, help="random seed of the channel samples")
 
 
 def build_parser() -> _Parser:
@@ -216,7 +211,7 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("analyze", help="decodability classification as JSON")
     sub.add_argument("source", help="family name or basis JSON file")
-    sub.add_argument("--trials", type=int, default=20, help="channel samples for R structure")
+    _add_classify(sub)
     _add_common(sub)
     sub.set_defaults(func=_cmd_analyze)
 
@@ -229,11 +224,12 @@ def build_parser() -> _Parser:
     sub.add_argument("--n-r", type=int, default=None, help="receive antenna count")
     sub.add_argument("--cal-samples", type=int, default=100_000,
                      help="Monte Carlo samples for noise calibration")
+    sub.add_argument("--seed", type=int, default=0, help="random seed of the campaign")
     _add_common(sub)
     sub.set_defaults(func=_cmd_simulate)
 
     sub = subs.add_parser("zoo", help="summary table of every shipped family")
-    sub.add_argument("--trials", type=int, default=20, help="channel samples for R structure")
+    _add_classify(sub)
     _add_common(sub)
     sub.set_defaults(func=_cmd_zoo)
 
@@ -245,9 +241,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

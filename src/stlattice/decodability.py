@@ -275,14 +275,12 @@ def _default_n_r(basis: WeightBasis) -> int:
     return max(1, -(-basis.k // (2 * basis.T)))
 
 
-def draw_channel(n_r: int, n_t: int, rng, sigma_h: float = 1.0 / np.sqrt(2.0)) -> np.ndarray:
-    """Rayleigh channel: entries with independent N(0, sigma_h^2) real and
-    imaginary parts, the real parts drawn first."""
-    return _rayleigh((n_r, n_t), rng, sigma_h)
+SIGMA_H = 1.0 / np.sqrt(2.0)  # channel scale per real dimension: E|h|^2 = 1
 
 
 def _rayleigh(shape, rng, sigma_h: float) -> np.ndarray:
-    """draw_channel's draw over any shape, such as a batch of channels."""
+    """Rayleigh channels of any shape: independent N(0, sigma_h^2) real and
+    imaginary parts, the real parts drawn first."""
     return sigma_h * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
@@ -304,7 +302,7 @@ def sample_r_matrix(
     deficient = False
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        H = draw_channel(n_r, basis.n_t, rng)
+        H = _rayleigh((n_r, basis.n_t), rng, SIGMA_H)
         prof = r_matrix(basis, H, order, tol)
         acc = np.abs(prof.R) if acc is None else acc + np.abs(prof.R)
         mask = prof.zero_mask if mask is None else (mask & prof.zero_mask)

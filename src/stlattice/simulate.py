@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decodability import (
+    SIGMA_H,
+    TOL,
     _check_ordering,
     _default_n_r,
     _mask_to_indices,
@@ -92,7 +94,7 @@ class ChannelConfig:
     snr_db_grid: tuple
     trials: int
     seed: int
-    sigma_h: float = 1.0 / np.sqrt(2.0)
+    sigma_h: float = SIGMA_H
 
     def __post_init__(self):
         if self.T < self.n_t:
@@ -122,7 +124,7 @@ def default_config(
     trials: int,
     seed: int,
     n_r: int | None = None,
-    sigma_h: float = 1.0 / np.sqrt(2.0),
+    sigma_h: float = SIGMA_H,
 ) -> ChannelConfig:
     """Config sized to the basis; n_r defaults to the smallest count that
     makes the equivalent real channel matrix square or tall."""
@@ -162,6 +164,11 @@ def _mean_signal_power(
     symbols it adds the same products over k in the same order as a complex
     einsum, so X has the same bits, in about a third of the time.
     """
+    if (cfg.n_t, cfg.T) != (basis.n_t, basis.T):
+        raise ValueError(
+            f"channel config has n_t x T = {cfg.n_t} x {cfg.T}, "
+            f"but the basis has {basis.n_t} x {basis.T}"
+        )
     if samples < 10_000:
         raise ValueError("calibration needs at least 10^4 samples")
     values = np.array(sorted(alphabet.values), dtype=float)
@@ -230,6 +237,11 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     y - S_hi B_hi^T, and every metric is the squared norm of such a
     residual minus a lo product.  The reported metric can therefore differ
     from the direct ||y - B s||^2 in its last bits.
+
+    Rows run in lexicographic order, so the winner is the first row in the
+    final tie window, and it lies strictly below every row before it.  Only
+    such rows are kept, each while it stays in the window: memory does not
+    grow with the number of tied rows.
     """
     values, B, y = _real_model(Y, H, basis, alphabet, range(basis.k))
     L, k = len(values), basis.k
@@ -242,17 +254,27 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     S_lo = values[_digit_table(L, m)]
     P_lo = S_lo @ B[:, k - m :].T
     B_hi = B[:, : k - m]
-    best_metric, near = np.inf, []
+    # The grid's first row stands in at an infinite metric, in case no
+    # metric is finite.
+    best_metric, kept = np.inf, [(np.inf, np.full(k, values[0]))]
     for digits in _mixed_radix(L, k - m, 0, L ** (k - m), _CHUNK // L**m):
         S_hi = values[digits]
         diff = (y - S_hi @ B_hi.T)[:, None, :] - P_lo[None, :, :]
         metrics = np.einsum("ijn,ijn->ij", diff, diff)
+        lowest = best_metric
         best_metric = min(best_metric, float(metrics.min()))
-        hi, lo = np.nonzero(metrics <= best_metric * (1.0 + _TIE_TOL))
-        rows = np.concatenate([S_hi[hi], S_lo[lo]], axis=1)
-        near.extend(zip(metrics[hi, lo].tolist(), rows))
-    # Rows run in lexicographic order: the first within the final window wins.
-    metric, row = next(c for c in near if c[0] <= best_metric * (1.0 + _TIE_TOL))
+        window = best_metric * (1.0 + _TIE_TOL)
+        kept = [c for c in kept if c[0] <= window]
+        # Candidates lie in the window and below every earlier block.  A row
+        # above the window is above every candidate and cannot hold one
+        # back, so scanning the candidates finds every row that lowers the
+        # running minimum.
+        hi, lo = np.nonzero((metrics <= window) & (metrics < lowest))
+        for h, l, dist in zip(hi.tolist(), lo.tolist(), metrics[hi, lo].tolist()):
+            if dist < lowest:
+                lowest = dist
+                kept.append((dist, np.concatenate([S_hi[h], S_lo[l]])))
+    metric, row = kept[0]
     return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=total)
 
 
@@ -309,7 +331,7 @@ def _sphere_block(R, z, values, lex_perm):
 
 
 def sphere_decode(
-    Y, H, basis: WeightBasis, alphabet: Alphabet, ordering=None, tol: float = 1e-9
+    Y, H, basis: WeightBasis, alphabet: Alphabet, ordering=None, tol: float = TOL
 ) -> DecodeResult:
     """Exact ML by sphere search, split across independent column blocks.
 

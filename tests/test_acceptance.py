@@ -21,6 +21,7 @@ from stlattice import (
     build,
     classify,
     default_config,
+    draw_channel,
     generator_matrix,
     golden_algebra,
     iterate,
@@ -36,7 +37,6 @@ from stlattice import (
     sample_r_matrix,
     sphere_decode,
 )
-from stlattice.decodability import draw_channel
 
 ZOO = (
     "alamouti",
@@ -62,6 +62,11 @@ def profile(name):
     return classify(code(name))
 
 
+def channel(basis, n_r, rng):
+    """One Rayleigh channel for the basis from the public sampler."""
+    return draw_channel(default_config(basis, (), trials=0, seed=0, n_r=n_r), rng)
+
+
 def aligned(prof):
     """Decoding order implied by a profile: grouped symbols, then the
     conditioned ones."""
@@ -81,7 +86,7 @@ def test_01_alamouti_four_groups_and_diagonal_r():
     assert prof.k_prime == 1
     rng = np.random.default_rng(101)
     for _ in range(100):
-        H = draw_channel(1, basis.n_t, rng)
+        H = channel(basis, 1, rng)
         rp = r_matrix(basis, H)
         off = np.abs(rp.R - np.diag(np.diag(rp.R)))
         assert off.max() <= 1e-9 * np.abs(rp.R).max()
@@ -226,7 +231,7 @@ def test_10_sphere_decoder_matches_exhaustive_ml():
         nodes_ml = 0
         for t in range(trials):
             rng = np.random.default_rng([17, t])
-            H = draw_channel(n_r, basis.n_t, rng)
+            H = channel(basis, n_r, rng)
             s = rng.choice(values, size=basis.k)
             X = np.tensordot(s, np.stack(basis.mats), axes=1)
             noise = rng.normal(size=(n_r, basis.T)) + 1j * rng.normal(

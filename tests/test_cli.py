@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stlattice import codebook
-from stlattice.cli import main
+from stlattice.cli import build_parser, main
 from stlattice.lattice import WeightBasis
 
 
@@ -75,6 +75,12 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "golden", "--gamma", "shiny")
         assert code == 1
         assert "cannot parse" in err
+
+    def test_zero_denominator_gamma_fails_validation(self, capsys):
+        # It was an internal error: "float division by zero", exit 2.
+        code, out, err = run(capsys, "construct", "golden", "--gamma", "1/0")
+        assert code == 1 and out == ""
+        assert "cannot parse numeric value '1/0'" in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "basis.json"
@@ -219,6 +225,51 @@ class TestSimulate:
 
 
 class TestVerbs:
+    FLAGS = {
+        "construct": {"--gamma", "--M", "--p", "--output"},
+        "lattice": {"--bound", "--output"},
+        "analyze": {"--trials", "--tol", "--seed", "--output"},
+        "simulate": {
+            "--snr", "--trials", "--alphabet", "--decoder", "--n-r",
+            "--cal-samples", "--seed", "--output",
+        },
+        "zoo": {"--trials", "--tol", "--seed", "--output"},
+    }
+
+    def test_each_verb_takes_only_the_flags_it_reads(self):
+        subs = next(a for a in build_parser()._actions if a.dest == "verb").choices
+        flags = {
+            verb: {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+            for verb, sub in subs.items()
+        }
+        assert flags == self.FLAGS
+        assert sum(map(len, flags.values())) == 22
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lattice", "golden", "--seed", "5"),
+            ("lattice", "golden", "--tol", "3", "--seed", "5"),
+            ("construct", "golden", "--tol", "1e-3"),
+            ("construct", "golden", "--seed", "1"),
+            ("simulate", "alamouti", "--tol", "1e-3"),
+            ("simulate", "alamouti", "--tol", "-5"),
+        ],
+    )
+    def test_flag_the_verb_does_not_read_is_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("verb", [("analyze", "golden"), ("zoo",)])
+    def test_classifying_verbs_read_tol_and_seed(self, capsys, verb):
+        code, default, _ = run(capsys, *verb, "--trials", "5")
+        assert code == 0
+        argv = (*verb, "--trials", "5", "--tol", "1e-9", "--seed", "0")
+        assert run(capsys, *argv) == (0, default, "")
+        code, _, err = run(capsys, *verb, "--tol", "-1")
+        assert code == 1 and "tol" in err
+
     def test_missing_verb(self, capsys):
         assert run(capsys, )[0] == 1
 

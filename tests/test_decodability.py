@@ -23,13 +23,12 @@ from stlattice.decodability import (
     _mask_to_indices,
     bounds_check,
     classify,
-    draw_channel,
     hurwitz_radon,
     r_matrix,
     sample_r_matrix,
 )
 from stlattice.lattice import WeightBasis
-from stlattice.simulate import pam, sphere_decode
+from stlattice.simulate import default_config, draw_channel, pam, sphere_decode
 
 I2 = np.eye(2, dtype=complex)
 
@@ -42,6 +41,11 @@ def zoo(name):
         basis = codebook.build(name)
         _CACHE[name] = (basis, classify(basis))
     return _CACHE[name]
+
+
+def channel(basis, n_r, rng):
+    """One Rayleigh channel for the basis from the package's sampler."""
+    return draw_channel(default_config(basis, (), trials=0, seed=0, n_r=n_r), rng)
 
 
 # family, k_prime, groups, conditioned, reduction_pct, fast_decodable, bo_params
@@ -426,7 +430,7 @@ class TestRMatrix:
         basis, _ = zoo("alamouti")
         rng = np.random.default_rng(0)
         for _ in range(100):
-            H = draw_channel(1, 2, rng)
+            H = channel(basis, 1, rng)
             prof = r_matrix(basis, H)
             R = prof.R
             off = R - np.diag(np.diag(R))
@@ -469,7 +473,7 @@ class TestRMatrix:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_channel(self, bad):
         basis, _ = zoo("golden")
-        H = draw_channel(2, basis.n_t, np.random.default_rng(0))
+        H = channel(basis, 2, np.random.default_rng(0))
         H[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             r_matrix(basis, H)
@@ -477,7 +481,7 @@ class TestRMatrix:
     def test_deficient_span_is_flagged(self):
         basis, _ = zoo("iterated")
         rng = np.random.default_rng(1)
-        H = draw_channel(4, basis.n_t, rng)
+        H = channel(basis, 4, rng)
         assert r_matrix(basis, H).rank_deficient
 
     @pytest.mark.parametrize("name", ["golden", "srinath_rajan"])
@@ -485,7 +489,7 @@ class TestRMatrix:
         # The cutoff had an absolute floor of tol, so a channel scaled by
         # 2^-40 masked every entry of R and read as rank-deficient.
         basis, _ = zoo(name)
-        H = draw_channel(_default_n_r(basis), basis.n_t, np.random.default_rng(5))
+        H = channel(basis, _default_n_r(basis), np.random.default_rng(5))
         strong = r_matrix(basis, H)
         for exponent in (-40, 40):
             weak = r_matrix(basis, H * 2.0**exponent)
@@ -541,6 +545,23 @@ class TestSampleRMatrix:
         with pytest.raises(ValueError, match="trial"):
             sample_r_matrix(basis, trials=0)
 
+    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    def test_matches_its_per_trial_draw_loop(self, name):
+        # The per-trial loop with its Rayleigh draw written out in full:
+        # sample_r_matrix must give the same R and zero_mask, bit for bit.
+        basis, _ = zoo(name)
+        shape = (_default_n_r(basis), basis.n_t)
+        acc = mask = None
+        for trial in range(20):
+            rng = np.random.default_rng([0, trial])
+            H = (1.0 / np.sqrt(2.0)) * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            prof = r_matrix(basis, H, tol=1e-9)
+            acc = np.abs(prof.R) if acc is None else acc + np.abs(prof.R)
+            mask = prof.zero_mask if mask is None else (mask & prof.zero_mask)
+        sampled = sample_r_matrix(basis)
+        assert np.array_equal(sampled.R, acc / 20)
+        assert np.array_equal(sampled.zero_mask, mask)
+
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
 def test_r_factor_thresholds_reject_bad_tol(tol):
@@ -550,7 +571,7 @@ def test_r_factor_thresholds_reject_bad_tol(tol):
         r_matrix(basis, np.zeros((2, 2)), tol=tol)
     with pytest.raises(ValueError, match="tol"):
         sample_r_matrix(basis, trials=2, tol=tol)
-    H = draw_channel(1, 2, np.random.default_rng(0))
+    H = channel(basis, 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="tol"):
         sphere_decode(np.zeros((1, 2)), H, basis, pam(2), tol=tol)
 
@@ -571,7 +592,7 @@ class TestOrthogonalityImpliesZeroEntry:
         n_r = max(1, -(-k // (2 * basis.T)))
         rng = np.random.default_rng(17)
         for _ in range(100):
-            H = draw_channel(n_r, basis.n_t, rng)
+            H = channel(basis, n_r, rng)
             R = r_matrix(basis, H, ordering).R
             norm = np.linalg.norm(R)
             for i in range(k):

@@ -6,6 +6,7 @@ arithmetic and were verified by hand before freezing.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,18 @@ class TestCalibration:
         with pytest.raises(ValueError, match="10"):
             run_campaign(basis, pam(2), cfg, calibration_samples=100)
 
+    @pytest.mark.parametrize("n_t, T", [(2, 4), (3, 3)])
+    def test_rejects_a_config_shaped_unlike_the_basis(self, n_t, T):
+        # golden is 2 x 2.  A T = 4 config ran every row 3.01 dB above its
+        # snr_db, and a 3 x 3 config failed inside numpy's matmul.
+        basis = code("golden")
+        cfg = ChannelConfig(n_t=n_t, n_r=2, T=T, snr_db_grid=(10.0,), trials=1, seed=0)
+        shapes = rf"n_t x T = {n_t} x {T}, but the basis has 2 x 2"
+        with pytest.raises(ValueError, match=shapes):
+            calibrate_noise(basis, pam(4), cfg, 10.0, samples=20_000)
+        with pytest.raises(ValueError, match=shapes):
+            run_campaign(basis, pam(4), cfg, calibration_samples=20_000)
+
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize(
         "name", ["alamouti", "golden", "silver", "srinath_rajan", "mimo_relay"]
@@ -263,6 +276,21 @@ class TestMLExhaustive:
         basis = WeightBasis("three", [np.eye(2), 1j * np.eye(2), np.diag([1.0, -1.0])])
         res = ml_exhaustive(np.zeros((1, 2)), np.zeros((1, 2)), basis, pam(4))
         assert res.coeffs == (-3, -3, -3)
+
+    def test_many_ties_keep_memory_bounded(self):
+        # H = 0 ties all 4^10 grid rows at metric 0.  Keeping every row in
+        # the tie window took seconds and hundreds of MB here.
+        rng = np.random.default_rng(0)
+        mats = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(10)]
+        basis = WeightBasis("random", mats)
+        tracemalloc.start()
+        try:
+            res = ml_exhaustive(np.zeros((1, 3)), np.zeros((1, 3)), basis, pam(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.coeffs == (-3,) * 10
+        assert peak < 50e6
 
     def test_rejects_mismatched_received_block(self):
         basis = code("alamouti")
