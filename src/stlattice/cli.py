@@ -29,6 +29,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+class _VerbParser(_Parser):
+    """A verb's parser: it rejects the arguments it does not read itself,
+    so the error shows that verb's usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _parse_scalar(text: str):
     """Numeric flag values: real, complex ('i' or 'j' notation), or a/b."""
     s = text.strip().replace(" ", "")
@@ -193,7 +204,7 @@ def _add_classify(sub):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="stlattice", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="verb", required=True)
+    subs = parser.add_subparsers(dest="verb", required=True, parser_class=_VerbParser)
 
     sub = subs.add_parser("construct", help="emit a code basis as JSON")
     sub.add_argument("family", help="registered family name")

@@ -378,6 +378,7 @@ def _block_orthogonal_check(
     bits: list,
     trials: int,
     seed: int,
+    tol: float,
 ):
     """Try to confirm a two-part block-orthogonal R structure.
 
@@ -395,12 +396,12 @@ def _block_orthogonal_check(
         return None
     part2 = _components_of_mask(gamma_mask, bits)
     if len(part2) == 1:
-        part2 = _empirical_split(basis, gamma_mask, trials, seed)
+        part2 = _empirical_split(basis, gamma_mask, trials, seed, tol)
     if part2 is None or _uniform_blocks(part2) != shape:
         return None
     blocks = tuple(_mask_to_indices(m) for m in sorted(part1) + sorted(part2))
     ordering = [sym for b in blocks for sym in b]
-    zero_mask = sample_r_matrix(basis, ordering, trials=trials, seed=seed).zero_mask
+    zero_mask = sample_r_matrix(basis, ordering, trials=trials, seed=seed, tol=tol).zero_mask
     block = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
     part = block >= len(part1)
     links = np.triu(~zero_mask, 1) & (block[:, None] != block[None, :])
@@ -411,12 +412,12 @@ def _block_orthogonal_check(
     return (2, n_blocks, p), n_blocks * p + p, blocks
 
 
-def _empirical_split(basis: WeightBasis, gamma_mask: int, trials: int, seed: int):
+def _empirical_split(basis: WeightBasis, gamma_mask: int, trials: int, seed: int, tol: float):
     """Split a separator into blocks using the sampled R zero pattern."""
     symbols = _mask_to_indices(gamma_mask)
     rest = [i for i in range(basis.k) if i not in symbols]
     ordering = rest + list(symbols)
-    prof = sample_r_matrix(basis, ordering, trials=trials, seed=seed)
+    prof = sample_r_matrix(basis, ordering, trials=trials, seed=seed, tol=tol)
     comps = _r_blocks(prof.zero_mask[len(rest) :, len(rest) :])
     if len(comps) < 2:
         return None
@@ -437,7 +438,9 @@ def classify(
     beyond) and the block-orthogonal confirmation against sampled R factors.
     The fast-group refinement (per-group removable levels) changes reported
     complexity orders, so it only runs when refine_fast_group is set.
-    trials must be at least 1 and tol finite and nonnegative.
+    tol is both the Hurwitz-Radon graph's cutoff and the threshold of the
+    sampled R factors (see hurwitz_radon and sample_r_matrix).  trials must
+    be at least 1 and tol finite and nonnegative.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -455,7 +458,7 @@ def classify(
     if found is None:
         return _profile("none", k, k, (tuple(range(k)),))
     gamma_mask, k_prime, comps = found
-    bo = _block_orthogonal_check(basis, gamma_mask, comps, bits, trials, seed)
+    bo = _block_orthogonal_check(basis, gamma_mask, comps, bits, trials, seed, tol)
     if bo is not None and bo[1] <= k_prime:
         bo_params, bo_k_prime, blocks = bo
         return _profile("block_orthogonal", k, bo_k_prime, blocks, bo_params=bo_params)

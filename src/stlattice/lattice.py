@@ -186,49 +186,44 @@ class LatticeProfile:
 _CHUNK = 65536
 
 
-def _mixed_radix(base: int, k: int, start: int, stop: int, chunk: int):
-    """Yield the k base-``base`` digits, most significant first, of every
-    index in [start, stop), as int64 rows in blocks of at most chunk.
+def _mixed_radix(values, k: int, start: int, stop: int, chunk: int):
+    """Yield the rows (values[d_1], ..., values[d_k]) of the k base-len(values)
+    digits, most significant first, of every index in [start, stop), in
+    blocks of at most chunk rows.
 
-    The low m digits, with base^m <= chunk, repeat with period base^m: they
-    are tabulated once per call, and each block copies its rows from that
-    table and repeats the high digits of the few periods ("tiles") it
-    spans, so the div/mod formula runs only on the tiles.
+    Each block is built digit-major, as a k x n array whose transpose is
+    yielded, so every pass runs along the block's rows.  Digit j runs
+    through values with each value repeated r = base^(k-1-j) times.  A
+    column whose run is at least the longest block holds at most two runs
+    and is filled with them.  Any other column is periodic: one period of
+    its cycle, tabulated once per call, is copied in from the block's
+    offset, and the filled prefix is doubled until the column is full.
     """
-    m = _table_width(base, k, chunk)
-    period = base**m
-    low = _digit_table(base, m)
+    base = len(values)
+    runs = [base ** (k - 1 - j) for j in range(k)]
+    longest = min(chunk, stop - start)
+    cycles = {run: np.repeat(values, run) for run in runs if run < longest}
     for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        first = lo // period
-        tiles = _digits(np.arange(first, (hi - 1) // period + 1, dtype=np.int64), base, k - m)
-        rows = np.empty((hi - lo, k), dtype=np.int64)
-        for tile, high in enumerate(tiles, first):
-            a, b = max(lo, tile * period), min(hi, (tile + 1) * period)
-            rows[a - lo : b - lo, : k - m] = high
-            rows[a - lo : b - lo, k - m :] = low[a - tile * period : b - tile * period]
-        yield rows
-
-
-def _table_width(base: int, k: int, chunk: int) -> int:
-    """The largest m <= k with base^m <= chunk: how many low digits fit in
-    one table."""
-    m = 0
-    while m < k and base ** (m + 1) <= chunk:
-        m += 1
-    return m
-
-
-def _digit_table(base: int, m: int) -> np.ndarray:
-    """The m base-``base`` digits, most significant first, of every index
-    in [0, base^m): _digits of that range, read off np.indices."""
-    return np.indices((base,) * m, dtype=np.int64).reshape(m, base**m).T
-
-
-def _digits(ids: np.ndarray, base: int, n: int) -> np.ndarray:
-    """The n base-``base`` digits of each id, most significant first."""
-    powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (ids[:, None] // powers[None, :]) % base
+        n = min(chunk, stop - lo)
+        block = np.empty((k, n), dtype=values.dtype)
+        for col, run in zip(block, runs):
+            digit, into = divmod(lo % (base * run), run)
+            if run not in cycles:
+                head = min(run - into, n)
+                col[:head] = values[digit]
+                col[head:] = values[(digit + 1) % base]
+                continue
+            cycle = cycles[run]
+            at = digit * run + into
+            head = min(len(cycle) - at, n)
+            col[:head] = cycle[at : at + head]
+            filled = min(len(cycle), n)
+            col[head:filled] = cycle[: filled - head]
+            while filled < n:
+                step = min(filled, n - filled)
+                col[filled : filled + step] = col[:step]
+                filled += step
+        yield block.T
 
 
 def _coefficient_box(k: int, bound: int, max_candidates: int):
@@ -250,8 +245,7 @@ def _coefficient_box(k: int, bound: int, max_candidates: int):
     # Vectors whose mixed-radix index lies in the upper half have a positive
     # leading nonzero entry; the zero vector sits exactly at the midpoint.
     mid = total // 2  # index of the zero vector
-    for digits in _mixed_radix(base, k, mid + 1, total + 1, _CHUNK):
-        yield np.subtract(digits, bound, dtype=float)
+    yield from _mixed_radix(np.arange(base, dtype=float) - bound, k, mid + 1, total + 1, _CHUNK)
 
 
 def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
@@ -432,8 +426,7 @@ def _sparse_box(k: int, bound: int, max_nonzeros: int):
     for nnz in range(1, max_nonzeros + 1):
         # digits in the upper half of the base^nnz range pick a positive
         # first value; every nonzero pattern comes once per support
-        for digits in _mixed_radix(base, nnz, base**nnz // 2, base**nnz, _CHUNK):
-            values = vals[digits]
+        for values in _mixed_radix(vals, nnz, base**nnz // 2, base**nnz, _CHUNK):
             supports = itertools.combinations(range(k), nnz)
             per_chunk = _CHUNK // len(values)  # >= 1: values has at most _CHUNK rows
             while block := list(itertools.islice(supports, per_chunk)):

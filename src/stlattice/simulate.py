@@ -12,6 +12,8 @@ up as measured effort.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +29,7 @@ from .decodability import (
     _thresholded_r,
     classify,
 )
-from .lattice import (
-    WeightBasis,
-    _digit_table,
-    _equivalent_channel,
-    _mixed_radix,
-    _table_width,
-    vectorize,
-)
+from .lattice import WeightBasis, _equivalent_channel, _mixed_radix, vectorize
 
 __all__ = [
     "Alphabet",
@@ -213,7 +208,14 @@ def _noise_scale(mean_sig: float, cfg: ChannelConfig, snr_db: float) -> float:
 
 
 def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
-    """The sorted alphabet, B_H with its columns in order, and iota(Y)."""
+    """The sorted alphabet, B_H with its columns in order, and iota(Y).
+
+    A finite Y or H so large that a metric could overflow is rejected
+    before any product is formed.  Every entry of y - B_H s is at most
+    e = |Y| + k |s| 2 n_t |H| |B_i| in modulus (each |.| the largest real or
+    imaginary part), and the metrics and the sphere decoder's partial
+    distances stay below (k + 1) 2 n_r T e^2.
+    """
     H = np.atleast_2d(np.asarray(H, dtype=complex))
     Y = np.atleast_2d(np.asarray(Y, dtype=complex))
     if Y.shape != (H.shape[0], basis.T):
@@ -221,6 +223,16 @@ def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
             f"received block has shape {Y.shape}, expected {(H.shape[0], basis.T)}"
         )
     values = np.array(sorted(alphabet.values), dtype=float)
+    # The largest |real part| or |imaginary part| of Y, of H and of the B_i.
+    parts = np.abs(np.concatenate((Y, H, basis._stack), axis=None).view(float))
+    ends = (0, 2 * Y.size, 2 * (Y.size + H.size))
+    peak_y, peak_h, peak_b = np.maximum.reduceat(parts, ends).tolist()
+    # Non-finite entries are left to the finiteness checks below.
+    if math.isfinite(peak_y) and math.isfinite(peak_h):
+        peak_s = max(map(abs, alphabet.values))
+        e = peak_y + basis.k * peak_s * 2 * basis.n_t * peak_h * peak_b
+        if not (basis.k + 1) * 2 * Y.size * e * e <= sys.float_info.max:
+            raise ValueError("received block or channel too large: the metric would overflow")
     return values, _equivalent_channel(basis, H, order), vectorize(Y)
 
 
@@ -232,11 +244,13 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     |S|^k <= 2^24 grid points; nodes_visited reports the grid size.
 
     The grid splits into leading (hi) and trailing (lo) digits, with at
-    most 2^14 lo rows.  The lo products S_lo B_lo^T are formed once; each
-    block of hi rows (at most 2^14 grid rows a block) takes its residuals
-    y - S_hi B_hi^T, and every metric is the squared norm of such a
-    residual minus a lo product.  The reported metric can therefore differ
-    from the direct ||y - B s||^2 in its last bits.
+    most 2^14 lo rows.  The lo products P = B_lo S_lo^T are formed once, one
+    row per real dimension; each block of hi rows (at most 2^14 grid rows a
+    block) takes its residuals r = y - S_hi B_hi^T, and every metric is
+    (r_1 - P_1)^2 + (r_2 - P_2)^2 + ..., summed left to right, one real
+    dimension a pass along the grid rows.  The sum has that order, with no
+    fused multiply-add, whatever the SIMD width.  The reported metric can
+    therefore differ from the direct ||y - B s||^2 in its last bits.
 
     Rows run in lexicographic order, so the winner is the first row in the
     final tie window, and it lies strictly below every row before it.  Only
@@ -251,18 +265,25 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
             f"exhaustive search space {L}^{k} exceeds the 2^24 guard"
         )
     m = _table_width(L, k, _CHUNK)
-    S_lo = values[_digit_table(L, m)]
-    P_lo = S_lo @ B[:, k - m :].T
+    S_lo = next(_mixed_radix(values, m, 0, L**m, L**m))
+    P = B[:, k - m :] @ S_lo.T
     B_hi = B[:, : k - m]
+    per_block = _CHUNK // L**m
+    metrics_buf, diff_buf = np.empty((2, per_block, L**m))
     # The grid's first row stands in at an infinite metric, in case no
     # metric is finite.
     best_metric, kept = np.inf, [(np.inf, np.full(k, values[0]))]
-    for digits in _mixed_radix(L, k - m, 0, L ** (k - m), _CHUNK // L**m):
-        S_hi = values[digits]
-        diff = (y - S_hi @ B_hi.T)[:, None, :] - P_lo[None, :, :]
-        metrics = np.einsum("ijn,ijn->ij", diff, diff)
+    for S_hi in _mixed_radix(values, k - m, 0, L ** (k - m), per_block):
+        r = y - S_hi @ B_hi.T
+        metrics, diff = metrics_buf[: len(r)], diff_buf[: len(r)]
+        np.square(np.subtract(r[:, :1], P[0], out=metrics), out=metrics)
+        for i in range(1, len(P)):
+            np.subtract(r[:, i : i + 1], P[i], out=diff)
+            metrics += np.square(diff, out=diff)
         lowest = best_metric
         best_metric = min(best_metric, float(metrics.min()))
+        if best_metric == lowest:
+            continue  # no row below the running minimum: nothing to keep
         window = best_metric * (1.0 + _TIE_TOL)
         kept = [c for c in kept if c[0] <= window]
         # Candidates lie in the window and below every earlier block.  A row
@@ -276,6 +297,15 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
                 kept.append((dist, np.concatenate([S_hi[h], S_lo[l]])))
     metric, row = kept[0]
     return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=total)
+
+
+def _table_width(base: int, k: int, chunk: int) -> int:
+    """The largest m <= k with base^m <= chunk: how many low digits fit in
+    one table."""
+    m = 0
+    while m < k and base ** (m + 1) <= chunk:
+        m += 1
+    return m
 
 
 def _sphere_block(R, z, values, lex_perm):

@@ -261,6 +261,21 @@ class TestVerbs:
         assert code == 1 and out == ""
         assert "unrecognized arguments" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lattice", "golden", "--seed", "5"),
+            ("construct", "golden", "--tol", "1e-3"),
+            ("simulate", "alamouti", "--tol", "-5"),
+            ("zoo", "--bound", "2"),
+        ],
+    )
+    def test_rejected_flag_shows_the_verbs_usage(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith(f"usage: stlattice {argv[0]} ")
+        assert err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+
     @pytest.mark.parametrize("verb", [("analyze", "golden"), ("zoo",)])
     def test_classifying_verbs_read_tol_and_seed(self, capsys, verb):
         code, default, _ = run(capsys, *verb, "--trials", "5")

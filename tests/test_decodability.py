@@ -7,6 +7,7 @@ pattern of the underlying construction and cross-checked numerically
 before being frozen here.
 """
 
+import inspect
 import itertools
 from types import SimpleNamespace
 
@@ -200,6 +201,37 @@ class TestClassifyValidation:
         monkeypatch.setattr(decodability, "hurwitz_radon", no_work)
         with pytest.raises(ValueError, match="trial"):
             classify(basis, trials=0)
+
+
+def spy_on_sample_r_tol(monkeypatch):
+    """Record the tol of every sample_r_matrix call, defaults applied."""
+    seen = []
+    real = decodability.sample_r_matrix
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(real).bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments["tol"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(decodability, "sample_r_matrix", spy)
+    return seen
+
+
+class TestClassifyTol:
+    """classify's tol is also the threshold of the R factors it samples."""
+
+    @pytest.mark.parametrize("name", ["golden", "mido_a4"])
+    def test_sampled_r_uses_the_tol(self, name, monkeypatch):
+        seen = spy_on_sample_r_tol(monkeypatch)
+        classify(codebook.build(name), tol=1e-7)
+        assert seen and set(seen) == {1e-7}
+
+    def test_empirical_split_uses_the_tol(self, monkeypatch):
+        seen = spy_on_sample_r_tol(monkeypatch)
+        basis = codebook.build("golden")
+        decodability._empirical_split(basis, 0b1111, trials=2, seed=0, tol=1e-7)
+        assert seen == [1e-7]
 
 
 def plain_components(adjacency, vertices):
@@ -415,7 +447,7 @@ class TestBlockOrthogonalCheck:
                     lambda *args, **kwargs: SimpleNamespace(zero_mask=zero_mask),
                 )
                 found = decodability._block_orthogonal_check(
-                    None, gamma, part1, bits, trials=1, seed=0
+                    None, gamma, part1, bits, trials=1, seed=0, tol=decodability.TOL
                 )
                 expected = loop_block_test(zero_mask, part1, part2)
                 assert (found is not None) == expected

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stlattice import lattice
@@ -334,7 +334,7 @@ class TestCoefficientEngine:
 
 
 def _div_mod_digits(base, k, start, stop, chunk):
-    """The per-digit div/mod enumerator that _mixed_radix's table replaced."""
+    """The k base-``base`` digits of every index, one div/mod per digit."""
     powers = base ** np.arange(k - 1, -1, -1, dtype=np.int64)
     for lo in range(start, stop, chunk):
         ids = np.arange(lo, min(lo + chunk, stop), dtype=np.int64)
@@ -344,20 +344,51 @@ def _div_mod_digits(base, k, start, stop, chunk):
 @st.composite
 def radix_ranges(draw):
     base = draw(st.integers(1, 7))
-    k = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 6))
     start = draw(st.integers(0, base**k))
     stop = draw(st.integers(start, base**k))
-    return base, k, start, stop, draw(st.integers(1, 80))
+    values = np.array(draw(st.permutations(range(base)))) - 0.5
+    return values, k, start, stop, draw(st.integers(1, 80))
 
 
 class TestMixedRadix:
     @given(radix_ranges())
+    # blocks of 7 start inside every digit's cycle; the three leading
+    # digits run longer than a block, the two trailing ones repeat in it
+    @example((np.array([2.0, -1.0, 0.5]), 5, 100, 243, 7))
     def test_matches_div_mod_formula(self, args):
-        got = list(lattice._mixed_radix(*args))
-        want = list(_div_mod_digits(*args))
-        assert [len(c) for c in got] == [len(c) for c in want]
+        values, k, start, stop, chunk = args
+        got = list(lattice._mixed_radix(values, k, start, stop, chunk))
+        want = [values[d] for d in _div_mod_digits(len(values), k, start, stop, chunk)]
+        assert [c.shape for c in got] == [c.shape for c in want]
         for g, w in zip(got, want):
-            assert g.dtype == np.int64 and np.array_equal(g, w)
+            assert g.dtype == values.dtype and np.array_equal(g, w)
+
+
+def sweep_products(basis, chunk):
+    """The codewords _sweep forms from one chunk of coefficient rows."""
+    seen = []
+    lattice._sweep(basis, [chunk], lambda mats: seen.append(mats.copy()) or 0.0, np.inf)
+    return seen[0]
+
+
+class TestSweepLayout:
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_digit_major_chunk_gives_the_c_ordered_products(self, monkeypatch, name):
+        # The enumerator yields the transpose of a digit-major block; the
+        # product must not depend on the layout, bit for bit.  Blocks of
+        # 4096 rows keep mimo_relay's codewords to a few MB.
+        monkeypatch.setattr(lattice, "_CHUNK", 4096)
+        basis = build(name)
+        chunks = [
+            *itertools.islice(lattice._coefficient_box(basis.k, 1, 10**30), 2),
+            next(lattice._coefficient_box(basis.k, 2, 10**30)),
+        ]
+        for chunk in chunks:
+            assert chunk.flags.f_contiguous and not chunk.flags.c_contiguous
+            got = sweep_products(basis, chunk)
+            want = sweep_products(basis, np.ascontiguousarray(chunk))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestClosedFormDet:

@@ -5,8 +5,10 @@ exhaustive search is the reference); calibration ratios follow from log10
 arithmetic and were verified by hand before freezing.
 """
 
+import hashlib
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -321,9 +323,11 @@ def grid_ml_exhaustive(Y, H, basis, alphabet):
     2^14 grid rows takes its metrics from the direct product S B^T."""
     values, B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
     L, k = len(values), basis.k
+    powers = L ** np.arange(k - 1, -1, -1)
     best_metric, near = np.inf, []
-    for digits in _mixed_radix(L, k, 0, L**k, simulate._CHUNK):
-        S = values[digits]
+    for lo in range(0, L**k, simulate._CHUNK):
+        ids = np.arange(lo, min(lo + simulate._CHUNK, L**k))
+        S = values[(ids[:, None] // powers) % L]
         resid = y[None, :] - S @ B.T
         metrics = np.einsum("ij,ij->i", resid, resid)
         best_metric = min(best_metric, float(metrics.min()))
@@ -371,6 +375,66 @@ class TestMLMatchesGrid:
             assert res.coeffs == coeffs
             assert res.metric == pytest.approx(metric, rel=1e-12)
             assert res.nodes_visited == 3**10
+
+
+def left_to_right_metric(Y, H, basis, alphabet, coeffs):
+    """The metric of one grid row, summed in Python one real dimension at a
+    time, from residuals and lo products formed as ml_exhaustive forms them:
+    the hi rows' block through the enumerator, and the whole lo table."""
+    values, B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
+    L, k = len(values), basis.k
+    m = simulate._table_width(L, k, simulate._CHUNK)
+    per_block = simulate._CHUNK // L**m
+    index = 0
+    for c in coeffs:
+        index = index * L + list(values).index(c)
+    hi, lo = divmod(index, L**m)
+    blocks = list(_mixed_radix(values, k - m, 0, L ** (k - m), per_block))
+    r = (y - blocks[hi // per_block] @ B[:, : k - m].T)[hi % per_block]
+    S_lo = next(_mixed_radix(values, m, 0, L**m, L**m))
+    p = (B[:, k - m :] @ S_lo.T)[:, lo]
+    metric = 0.0
+    for ri, pi in zip(r.tolist(), p.tolist()):
+        metric += (ri - pi) * (ri - pi)
+    return metric
+
+
+class TestMLMetric:
+    """The reported metric is the sum of squares of the winner's residual
+    entries, added left to right with no fused multiply-add, so its bits
+    do not depend on the machine's SIMD width."""
+
+    @pytest.mark.parametrize(
+        "name, alphabet",
+        [("alamouti", pam(4)), ("golden", pam(4)), ("golden", pam(2)), ("silver", pam(2))],
+    )
+    def test_left_to_right_sum_of_squares(self, name, alphabet):
+        basis = code(name)
+        cfg = default_config(basis, (10.0,), 1, 0)
+        sigma_n = calibrate_noise(basis, alphabet, cfg, 10.0, samples=20_000)
+        for t in range(6):
+            H, s, Y = noisy_trial(basis, alphabet, cfg, sigma_n, [13, 0, t])
+            if t == 0:
+                H = np.zeros_like(H)  # every row ties
+            elif t == 1:
+                Y = H @ basis.combination(s)  # noiseless
+            res = ml_exhaustive(Y, H, basis, alphabet)
+            want = left_to_right_metric(Y, H, basis, alphabet, res.coeffs)
+            assert res.metric.hex() == want.hex()
+
+    def test_partial_blocks(self):
+        # 3^10 grid points in blocks of two hi rows and a last one
+        rng = np.random.default_rng(31)
+        mats = rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3))
+        basis = WeightBasis("ten", mats)
+        alphabet = Alphabet((-2, 0, 2))
+        for _ in range(3):
+            H = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+            Y = H @ basis.combination(rng.choice([-2, 0, 2], 10))
+            Y = Y + 0.5 * (rng.normal(size=Y.shape) + 1j * rng.normal(size=Y.shape))
+            res = ml_exhaustive(Y, H, basis, alphabet)
+            want = left_to_right_metric(Y, H, basis, alphabet, res.coeffs)
+            assert res.metric.hex() == want.hex()
 
 
 class TestSphereDecode:
@@ -555,6 +619,27 @@ class TestNonFiniteInputs:
                 decode(np.zeros((2, 2)), np.eye(2, 3), basis, pam(2))
 
 
+class TestOverflowingInputs:
+    @pytest.mark.parametrize("Y, H", [(1e200, 1.0), (1.0, 1e200), (1e155, 1.0)])
+    def test_decoders_reject_a_metric_that_would_overflow(self, Y, H):
+        basis = code("alamouti")
+        Y, H = np.full((1, 2), Y, dtype=complex), np.full((1, 2), H, dtype=complex)
+        for decode in (sphere_decode, ml_exhaustive):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="overflow"):
+                    decode(Y, H, basis, pam(4))
+
+    def test_large_finite_inputs_below_the_bound_decode(self):
+        basis = code("alamouti")
+        H = np.ones((1, 2), dtype=complex)
+        Y = H @ basis.combination((3, -1, 1, -3))
+        for scale in (1e-150, 1e100):
+            a = ml_exhaustive(scale * Y, H, basis, pam(4))
+            b = sphere_decode(scale * Y, H, basis, pam(4))
+            assert a.coeffs == b.coeffs
+
+
 class TestCampaign:
     def test_zero_trials_gives_empty_table(self):
         basis = code("alamouti")
@@ -657,6 +742,79 @@ class TestCampaign:
         basis = code(name)
         cfg = default_config(basis, (snr_db,), trials=trials, seed=0)
         assert run_campaign(basis, pam(4), cfg, decoder=decoder).to_csv() == csv
+
+    @pytest.mark.parametrize(
+        "name, alphabet, decoder, snrs, seed, digest",
+        [
+            pytest.param(
+                "golden", 4, "both", (0, 10, 20), 0,
+                "23d93fee3a4f83bba513bf16dc6d7816228db0596d3bd36f361dc1c039984dd7",
+                id="golden-seed0",
+            ),
+            pytest.param(
+                "alamouti", 4, "both", (0, 10, 20), 0,
+                "64f91eaf4f93565a7c8f4e50a8047b24c08eb7e3b529e88c59312ceab4f97d27",
+                id="alamouti-seed0",
+            ),
+            pytest.param(
+                "silver", 4, "sphere", (0, 20), 0,
+                "d3bc86a90661cd89c99fcfde7c4d57a26c59b5888c4571de15834e3316ceda66",
+                id="silver-seed0",
+            ),
+            pytest.param(
+                "mimo_relay", 2, "sphere", (0, 10, 20), 0,
+                "bb2cacc3ca259e75d4c8acf0f09faf9feb9453725c0f3cb07288c4b20af0dd06",
+                id="mimo_relay-seed0",
+            ),
+            pytest.param(
+                "srinath_rajan", 4, "sphere", (10,), 0,
+                "235bad66d36336d8fed18ff0e6cb6d3e952c98c227243b380954ca04a997b9bb",
+                id="srinath_rajan-seed0",
+            ),
+            pytest.param(
+                "mido_a4", 4, "sphere", (10,), 0,
+                "53d0a9c88c124561445405c3e158988077d274ecbe8bd6c4c5d6db12bd9235ed",
+                id="mido_a4-seed0",
+            ),
+            pytest.param(
+                "golden", 4, "both", (0, 10, 20), 3,
+                "36b00ad95a0c3349cb2a9ec385e32fc0beee3474706bbe9a62b2d88401a6b7f2",
+                id="golden-seed3",
+            ),
+            pytest.param(
+                "alamouti", 4, "both", (0, 10, 20), 3,
+                "832bdad3a24462a5aac6078a8fcb4899a19cdf75f010c86841e791acbc084190",
+                id="alamouti-seed3",
+            ),
+            pytest.param(
+                "silver", 4, "sphere", (0, 20), 3,
+                "facf2ca1c830c2d655f052495fbc46985cb916ea40d009aa15a7484fefcb9135",
+                id="silver-seed3",
+            ),
+            pytest.param(
+                "mimo_relay", 2, "sphere", (0, 10, 20), 3,
+                "63bf3abd8c03f9ca93532d3c5cd4c3c30baef241e0abee07399cd0f46093521f",
+                id="mimo_relay-seed3",
+            ),
+            pytest.param(
+                "srinath_rajan", 4, "sphere", (10,), 3,
+                "652bd6c58ee38ea2400c2506c20396addfd9974f9d1001db3528625e826a0e55",
+                id="srinath_rajan-seed3",
+            ),
+            pytest.param(
+                "mido_a4", 4, "sphere", (10,), 3,
+                "ccc7d61bebfa9f37b4c5a5cc34596ddcac276f92f45494841f18a01dfdf51290",
+                id="mido_a4-seed3",
+            ),
+        ],
+    )
+    def test_pins_the_campaign_bytes(self, name, alphabet, decoder, snrs, seed, digest):
+        # The campaign table in CHANGES.md: 30 trials a point and the
+        # default 100k calibration samples.
+        basis = code(name)
+        cfg = default_config(basis, snrs, trials=30, seed=seed)
+        csv = run_campaign(basis, pam(alphabet), cfg, decoder=decoder).to_csv()
+        assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
 
     def test_rejects_unknown_decoder(self):
         basis = code("alamouti")
