@@ -4,8 +4,11 @@ orthogonality survive.
 The map takes a pair of n x n matrices (X, Y) to a 2n x 2n block
 matrix whose off-diagonal blocks carry Y and its conjugate.  When two
 weights anticommute in the Hurwitz-Radon sense before doubling, their
-images anticommute after, which is how the 32-coefficient two-group
-code in the registry was produced from a 16-coefficient one.
+images anticommute after.  The last part classifies the registry's
+32-coefficient `iterated` code.  It is not an output of `iterate`: it is
+written out by hand in `codebook.iterated` with the block layout
+[[X1, tau(X1)], [X2, tau(X2)]], and its 32 weights span only 16 real
+dimensions.
 """
 
 import numpy as np
@@ -39,8 +42,9 @@ print(f"delta before doubling: {before:.3e}")
 print(f"delta after doubling:  {after:.3e}")
 print()
 
-# The shipped 32-coefficient code was built this way; its graph falls
-# apart into two components of sixteen coefficients each.
+# The registry's hand-built 32-coefficient code (not made by iterate; its
+# generator has rank 16): its graph falls apart into two components of
+# sixteen coefficients each.
 code = build("iterated")
 prof = classify(code)
 hr = hurwitz_radon(code)

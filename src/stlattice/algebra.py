@@ -17,10 +17,6 @@ import numpy as np
 __all__ = [
     "CyclicAlgebra",
     "NumberField",
-    "QuaternionSpec",
-    "quaternion_norm",
-    "quaternion_multiply",
-    "quad_field_oracle",
     "alamouti_algebra",
     "golden_algebra",
     "mido_algebra",
@@ -38,6 +34,10 @@ def _check_perm(perm, d):
     if sorted(perm) != list(range(d)):
         raise ValueError("automorphism table is not a permutation of the embeddings")
     return perm
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % f for f in range(2, int(p**0.5) + 1))
 
 
 def _perm_power(perm, j):
@@ -64,8 +64,6 @@ class CyclicAlgebra:
     full_emb: np.ndarray
     sigma_perm: tuple
     gamma_coeffs: np.ndarray | None = None
-    name_L: str = ""
-    name_K: str = ""
 
     def __post_init__(self):
         emb = np.array(self.full_emb, dtype=complex)
@@ -102,27 +100,6 @@ class CyclicAlgebra:
     def sigma_rows(self) -> list:
         """Embedding-row index of sigma^j composed with the canonical row."""
         return [_perm_power(self.sigma_perm, j)[0] for j in range(self.n)]
-
-    def value(self, coeff_vec, row: int = 0) -> complex:
-        """Value of an L-element (coefficient vector) under embedding row."""
-        return complex(self.full_emb[row] @ np.asarray(coeff_vec, dtype=float))
-
-    def sigma_on_coeffs(self, coeff_vec) -> np.ndarray:
-        """Coefficient vector of sigma(x) for an L-element x.
-
-        Recovered by matching values: the permuted value vector of x equals
-        the value vector of sigma(x) under all embeddings.
-        """
-        coeff_vec = np.asarray(coeff_vec, dtype=float)
-        vals = self.full_emb @ coeff_vec
-        target = vals[list(self.sigma_perm)]
-        return _solve_real(self.full_emb, target)
-
-    def multiply_field(self, a, b) -> np.ndarray:
-        """Product of two L-elements as a coefficient vector."""
-        va = self.full_emb @ np.asarray(a, dtype=float)
-        vb = self.full_emb @ np.asarray(b, dtype=float)
-        return _solve_real(self.full_emb, va * vb)
 
     def left_regular(self, x) -> np.ndarray:
         """The n x n matrix of left multiplication in the canonical embedding.
@@ -175,10 +152,6 @@ class CyclicAlgebra:
             z[m] = _solve_real(self.full_emb, acc)
         return z
 
-    def reduced_norm_trace(self, x) -> tuple:
-        rho = self.left_regular(x)
-        return complex(np.linalg.det(rho)), complex(np.trace(rho))
-
 
 def _solve_real(emb: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Solve emb @ c = values for a real coefficient vector c."""
@@ -190,67 +163,6 @@ def _solve_real(emb: np.ndarray, values: np.ndarray) -> np.ndarray:
     if np.linalg.norm(A @ c - b) > 1e-6 * (1 + np.linalg.norm(b)):
         raise ValueError("values are inconsistent with any element of L")
     return c
-
-
-# ----------------------------------------------------------------------
-# Quaternion algebras (a, gamma)_K with basis 1, i, j, k and relations
-# i^2 = a, j^2 = gamma, k = ij = -ji.
-
-
-@dataclass(frozen=True)
-class QuaternionSpec:
-    a: complex
-    gamma: complex
-    base_field_label: str = "K"
-
-    def __post_init__(self):
-        if self.a == 0 or self.gamma == 0:
-            raise ValueError("quaternion parameters must be nonzero")
-
-
-def quaternion_norm(q: QuaternionSpec, x) -> complex:
-    """The norm form x0^2 - a*x1^2 - gamma*x2^2 + a*gamma*x3^2."""
-    x0, x1, x2, x3 = (complex(v) for v in x)
-    return x0 * x0 - q.a * x1 * x1 - q.gamma * x2 * x2 + q.a * q.gamma * x3 * x3
-
-
-def quaternion_multiply(q: QuaternionSpec, x, y) -> np.ndarray:
-    """Product in the basis (1, i, j, k), derived from the defining relations."""
-    a, g = q.a, q.gamma
-    x0, x1, x2, x3 = (complex(v) for v in x)
-    y0, y1, y2, y3 = (complex(v) for v in y)
-    return np.array(
-        [
-            x0 * y0 + a * x1 * y1 + g * x2 * y2 - a * g * x3 * y3,
-            x0 * y1 + x1 * y0 - g * x2 * y3 + g * x3 * y2,
-            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-        ]
-    )
-
-
-def _is_squarefree(d: int) -> bool:
-    m = abs(d)
-    f = 2
-    while f * f <= m:
-        if m % (f * f) == 0:
-            return False
-        while m % f == 0:
-            m //= f
-        f += 1
-    return True
-
-
-def quad_field_oracle(d: int, element) -> tuple:
-    """Norm, trace, and field discriminant for x0 + x1*sqrt(d) in Q(sqrt(d))."""
-    d = int(d)
-    if d in (0, 1) or not _is_squarefree(d):
-        raise ValueError("d must be a squarefree integer other than 0 and 1")
-    x0, x1 = element
-    norm = x0 * x0 - d * x1 * x1
-    trace = 2 * x0
-    disc = d if d % 4 == 1 else 4 * d
-    return norm, trace, disc
 
 
 # ----------------------------------------------------------------------
@@ -267,8 +179,6 @@ def alamouti_algebra() -> CyclicAlgebra:
         full_emb=emb,
         sigma_perm=(1, 0),
         gamma_coeffs=np.array([-1.0, 0.0]),
-        name_L="Q(i)",
-        name_K="Q",
     )
 
 
@@ -299,8 +209,6 @@ def golden_algebra(gamma: complex = 1j) -> CyclicAlgebra:
         full_emb=emb,
         sigma_perm=(1, 0, 3, 2),
         gamma_coeffs=gamma_coeffs,
-        name_L="Q(i,sqrt5)",
-        name_K="Q(i)",
     )
 
 
@@ -329,8 +237,6 @@ def mido_algebra(gamma: float = -8.0 / 9.0) -> CyclicAlgebra:
         full_emb=emb,
         sigma_perm=tuple(perm),
         gamma_coeffs=gamma * one,
-        name_L="Q(zeta5)",
-        name_K="Q",
     )
 
 
@@ -367,9 +273,6 @@ class NumberField:
         for name in auto_names:
             row = self.autos[name][row]
         return row
-
-    def value(self, coeff_vec, row: int = 0) -> complex:
-        return complex(self.full_emb[row] @ np.asarray(coeff_vec, dtype=float))
 
 
 def relay_field(radical_basis: bool = False) -> NumberField:
@@ -411,8 +314,7 @@ def relay_field(radical_basis: bool = False) -> NumberField:
     )
 
 
-def _degree2_algebra(field: NumberField, gamma, gamma_coeffs, name_L: str,
-                     name_K: str) -> CyclicAlgebra:
+def _degree2_algebra(field: NumberField, gamma, gamma_coeffs) -> CyclicAlgebra:
     """(L/K, sigma, gamma) for a field L with a 'sigma' of order 2."""
     return CyclicAlgebra(
         n=2,
@@ -421,8 +323,6 @@ def _degree2_algebra(field: NumberField, gamma, gamma_coeffs, name_L: str,
         full_emb=field.full_emb,
         sigma_perm=field.autos["sigma"],
         gamma_coeffs=gamma_coeffs,
-        name_L=name_L,
-        name_K=name_K,
     )
 
 
@@ -431,7 +331,7 @@ def relay_algebra() -> CyclicAlgebra:
     field = relay_field()
     gc = np.zeros(field.dim)
     gc[0], gc[1] = 0.4, -0.8  # -2/sqrt5 = (2 - 4*t5)/5
-    return _degree2_algebra(field, -2 / np.sqrt(5), gc, "Q(sqrt5,i,sqrt-3)", "Q(sqrt5,i)")
+    return _degree2_algebra(field, -2 / np.sqrt(5), gc)
 
 
 def mimo_relay_field(p: int = 7) -> NumberField:
@@ -441,7 +341,7 @@ def mimo_relay_field(p: int = 7) -> NumberField:
     of the maximal real subfield.  Requires the doubling map to act
     transitively on the xi-conjugates, which holds for the shipped p = 7.
     """
-    if p < 5 or any(p % f == 0 for f in range(2, int(p**0.5) + 1)):
+    if p < 5 or not _is_prime(p):
         raise ValueError("p must be a prime >= 5")
     M = (p - 1) // 2
     signs = [(m, e) for m in range(1, M + 1) for e in (0, 1)]
@@ -468,17 +368,11 @@ def mimo_relay_field(p: int = 7) -> NumberField:
     return NumberField(basis_labels=labels, full_emb=emb, autos={"sigma": tuple(sigma), "eta": tuple(eta)})
 
 
-def mimo_relay_algebra(p: int = 7) -> CyclicAlgebra:
-    """Degree-2 algebra (Q(xi,omega) / Q(xi), sigma, -2/(1+xi))."""
-    field = mimo_relay_field(p)
-    xi = 2 * np.cos(2 * np.pi / p)
-    gamma = -2 / (1 + xi)
+def mimo_relay_algebra() -> CyclicAlgebra:
+    """Degree-2 algebra (Q(xi,omega) / Q(xi), sigma, -2/(1+xi)) for p = 7."""
+    field = mimo_relay_field(7)
+    xi = 2 * np.cos(2 * np.pi / 7)
     gc = np.zeros(field.dim)
-    if p == 7:
-        # 1/(1+xi) = 2 - xi^2 from xi^3 + xi^2 - 2xi - 1 = 0
-        gc[0], gc[2] = -4.0, 2.0
-    else:
-        # solve for the coefficients from the per-embedding values of gamma
-        vals = -2 / (1 + field.full_emb[:, 1])
-        gc = _solve_real(field.full_emb, vals)
-    return _degree2_algebra(field, gamma, gc, "Q(xi,sqrt-5)", "Q(xi)")
+    # 1/(1+xi) = 2 - xi^2 from xi^3 + xi^2 - 2xi - 1 = 0
+    gc[0], gc[2] = -4.0, 2.0
+    return _degree2_algebra(field, -2 / (1 + xi), gc)

@@ -13,8 +13,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .codebook import REGISTRY, CodeDescriptor, build
 from .decodability import TOL, bounds_check, classify
 from .lattice import WeightBasis, lattice_profile
@@ -93,12 +91,10 @@ def _load_basis(source: str) -> WeightBasis:
 
 def _collect_params(args) -> dict:
     params = {}
-    if getattr(args, "gamma", None) is not None:
+    if args.gamma is not None:
         params["gamma"] = _parse_scalar(args.gamma)
-    if getattr(args, "M", None) is not None:
+    if args.M is not None:
         params["M"] = args.M
-    if getattr(args, "p", None) is not None:
-        params["p"] = args.p
     return params
 
 
@@ -210,7 +206,6 @@ def build_parser() -> _Parser:
     sub.add_argument("family", help="registered family name")
     sub.add_argument("--gamma", default=None, help="non-norm scalar, e.g. 'i' or '-0.5'")
     sub.add_argument("--M", type=int, default=None, help="relay round count")
-    sub.add_argument("--p", type=int, default=None, help="cyclotomic prime (2M+1)")
     _add_common(sub)
     sub.set_defaults(func=_cmd_construct)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .algebra import (
     NumberField,
+    _is_prime,
     _perm_power,
     alamouti_algebra,
     golden_algebra,
@@ -37,7 +38,6 @@ __all__ = [
     "mido_a4",
     "mimo_relay",
     "quaternionic_embed",
-    "relay_blockdiag",
     "silver",
     "simo_relay",
     "srinath_rajan",
@@ -215,38 +215,28 @@ def _blockdiag(blocks) -> np.ndarray:
     return out
 
 
-def simo_relay(field: NumberField | None = None, gamma: float | None = None,
-               M: int = 2) -> WeightBasis:
+def simo_relay() -> WeightBasis:
     """Block-diagonal rank-16 4x4 code for M = 2 rounds of a 2x2 inner code.
 
-    The default tower is Q(sqrt5, i, sqrt-3) with inner automorphism sigma
-    flipping sqrt-3 and block automorphism eta flipping sqrt5, whose fixed
-    field in Q(sqrt5, i) is Q(i); gamma = -2/sqrt5.  The scalar
-    t = sqrt(-gamma) is evaluated once at the canonical embedding and held
-    fixed by eta (the customary convention for radicals adjoined on top of
-    the tower), so every relay block scales its off-diagonal pair by the
-    same real t.  The symbol lattice uses the suborder basis
-    (1, t5, i, i*t5) x (1, sqrt-3): each basis element is purely real or
-    purely imaginary at every embedding, which is what separates the
-    conditioned sqrt-3 half from the four two-symbol groups.  A custom
-    tower can be passed as a NumberField with 'sigma' and 'eta'
-    automorphisms together with a real gamma < 0.
+    The tower is Q(sqrt5, i, sqrt-3) with inner automorphism sigma flipping
+    sqrt-3 and block automorphism eta flipping sqrt5, whose fixed field in
+    Q(sqrt5, i) is Q(i); gamma = -2/sqrt5.  The scalar t = sqrt(-gamma) is
+    evaluated once at the canonical embedding and held fixed by eta (the
+    customary convention for radicals adjoined on top of the tower), so
+    every relay block scales its off-diagonal pair by the same real t.  The
+    symbol lattice uses the suborder basis (1, t5, i, i*t5) x (1, sqrt-3):
+    each basis element is purely real or purely imaginary at every
+    embedding, which is what separates the conditioned sqrt-3 half from the
+    four two-symbol groups.
 
     Weight (comp, b) holds at diagonal block j the inner block diag(v, sv)
     for comp 0 and [[0, -t*sv], [t*v, 0]] for comp 1, where v and sv are
     the values of basis element b at the embedding row eta^j(0) and at its
     sigma image.
     """
-    if field is None:
-        field = relay_field(radical_basis=True)
-        if gamma is None:
-            gamma = -2 / np.sqrt(5)
-    if gamma is None:
-        raise ValueError("a custom tower needs gamma")
-    if not np.isreal(gamma) or gamma >= 0:
-        raise ValueError("gamma must be a negative real number")
-    t = np.sqrt(-float(np.real(gamma)))
-    rows = _eta_orbit(field, M)
+    field = relay_field(radical_basis=True)
+    t = np.sqrt(2 / np.sqrt(5))  # sqrt(-gamma), gamma = -2/sqrt5
+    rows = _eta_orbit(field, 2)
     mats = [
         _blockdiag([_inner(field, r, b, comp, t) for r in rows])
         for comp in range(2)
@@ -255,7 +245,7 @@ def simo_relay(field: NumberField | None = None, gamma: float | None = None,
     return WeightBasis("simo_relay", mats)
 
 
-def mimo_relay(M: int = 3, p: int | None = None) -> WeightBasis:
+def mimo_relay(M: int = 3) -> WeightBasis:
     """Block-diagonal rank-8M code with M blocks of a doubled 2x2 inner code.
 
     Built over Q(xi, sqrt-5) with xi = zeta_p + zeta_p^{-1} and p = 2M + 1
@@ -270,10 +260,9 @@ def mimo_relay(M: int = 3, p: int | None = None) -> WeightBasis:
     inner block (comp, b) at the embedding row eta^j(0), and tau(X) is the
     one at its sigma image.
     """
-    if p is None:
-        p = 2 * M + 1
-    if p != 2 * M + 1:
-        raise ValueError("p must equal 2M + 1")
+    p = 2 * M + 1
+    if p < 5 or not _is_prime(p):
+        raise ValueError(f"2M+1 must be a prime >= 5, but M = {M} gives {p}")
     field = mimo_relay_field(p)
     d = field.dim
     xi = float(field.full_emb[0, 1].real)
@@ -385,23 +374,6 @@ def iterate(X, Y, spec: IteratedMapSpec, balanced: bool = True) -> np.ndarray:
     return np.block([[X, spec.theta * tY], [Y, tX]])
 
 
-def relay_blockdiag(X, eta: Callable, M: int, tol: float = 1e-9) -> np.ndarray:
-    """diag(X, eta(X), ..., eta^{M-1}(X)); eta^M must fix X within tol."""
-    X = np.atleast_2d(np.asarray(X, dtype=complex))
-    if X.shape[0] != X.shape[1]:
-        raise ValueError("X must be square")
-    if M < 1:
-        raise ValueError("M must be at least 1")
-    blocks = []
-    cur = X
-    for _ in range(M):
-        blocks.append(cur)
-        cur = np.asarray(eta(cur), dtype=complex)
-    if not np.allclose(cur, X, atol=tol * (1 + np.abs(X).max())):
-        raise ValueError("eta^M does not fix X within tolerance")
-    return _blockdiag(blocks)
-
-
 # ----------------------------------------------------------------------
 # Registry.
 
@@ -419,7 +391,7 @@ REGISTRY = {
     "srinath_rajan": (srinath_rajan, ()),
     "mido_a4": (mido_a4, ("gamma",)),
     "simo_relay": (simo_relay, ()),
-    "mimo_relay": (mimo_relay, ("M", "p")),
+    "mimo_relay": (mimo_relay, ("M",)),
     "iterated": (iterated, ()),
 }
 

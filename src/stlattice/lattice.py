@@ -84,12 +84,16 @@ class WeightBasis:
             raise ValueError("all weight matrices must share one shape")
         # One read-only (k, n_t, T) stack; mats are its per-matrix views.
         stack = np.stack(arrs)
-        if not np.all(np.isfinite(stack)):
+        # The largest |real part| or |imaginary part|: NaN or inf if any
+        # entry is not finite.
+        peak = float(np.abs(stack.view(float)).max())
+        if not np.isfinite(peak):
             raise ValueError("weight matrix entries must be finite")
         stack.setflags(write=False)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "mats", tuple(stack))
         object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_peak", peak)
         object.__setattr__(self, "n_t", shape[0])
         object.__setattr__(self, "T", shape[1])
         object.__setattr__(self, "k", len(arrs))

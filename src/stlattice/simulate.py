@@ -60,6 +60,8 @@ class Alphabet:
     values: tuple
 
     def __post_init__(self):
+        if not all(float(v).is_integer() for v in self.values):
+            raise ValueError("alphabet values must be integers")
         vals = tuple(int(v) for v in self.values)
         if len(vals) == 0 or len(set(vals)) != len(vals):
             raise ValueError("alphabet needs distinct values")
@@ -81,7 +83,8 @@ def pam(size: int = 4) -> Alphabet:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Static Rayleigh block-fading channel and campaign parameters."""
+    """Static Rayleigh block-fading channel and campaign parameters; the
+    channel scale is decodability.SIGMA_H."""
 
     n_t: int
     n_r: int
@@ -89,7 +92,6 @@ class ChannelConfig:
     snr_db_grid: tuple
     trials: int
     seed: int
-    sigma_h: float = SIGMA_H
 
     def __post_init__(self):
         if self.T < self.n_t:
@@ -98,8 +100,6 @@ class ChannelConfig:
             raise ValueError("need at least one receive antenna")
         if self.trials < 0:
             raise ValueError("trials cannot be negative")
-        if self.sigma_h < 0:
-            raise ValueError("sigma_h cannot be negative")
         object.__setattr__(
             self, "snr_db_grid", tuple(_check_snr(x) for x in self.snr_db_grid)
         )
@@ -119,7 +119,6 @@ def default_config(
     trials: int,
     seed: int,
     n_r: int | None = None,
-    sigma_h: float = SIGMA_H,
 ) -> ChannelConfig:
     """Config sized to the basis; n_r defaults to the smallest count that
     makes the equivalent real channel matrix square or tall."""
@@ -130,7 +129,6 @@ def default_config(
         snr_db_grid=tuple(snr_db_grid),
         trials=trials,
         seed=seed,
-        sigma_h=sigma_h,
     )
 
 
@@ -143,9 +141,9 @@ class DecodeResult:
 
 def draw_channel(cfg: ChannelConfig, rng_state) -> np.ndarray:
     """One n_r x n_t channel draw; real and imaginary parts are
-    independent N(0, sigma_h^2)."""
+    independent N(0, SIGMA_H^2)."""
     # default_rng hands a Generator back unchanged and seeds anything else.
-    return _rayleigh((cfg.n_r, cfg.n_t), np.random.default_rng(rng_state), cfg.sigma_h)
+    return _rayleigh((cfg.n_r, cfg.n_t), np.random.default_rng(rng_state), SIGMA_H)
 
 
 def _mean_signal_power(
@@ -177,7 +175,7 @@ def _mean_signal_power(
         n = min(20_000, samples - done)
         s = rng.choice(values, size=(n, basis.k))
         X = np.einsum("sk,ke->se", s, flat).view(complex).reshape(n, basis.n_t, basis.T)
-        H = _rayleigh((n, cfg.n_r, cfg.n_t), rng, cfg.sigma_h)
+        H = _rayleigh((n, cfg.n_r, cfg.n_t), rng, SIGMA_H)
         total += float(np.sum(np.abs(H @ X) ** 2))
         done += n
     return total / samples
@@ -223,14 +221,14 @@ def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
             f"received block has shape {Y.shape}, expected {(H.shape[0], basis.T)}"
         )
     values = np.array(sorted(alphabet.values), dtype=float)
-    # The largest |real part| or |imaginary part| of Y, of H and of the B_i.
-    parts = np.abs(np.concatenate((Y, H, basis._stack), axis=None).view(float))
-    ends = (0, 2 * Y.size, 2 * (Y.size + H.size))
-    peak_y, peak_h, peak_b = np.maximum.reduceat(parts, ends).tolist()
+    # The largest |real part| or |imaginary part| of Y and of H (a trailing
+    # zero keeps H's segment non-empty); the B_i's is basis._peak.
+    parts = np.abs(np.concatenate((Y, H, [0j]), axis=None).view(float))
+    peak_y, peak_h = np.maximum.reduceat(parts, (0, 2 * Y.size)).tolist()
     # Non-finite entries are left to the finiteness checks below.
     if math.isfinite(peak_y) and math.isfinite(peak_h):
         peak_s = max(map(abs, alphabet.values))
-        e = peak_y + basis.k * peak_s * 2 * basis.n_t * peak_h * peak_b
+        e = peak_y + basis.k * peak_s * 2 * basis.n_t * peak_h * basis._peak
         if not (basis.k + 1) * 2 * Y.size * e * e <= sys.float_info.max:
             raise ValueError("received block or channel too large: the metric would overflow")
     return values, _equivalent_channel(basis, H, order), vectorize(Y)

@@ -1,19 +1,15 @@
-"""Tests for cyclic algebras, quaternions, and the quadratic field oracle."""
+"""Tests for the cyclic algebras and number fields behind the code families."""
 
 import numpy as np
 import pytest
 
 from stlattice.algebra import (
     CyclicAlgebra,
-    QuaternionSpec,
     alamouti_algebra,
     golden_algebra,
     mido_algebra,
     mimo_relay_algebra,
     mimo_relay_field,
-    quad_field_oracle,
-    quaternion_multiply,
-    quaternion_norm,
     relay_algebra,
     relay_field,
 )
@@ -102,15 +98,15 @@ class TestLeftRegular:
         alg = golden_algebra()
         x = np.zeros((2, 4))
         x[0, 1] = 1.0  # x = theta
-        norm, trace = alg.reduced_norm_trace(x)
-        assert np.isclose(norm, -1.0, atol=1e-12)
-        assert np.isclose(trace, 1.0, atol=1e-12)
+        rho = alg.left_regular(x)
+        assert np.isclose(np.linalg.det(rho), -1.0, atol=1e-12)
+        assert np.isclose(np.trace(rho), 1.0, atol=1e-12)
 
     def test_alamouti_i_norm_trace(self):
         alg = alamouti_algebra()
-        norm, trace = alg.reduced_norm_trace([[0.0, 1.0], [0.0, 0.0]])
-        assert np.isclose(norm, 1.0, atol=1e-12)
-        assert np.isclose(trace, 0.0, atol=1e-12)
+        rho = alg.left_regular([[0.0, 1.0], [0.0, 0.0]])  # x = i
+        assert np.isclose(np.linalg.det(rho), 1.0, atol=1e-12)
+        assert np.isclose(np.trace(rho), 0.0, atol=1e-12)
 
     def test_element_shape_validated(self):
         alg = alamouti_algebra()
@@ -143,28 +139,38 @@ class TestBalancedRep:
             mido_algebra().balanced_rep(np.zeros((4, 4)))
 
 
+def sigma_values(alg, coeffs):
+    """Values of sigma(x) under every embedding: x's values, permuted."""
+    return (alg.full_emb @ np.asarray(coeffs, dtype=float))[list(alg.sigma_perm)]
+
+
 class TestFieldOps:
     def test_golden_sigma_on_theta(self):
+        # sigma(theta) = 1 - theta, at the sigma row and under every embedding
         alg = golden_algebra()
-        coeffs = alg.sigma_on_coeffs([0.0, 1.0, 0.0, 0.0])
-        assert np.allclose(coeffs, [1.0, -1.0, 0.0, 0.0], atol=1e-9)
+        theta, one_minus_theta = [0.0, 1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]
+        got = alg.full_emb[alg.sigma_rows()[1]] @ theta
+        assert np.isclose(got, alg.full_emb[0] @ one_minus_theta, atol=1e-12)
+        assert np.allclose(
+            sigma_values(alg, theta), alg.full_emb @ one_minus_theta, atol=1e-12
+        )
 
     def test_relay_sigma_fixes_i_flips_t3(self):
         alg = relay_algebra()
         i_vec = np.zeros(8)
         i_vec[2] = 1.0
-        assert np.allclose(alg.sigma_on_coeffs(i_vec), i_vec, atol=1e-9)
+        assert np.allclose(sigma_values(alg, i_vec), alg.full_emb @ i_vec, atol=1e-12)
         t3_vec = np.zeros(8)
         t3_vec[4] = 1.0
         expected = np.zeros(8)
         expected[0], expected[4] = 1.0, -1.0  # sigma(t3) = 1 - t3
-        assert np.allclose(alg.sigma_on_coeffs(t3_vec), expected, atol=1e-9)
+        assert np.allclose(sigma_values(alg, t3_vec), alg.full_emb @ expected, atol=1e-12)
 
     def test_theta_squared(self):
-        alg = golden_algebra()
-        theta = [0.0, 1.0, 0.0, 0.0]
-        sq = alg.multiply_field(theta, theta)
-        assert np.allclose(sq, [1.0, 1.0, 0.0, 0.0], atol=1e-9)
+        # theta^2 = 1 + theta under every embedding
+        emb = golden_algebra().full_emb
+        theta = emb @ [0.0, 1.0, 0.0, 0.0]
+        assert np.allclose(theta**2, emb @ [1.0, 1.0, 0.0, 0.0], atol=1e-12)
 
     def test_relay_field_automorphism_rows(self):
         field = relay_field()
@@ -192,54 +198,6 @@ class TestFieldOps:
             seen.append(r)
         assert len(set(seen)) == 3
         assert field.row_after(seen[-1], "eta") == 0
-
-
-class TestQuaternions:
-    def test_hamilton_products(self):
-        q = QuaternionSpec(a=-1, gamma=-1)
-        i, j, k = [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]
-        assert np.allclose(quaternion_multiply(q, i, j), k)
-        assert np.allclose(quaternion_multiply(q, j, i), [0, 0, 0, -1])
-        assert np.allclose(quaternion_multiply(q, i, i), [-1, 0, 0, 0])
-        assert np.allclose(quaternion_multiply(q, k, k), [-1, 0, 0, 0])
-
-    def test_norm_is_multiplicative(self):
-        for _ in range(20):
-            a = complex(*RNG.normal(size=2))
-            g = complex(*RNG.normal(size=2))
-            q = QuaternionSpec(a=a, gamma=g)
-            x = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-            y = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-            lhs = quaternion_norm(q, quaternion_multiply(q, x, y))
-            rhs = quaternion_norm(q, x) * quaternion_norm(q, y)
-            assert np.isclose(lhs, rhs, atol=1e-9 * max(1, abs(rhs)))
-
-    def test_norm_oracle(self):
-        q = QuaternionSpec(a=5, gamma=1j)
-        val = quaternion_norm(q, [1, 2, 3, 4])
-        assert np.isclose(val, 1 - 5 * 4 - 1j * 9 + 5j * 16, atol=1e-12)
-
-    def test_zero_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            QuaternionSpec(a=0, gamma=-1)
-
-
-class TestQuadFieldOracle:
-    @pytest.mark.parametrize(
-        "d,disc", [(-5, -20), (5, 5), (-1, -4), (-3, -3), (2, 8), (13, 13)]
-    )
-    def test_discriminant_cases(self, d, disc):
-        assert quad_field_oracle(d, (0, 1))[2] == disc
-
-    def test_norm_and_trace(self):
-        norm, trace, _ = quad_field_oracle(-1, (3, 2))
-        assert norm == 13
-        assert trace == 6
-
-    @pytest.mark.parametrize("d", [0, 1, 4, 12, -4])
-    def test_invalid_d_rejected(self, d):
-        with pytest.raises(ValueError):
-            quad_field_oracle(d, (1, 0))
 
 
 class TestValidation:

@@ -226,7 +226,7 @@ class TestSimulate:
 
 class TestVerbs:
     FLAGS = {
-        "construct": {"--gamma", "--M", "--p", "--output"},
+        "construct": {"--gamma", "--M", "--output"},
         "lattice": {"--bound", "--output"},
         "analyze": {"--trials", "--tol", "--seed", "--output"},
         "simulate": {
@@ -243,7 +243,7 @@ class TestVerbs:
             for verb, sub in subs.items()
         }
         assert flags == self.FLAGS
-        assert sum(map(len, flags.values())) == 22
+        assert sum(map(len, flags.values())) == 21
 
     @pytest.mark.parametrize(
         "argv",
@@ -254,6 +254,7 @@ class TestVerbs:
             ("construct", "golden", "--seed", "1"),
             ("simulate", "alamouti", "--tol", "1e-3"),
             ("simulate", "alamouti", "--tol", "-5"),
+            ("construct", "mimo_relay", "--p", "7"),
         ],
     )
     def test_flag_the_verb_does_not_read_is_rejected(self, capsys, argv):

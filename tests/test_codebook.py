@@ -16,7 +16,6 @@ from stlattice.codebook import (
     build,
     iterate,
     quaternionic_embed,
-    relay_blockdiag,
     weights_from_linear_map,
 )
 from stlattice.algebra import mimo_relay_field, relay_field
@@ -184,10 +183,6 @@ class TestSimoRelay:
         b = codebook.simo_relay()
         assert min_rank_sampled(b, search_bound=1, n_random=500) == 4
 
-    def test_rejects_bad_gamma(self):
-        with pytest.raises(ValueError, match="negative"):
-            codebook.simo_relay(gamma=0.5)
-
 
 class TestMimoRelay:
     def test_shape_and_rank(self):
@@ -212,9 +207,14 @@ class TestMimoRelay:
         assert b.mats[0].shape == (20, 20)
         assert b.rank == 40
 
-    def test_rejects_inconsistent_p(self):
-        with pytest.raises(ValueError, match="2M"):
-            codebook.mimo_relay(M=3, p=5)
+    def test_rejects_M_whose_2M_plus_1_is_not_a_prime(self):
+        # p = 2M + 1 is derived, so the message names M
+        with pytest.raises(ValueError, match="M = 1"):
+            codebook.mimo_relay(M=1)  # p = 3 < 5
+        with pytest.raises(ValueError, match="M = 4"):
+            codebook.mimo_relay(M=4)  # p = 9
+        with pytest.raises(ValueError, match=r"does not accept parameters \['p'\]"):
+            build({"family": "mimo_relay", "params": {"M": 3, "p": 7}})
 
     def test_rejects_negative_scaling_tower(self):
         # p = 5 puts xi below 1, so the doubling scalar square is negative
@@ -388,29 +388,6 @@ class TestIteratedMapSpec:
     def test_rejects_inconsistent_triple(self):
         with pytest.raises(ValueError, match="zeta"):
             IteratedMapSpec(tau=np.conj, theta=2.0, zeta=-1.0, theta_prime=2.0)
-
-
-class TestRelayBlockdiag:
-    def test_single_round_returns_input(self):
-        X = np.array([[1, 2j], [3, 4]])
-        assert np.allclose(relay_blockdiag(X, lambda A: A, 1), X)
-
-    def test_two_rounds_of_conjugation(self):
-        X = np.array([[1 + 1j, 0], [0, 2 - 1j]])
-        out = relay_blockdiag(X, np.conj, 2)
-        assert np.allclose(out[0:2, 0:2], X)
-        assert np.allclose(out[2:4, 2:4], np.conj(X))
-        assert np.allclose(out[0:2, 2:4], 0)
-
-    def test_rejects_non_returning_map(self):
-        with pytest.raises(ValueError, match="fix"):
-            relay_blockdiag(np.eye(2), lambda A: -A, 3)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="square"):
-            relay_blockdiag(np.ones((2, 3)), np.conj, 2)
-        with pytest.raises(ValueError, match="at least"):
-            relay_blockdiag(np.eye(2), np.conj, 0)
 
 
 class TestWeightsFromLinearMap:

@@ -16,7 +16,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stlattice import codebook, simulate
-from stlattice.decodability import classify, r_matrix
+from stlattice.decodability import SIGMA_H, classify, r_matrix
 from stlattice.lattice import WeightBasis, _mixed_radix, vectorize
 from stlattice.simulate import (
     Alphabet,
@@ -75,6 +75,14 @@ class TestAlphabet:
     def test_zero_only_set_is_symmetric(self):
         assert Alphabet((0,)).values == (0,)
 
+    @pytest.mark.parametrize("values", [(1.5, -1.5), (0.5, -0.5), (-1, 1, float("inf"))])
+    def test_rejects_values_that_are_not_integers(self, values):
+        with pytest.raises(ValueError, match="integers"):
+            Alphabet(values)
+
+    def test_integral_floats_are_kept(self):
+        assert Alphabet((2.0, -2.0)).values == (2, -2)
+
 
 class TestChannelConfig:
     def test_rejects_short_coherence(self):
@@ -97,11 +105,11 @@ class TestChannelConfig:
 
 
 class TestDrawChannel:
-    def test_zero_scale_gives_zero_matrix(self):
-        cfg = ChannelConfig(
-            n_t=2, n_r=3, T=2, snr_db_grid=(0,), trials=1, seed=0, sigma_h=0.0
-        )
-        assert np.array_equal(draw_channel(cfg, 0), np.zeros((3, 2)))
+    def test_scale_is_sigma_h(self):
+        cfg = ChannelConfig(n_t=2, n_r=3, T=2, snr_db_grid=(0,), trials=1, seed=0)
+        rng = np.random.default_rng(5)
+        want = SIGMA_H * (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+        assert np.array_equal(draw_channel(cfg, 5), want)
 
     def test_deterministic_for_fixed_state(self):
         cfg = ChannelConfig(n_t=2, n_r=2, T=2, snr_db_grid=(0,), trials=1, seed=0)
@@ -127,7 +135,7 @@ class TestCalibration:
         mats = np.stack(basis.mats)
         s = rng.choice(np.array([-3.0, -1.0, 1.0, 3.0]), size=(20_000, 4))
         X = np.einsum("sk,kij->sij", s, mats)
-        H = cfg.sigma_h * (
+        H = SIGMA_H * (
             rng.normal(size=(20_000, 1, 2)) + 1j * rng.normal(size=(20_000, 1, 2))
         )
         sig = float(np.mean(np.sum(np.abs(H @ X) ** 2, axis=(1, 2))))
@@ -193,7 +201,7 @@ class TestCalibration:
         values = np.array(pam(4).values, dtype=float)
         energy = sum(np.linalg.norm(m) ** 2 for m in basis.mats)
         exact = np.sqrt(
-            cfg.sigma_h**2 * np.mean(values**2) * energy / (10.0 * basis.T)
+            SIGMA_H**2 * np.mean(values**2) * energy / (10.0 * basis.T)
         )
         sigma_n = calibrate_noise(basis, pam(4), cfg, 10.0, samples=20_000)
         assert sigma_n == pytest.approx(exact, rel=0.01)
@@ -220,7 +228,7 @@ def _complex_einsum_signal_power(basis, alphabet, cfg, samples):
         X = np.einsum("sk,kij->sij", s, basis._stack)
         Hr = rng.normal(size=(n, cfg.n_r, cfg.n_t))
         Hi = rng.normal(size=(n, cfg.n_r, cfg.n_t))
-        H = cfg.sigma_h * (Hr + 1j * Hi)
+        H = SIGMA_H * (Hr + 1j * Hi)
         total += float(np.sum(np.abs(H @ X) ** 2))
     return total / samples
 
