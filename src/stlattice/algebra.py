@@ -352,7 +352,7 @@ def mimo_relay_field(p: int = 7) -> NumberField:
     eta = [idx[(min(2 * m % p, p - 2 * m % p), e)] for m, e in signs]
     if len({_perm_power(eta, j)[0] for j in range(M)}) < M:
         raise ValueError(
-            f"the doubling map is not transitive on the conjugates for p={p}"
+            f"the doubling map is not transitive on the conjugates: M = {M}, 2M+1 = {p}"
         )
     omega = 1j * np.sqrt(5)
     rows = []

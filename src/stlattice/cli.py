@@ -60,8 +60,8 @@ def _parse_float_list(text: str):
 
 def _parse_alphabet(text: str) -> Alphabet:
     if "," in text:
-        return Alphabet(tuple(int(x) for x in text.split(",")))
-    return pam(int(text))
+        return Alphabet(tuple(float(x) for x in text.split(",")))
+    return pam(float(text))
 
 
 def _write_output(text: str, path):

@@ -252,7 +252,8 @@ def mimo_relay(M: int = 3) -> WeightBasis:
     prime; gamma = -2/(1+xi) and the doubling block combines an inner pair
     (X, Y) with scalars from theta = -theta' and theta' = 3(xi-1) > 0.
     The scalars sqrt(-gamma) and sqrt(theta') are evaluated at the canonical
-    embedding and reused in every block.
+    embedding and reused in every block.  Of M <= 11 only 3, 5, 6, 9 and 11
+    build (M = 2 has theta' < 0; M = 8 fails the doubling map's transitivity).
 
     Weight (part, comp, b) holds at diagonal block j the 4x4 block
     [[X, 0], [0, tau(X)]] for part 0 and [[0, zeta*s*tau(X)], [s*X, 0]]

@@ -48,6 +48,7 @@ __all__ = [
 ML_SPACE_LIMIT = 2**24
 _CALIBRATION_STREAM = 0x5EED
 _CHUNK = 1 << 14
+_BLOCK = 512  # calibration samples per codeword block
 # Metrics within this relative distance of the minimum tie: the decoders sum
 # in different orders, so an exact tie can differ in the last bits.
 _TIE_TOL = 1e-9
@@ -78,7 +79,7 @@ def pam(size: int = 4) -> Alphabet:
     """The size-point pulse-amplitude set {..., -3, -1, 1, 3, ...}."""
     if size < 2 or size % 2:
         raise ValueError("PAM size must be a positive even number")
-    return Alphabet(tuple(range(-(size - 1), size, 2)))
+    return Alphabet(tuple(range(1 - int(size), int(size), 2)))
 
 
 @dataclass(frozen=True)
@@ -146,16 +147,34 @@ def draw_channel(cfg: ChannelConfig, rng_state) -> np.ndarray:
     return _rayleigh((cfg.n_r, cfg.n_t), np.random.default_rng(rng_state), SIGMA_H)
 
 
+def _codeword_blocks(s: np.ndarray, stack: np.ndarray):
+    """Yield (rows, X): the codewords of the symbols s[rows], _BLOCK rows at
+    a time in one reused buffer, from the stack's nonzero real weights only."""
+    flat = stack.view(float).reshape(len(stack), -1)
+    depth = np.count_nonzero(flat, axis=0)
+    cols = np.flatnonzero(depth)
+    # per codeword entry, the k of its nonzero weights ascending, then the rest
+    K = np.argsort(flat[:, cols] == 0, axis=0, kind="stable")[: depth.max()]
+    W = np.take_along_axis(flat[:, cols], K, axis=0)
+    X = np.zeros((min(_BLOCK, len(s)), *stack.shape[1:]), dtype=complex)
+    for start in range(0, len(s), _BLOCK):
+        block = s[start : start + _BLOCK]
+        acc = sum(block[:, k] * w for k, w in zip(K, W))  # a left fold, k ascending
+        X[: len(block)].view(float).reshape(len(block), -1)[:, cols] = acc
+        yield slice(start, start + len(block)), X[: len(block)]
+
+
 def _mean_signal_power(
     basis: WeightBasis, alphabet: Alphabet, cfg: ChannelConfig, samples: int
 ) -> float:
     """Monte Carlo estimate of E||HX||_F^2 over symbols and channels.
 
     The stream is seeded by cfg.seed alone, so the estimate does not depend
-    on the SNR it is used for.  The codewords X are a real einsum of the
-    symbols with the stack's float view, viewed back as complex: with real
-    symbols it adds the same products over k in the same order as a complex
-    einsum, so X has the same bits, in about a third of the time.
+    on the SNR it is used for.  Each chunk of 20,000 samples draws symbols,
+    then channels, and sums |HX|^2 over the chunk.  The codewords are built
+    _BLOCK samples at a time from the nonzero weights of the stack's float
+    view, each entry adding its rounded products in ascending k: the bits of
+    a real einsum over every k, since a zero product leaves a sum unchanged.
     """
     if (cfg.n_t, cfg.T) != (basis.n_t, basis.T):
         raise ValueError(
@@ -168,16 +187,15 @@ def _mean_signal_power(
     if np.max(np.abs(values)) == 0:
         raise ValueError("the alphabet carries no signal power")
     rng = np.random.default_rng([cfg.seed, _CALIBRATION_STREAM])
-    flat = basis._stack.view(float).reshape(basis.k, -1)
     total = 0.0
-    done = 0
-    while done < samples:
+    for done in range(0, samples, 20_000):
         n = min(20_000, samples - done)
         s = rng.choice(values, size=(n, basis.k))
-        X = np.einsum("sk,ke->se", s, flat).view(complex).reshape(n, basis.n_t, basis.T)
         H = _rayleigh((n, cfg.n_r, cfg.n_t), rng, SIGMA_H)
-        total += float(np.sum(np.abs(H @ X) ** 2))
-        done += n
+        power = np.empty((n, cfg.n_r, basis.T))
+        for rows, X in _codeword_blocks(s, basis._stack):
+            power[rows] = np.abs(H[rows] @ X) ** 2
+        total += float(np.sum(power))
     return total / samples
 
 

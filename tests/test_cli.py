@@ -193,6 +193,25 @@ class TestSimulate:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize(
+        "alphabet, message",
+        [("1.5,-1.5", "alphabet values must be integers"), ("2.5", "PAM size")],
+    )
+    def test_non_integer_alphabet_gets_the_librarys_message(self, capsys, alphabet, message):
+        # int() used to fail first, with "invalid literal for int()"
+        code, out, err = run(
+            capsys, "simulate", "alamouti", f"--alphabet={alphabet}", "--trials", "1",
+            "--cal-samples", "10000",
+        )
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_integral_float_pam_size_is_kept(self, capsys):
+        argv = ("simulate", "alamouti", "--snr", "10", "--trials", "5", "--cal-samples", "10000")
+        _, out4, _ = run(capsys, *argv, "--alphabet", "4")
+        code, out, _ = run(capsys, *argv, "--alphabet", "4.0")
+        assert code == 0 and out == out4
+
     def test_rejects_unknown_decoder(self, capsys):
         code, _, err = run(
             capsys, "simulate", "alamouti", "--decoder", "turbo",

@@ -216,6 +216,22 @@ class TestMimoRelay:
         with pytest.raises(ValueError, match=r"does not accept parameters \['p'\]"):
             build({"family": "mimo_relay", "params": {"M": 3, "p": 7}})
 
+    def test_rejects_M_whose_doubling_map_is_not_transitive(self):
+        # 2M+1 = 17 is prime, but doubling folds the 8 conjugates into 4
+        with pytest.raises(ValueError, match=r"M = 8, 2M\+1 = 17"):
+            codebook.mimo_relay(M=8)
+
+    def test_buildable_M_up_to_11(self):
+        # the list that the docstring and README give
+        built = []
+        for M in range(1, 12):
+            try:
+                codebook.mimo_relay(M)
+            except ValueError:
+                continue
+            built.append(M)
+        assert built == [3, 5, 6, 9, 11]
+
     def test_rejects_negative_scaling_tower(self):
         # p = 5 puts xi below 1, so the doubling scalar square is negative
         with pytest.raises(ValueError, match="positive"):

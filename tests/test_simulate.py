@@ -83,6 +83,12 @@ class TestAlphabet:
     def test_integral_floats_are_kept(self):
         assert Alphabet((2.0, -2.0)).values == (2, -2)
 
+    def test_pam_size_follows_the_same_rule(self):
+        # the CLI parses the size with float(), so pam sees 4.0 or 2.5
+        assert pam(4.0) == pam(4)
+        with pytest.raises(ValueError, match="PAM size"):
+            pam(2.5)
+
 
 class TestChannelConfig:
     def test_rejects_short_coherence(self):
@@ -215,6 +221,87 @@ class TestCalibration:
                 got = simulate._mean_signal_power(basis, pam(size), cfg, 10_000)
                 want = _complex_einsum_signal_power(basis, pam(size), cfg, 10_000)
                 assert got.hex() == want.hex(), (size, seed)
+
+
+    @pytest.mark.parametrize("size", [2, 4, 8])
+    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    def test_blocks_keep_the_bits_of_the_dense_einsum(self, name, size):
+        basis = code(name)
+        for seed in (0, 5):
+            cfg = default_config(basis, (0.0,), 1, seed)
+            got = simulate._mean_signal_power(basis, pam(size), cfg, 10_000)
+            want = _real_einsum_signal_power(basis, pam(size), cfg, 10_000)
+            assert got.hex() == want.hex(), seed
+
+    @pytest.mark.parametrize("name", ["golden", "mimo_relay"])
+    def test_blocks_keep_the_bits_over_several_chunks(self, name):
+        basis = code(name)
+        cfg = default_config(basis, (0.0,), 1, 2)
+        got = simulate._mean_signal_power(basis, pam(4), cfg, 45_001)
+        want = _real_einsum_signal_power(basis, pam(4), cfg, 45_001)
+        assert got.hex() == want.hex()
+
+    def test_mimo_relay_calibration_memory(self):
+        # The dense einsum held two 20,000 x 288 codeword chunks at once, a
+        # traced peak of 95.9 MiB; one block of 512 codewords is 1.2 MB.
+        basis = code("mimo_relay")
+        cfg = default_config(basis, (10.0,), 1, 0)
+        tracemalloc.start()
+        try:
+            calibrate_noise(basis, pam(2), cfg, 10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+
+
+@st.composite
+def codeword_problems(draw):
+    """A random stack with a random zero pattern and weights across 2^+-20,
+    and symbols from a random alphabet, up to three blocks of them."""
+    k, n_t, T = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
+    shape = (k, 2 * n_t * T)
+    flat = rng.normal(size=shape) * 2.0 ** rng.integers(-20, 21, shape)
+    flat[rng.random(shape) >= density] = 0.0
+    alphabet = draw(st.sampled_from(ALPHABETS + (pam(8), Alphabet((-7, -1, 0, 1, 7)))))
+    n = draw(st.integers(1, 3 * simulate._BLOCK))
+    s = rng.choice(np.array(alphabet.values, dtype=float), size=(n, k))
+    return s, flat.view(complex).reshape(k, n_t, T)
+
+
+class TestCodewordBlocks:
+    @given(codeword_problems())
+    def test_equals_the_plain_loop_bit_for_bit(self, problem):
+        s, stack = problem
+        flat = stack.view(float).reshape(len(stack), -1)
+        want = np.zeros((len(s), flat.shape[1]))
+        for k in range(len(flat)):
+            want = want + s[:, k, None] * flat[k]
+        got, end = [], 0
+        for rows, X in simulate._codeword_blocks(s, stack):
+            assert rows.start == end and X.shape == (rows.stop - end,) + stack.shape[1:]
+            got.append(X.view(float).reshape(len(X), -1).copy())
+            end = rows.stop
+        assert end == len(s)
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+
+def _real_einsum_signal_power(basis, alphabet, cfg, samples):
+    """_mean_signal_power as it was, with one dense real einsum per chunk."""
+    values = np.array(sorted(alphabet.values), dtype=float)
+    rng = np.random.default_rng([cfg.seed, simulate._CALIBRATION_STREAM])
+    flat = basis._stack.view(float).reshape(basis.k, -1)
+    total = 0.0
+    for done in range(0, samples, 20_000):
+        n = min(20_000, samples - done)
+        s = rng.choice(values, size=(n, basis.k))
+        X = np.einsum("sk,ke->se", s, flat).view(complex).reshape(n, basis.n_t, basis.T)
+        shape = (n, cfg.n_r, cfg.n_t)
+        H = SIGMA_H * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        total += float(np.sum(np.abs(H @ X) ** 2))
+    return total / samples
 
 
 def _complex_einsum_signal_power(basis, alphabet, cfg, samples):
