@@ -31,8 +31,9 @@ __all__ = [
 RANK_TOL = 1e-9
 
 #: Default cap on the number of coefficient vectors enumerated in the
-#: minimum-determinant / minimum-rank searches.
-MAX_CANDIDATES = 5_000_000
+#: minimum-determinant / minimum-rank searches: one of each +-z pair, so
+#: the unit box of a k = 16 code (21,523,360 vectors) is within it.
+MAX_CANDIDATES = 25_000_000
 
 
 def vectorize(U: np.ndarray) -> np.ndarray:
@@ -189,6 +190,10 @@ class LatticeProfile:
 #: Chunk size for vectorized sweeps over coefficient boxes.
 _CHUNK = 65536
 
+#: Bytes of codewords that a sweep forms and reduces at a time, so that a
+#: block and the temporaries of its reduction stay in cache.
+_BLOCK_BYTES = 1 << 19
+
 
 def _mixed_radix(values, k: int, start: int, stop: int, chunk: int):
     """Yield the rows (values[d_1], ..., values[d_k]) of the k base-len(values)
@@ -253,8 +258,13 @@ def _coefficient_box(k: int, bound: int, max_candidates: int):
 
 
 def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
-    """Fold min(best, reduce(codewords)) over chunks of coefficient rows z,
+    """Fold min(best, reduce(codewords)) over blocks of coefficient rows z,
     each turned into the codewords sum_i z_i B_i; returns early at stop.
+
+    Each chunk is cut into blocks of about _BLOCK_BYTES of codewords, at
+    least one row, and every block is formed, reduced and checked against
+    stop before the next, so no reduction streams a whole chunk through
+    memory.  The producers and their chunks are unchanged.
 
     The codewords are one real product of z with the stack's float view,
     viewed back as complex.  With z real, a complex tensordot would add the
@@ -263,12 +273,14 @@ def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
     """
     flat = basis._stack.view(float).reshape(basis.k, -1)
     shape = (-1, basis.n_t, basis.T)
+    rows = max(1, _BLOCK_BYTES // flat[0].nbytes)
     empty = True
     for chunk in chunks:
         empty = False
-        best = min(best, reduce((chunk @ flat).view(complex).reshape(shape)))
-        if stop is not None and best <= stop:
-            break
+        for lo in range(0, len(chunk), rows):
+            best = min(best, reduce((chunk[lo : lo + rows] @ flat).view(complex).reshape(shape)))
+            if stop is not None and best <= stop:
+                return best
     if empty:
         raise ValueError("no coefficient vector to search: the bound is 0 or none was requested")
     return best
@@ -312,26 +324,40 @@ def _fro_sq(mats: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _min_abs_det_sq_of_chunk(mats: np.ndarray) -> float:
+def _min_abs_det_sq_of_chunk(mats: np.ndarray, slack: float) -> float:
     """min |det X|^2 over a stack, as LAPACK's det gives it.
 
     The closed form ranks the stack; LAPACK then runs only on the rows
-    whose closed-form value, within _DET_SLACK * ||X||_F^(2n) of rounding,
-    could still be the least.  A row whose values are not finite is kept.
+    whose closed-form value, within slack of rounding, could still be the
+    least.  slack must be at least every row's _DET_SLACK * ||X||_F^(2n).
+    A row is kept unless est - slack > min(est) + slack; the rule with each
+    row's own slack keeps a row unless est - own > min(est + own), and
+    since est - slack <= est - own and min(est + own) <= min(est) + slack,
+    every row that rule keeps is kept here, the row of LAPACK's least value
+    among them.  A row whose values are not finite is kept.
     """
     est = np.abs(_det(mats)) ** 2
-    slack = _DET_SLACK * _fro_sq(mats) ** mats.shape[-1]
-    keep = ~(est - slack > np.min(est + slack))
+    keep = ~(est - slack > np.min(est) + slack)
     return float((np.abs(np.linalg.det(mats[keep])) ** 2).min())
+
+
+def _det_slack(basis: WeightBasis, bound: int) -> float:
+    """_DET_SLACK * (bound * sum_i ||B_i||_F)^(2n): every codeword of the box
+    has ||sum z_i B_i||_F <= bound * sum_i ||B_i||_F, so this bounds every
+    row's slack.  The factor 1 + 1e-9 covers the rounding of the computed
+    norms and codewords, some 10^-13 relative."""
+    norms = np.sqrt(_fro_sq(basis._stack))
+    return _DET_SLACK * (bound * float(norms.sum()) * (1 + 1e-9)) ** (2 * basis.n_t)
 
 
 def _min_abs_det_sq(basis: WeightBasis, bound: int, max_candidates: int) -> float:
     """min |det(sum z_i B_i)|^2 over the box, bit for bit the least of
     LAPACK's values over every codeword, at the cost of the closed form plus
-    LAPACK on the few rows near each chunk's minimum; those rows never
-    outlive their chunk."""
+    LAPACK on the few rows near each block's minimum; those rows never
+    outlive their block."""
     chunks = _coefficient_box(basis.k, bound, max_candidates)
-    return _sweep(basis, chunks, _min_abs_det_sq_of_chunk, np.inf)
+    slack = _det_slack(basis, bound)
+    return _sweep(basis, chunks, lambda mats: _min_abs_det_sq_of_chunk(mats, slack), np.inf)
 
 
 def lattice_profile(
@@ -446,7 +472,9 @@ def _random_box(k: int, bound: int, n_random: int, seed: int):
     for lo in range(0, n_random, _CHUNK):
         size = min(_CHUNK, n_random - lo)
         chunk = rng.integers(-bound, bound + 1, size=(size, k)).astype(float)
-        chunk = chunk[np.any(chunk, axis=1)]
+        nonzero = np.any(chunk, axis=1)
+        if not nonzero.all():
+            chunk = chunk[nonzero]
         if len(chunk):
             yield chunk
 

@@ -285,10 +285,7 @@ def test_11_structural_property_suite():
     for name in ("alamouti", "golden", "silver"):
         assert min_rank_difference(code(name), search_bound=1) == 2
     for name in ("srinath_rajan", "mido_a4", "simo_relay"):
-        rank = min_rank_difference(
-            code(name), search_bound=1, max_candidates=25_000_000
-        )
-        assert rank == 4
+        assert min_rank_difference(code(name), search_bound=1) == 4
     assert (
         min_rank_sampled(
             code("mimo_relay"),

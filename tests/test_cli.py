@@ -127,6 +127,12 @@ class TestLattice:
         code, _, err = run(capsys, "lattice", str(bad))
         assert code == 1
 
+    def test_box_over_the_cap_is_a_clean_error(self, capsys):
+        # 3^24 - 1 vectors: the unit box of a k = 24 code is past the cap
+        code, out, err = run(capsys, "lattice", "mimo_relay", "--bound", "1")
+        assert (code, out) == (1, "")
+        assert "exceeds the cap" in err
+
 
 class TestAnalyze:
     def test_silver_profile_json(self, capsys):

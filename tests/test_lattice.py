@@ -366,10 +366,11 @@ class TestMixedRadix:
 
 
 def sweep_products(basis, chunk):
-    """The codewords _sweep forms from one chunk of coefficient rows."""
+    """The codewords _sweep forms from one chunk of coefficient rows, every
+    block of them in order."""
     seen = []
     lattice._sweep(basis, [chunk], lambda mats: seen.append(mats.copy()) or 0.0, np.inf)
-    return seen[0]
+    return np.concatenate(seen)
 
 
 class TestSweepLayout:
@@ -389,6 +390,66 @@ class TestSweepLayout:
             got = sweep_products(basis, chunk)
             want = sweep_products(basis, np.ascontiguousarray(chunk))
             assert got.tobytes() == want.tobytes()
+
+
+class TestSweepBlocks:
+    """Blocks of one row, of 7 rows in 30-row chunks (so the last block of
+    every chunk is short) and of the default size give the same bits."""
+
+    SETTINGS = [(1, 30), (7, 30), (None, None)]
+
+    def _each_setting(self, monkeypatch, basis):
+        """Patch in each setting in turn; yield the patch context and the
+        block and chunk sizes in rows."""
+        for rows, chunk in self.SETTINGS:
+            with monkeypatch.context() as m:
+                if rows is not None:
+                    m.setattr(lattice, "_BLOCK_BYTES", rows * 16 * basis.n_t * basis.T)
+                    m.setattr(lattice, "_CHUNK", chunk)
+                yield m, lattice._BLOCK_BYTES // (16 * basis.n_t * basis.T), lattice._CHUNK
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (2, 3)])
+    def test_same_bits_at_every_block_size(self, monkeypatch, shape):
+        rng = np.random.default_rng(sum(shape))
+        b = _small_integer_basis(rng, *shape, 4)
+        results = []
+        for _ in self._each_setting(monkeypatch, b):
+            det = lattice._min_abs_det_sq(b, 2, lattice.MAX_CANDIDATES) if b.n_t == b.T else 0.0
+            results.append((
+                det.hex(),
+                min_rank_difference(b, search_bound=2),
+                min_rank_sampled(b, 2, max_nonzeros=2, n_random=300, seed=3),
+            ))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("name", ["golden", "silver"])
+    def test_registry_code_keeps_its_bits(self, monkeypatch, name):
+        b = build(name)
+        want = _lapack_min_abs_det_sq(b, 1).hex()
+        for _ in self._each_setting(monkeypatch, b):
+            assert lattice._min_abs_det_sq(b, 1, lattice.MAX_CANDIDATES).hex() == want
+
+    def test_stops_at_the_block_of_a_mid_chunk_rank_one_codeword(self, monkeypatch):
+        # B_4 = 2 B_1.  Of the 40 rows of the unit box, row 5, z = (0, 1, -1,
+        # 0) with codeword diag(0, 2), is the first of rank 1; none is zero.
+        J = np.array([[0, -1], [1, 0]], dtype=complex)
+        b = WeightBasis("dep", [J, I2, np.diag([1.0, -1.0]), 2 * J], allow_dependent=True)
+        rows_z = np.concatenate(list(lattice._coefficient_box(4, 1, 100)))
+        ranks = np.linalg.matrix_rank(np.tensordot(rows_z, b._stack, axes=1))
+        first = int(np.argmax(ranks < 2))
+        assert (len(rows_z), first, ranks[first], ranks.min()) == (40, 5, 1, 1)
+        reduce = lattice._min_rank_of_chunk
+        for m, rows, chunk in self._each_setting(monkeypatch, b):
+            seen = []
+
+            def counted(mats):
+                seen.append(len(mats))
+                return reduce(mats)
+
+            m.setattr(lattice, "_min_rank_of_chunk", counted)
+            assert min_rank_difference(b, search_bound=1) == 1
+            # the sweep returns at the end of the block that holds row 5
+            assert sum(seen) == min(-(-(first + 1) // rows) * rows, chunk, 40)
 
 
 class TestClosedFormDet:
@@ -432,7 +493,69 @@ class TestMinAbsDetSq:
             WeightBasis("dup", [I2, I2], allow_dependent=True),
             WeightBasis("golden-dep", [g[0], g[1], g[0] + g[1]], allow_dependent=True),
         ]
+        # scaling by a power of two is exact; the per-sweep slack scales too
+        bases += [
+            WeightBasis(f"{b.name}*2^{e}", list(np.ldexp(1.0, e) * b._stack), allow_dependent=True)
+            for b in (bases[1], bases[4], bases[-1])
+            for e in (-20, 20)
+        ]
+        bases.append(WeightBasis("golden*2^-20", list(np.ldexp(1.0, -20) * build("golden")._stack)))
         for b in bases:
             for bound in (1, 2):
                 got = lattice._min_abs_det_sq(b, bound, lattice.MAX_CANDIDATES)
                 assert got.hex() == _lapack_min_abs_det_sq(b, bound).hex(), b.name
+
+
+@st.composite
+def boxed_codewords(draw):
+    """A random square stack with weights scaled by 2^e, a bound and rows z
+    of its box, the box's corners among them."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    bound, e = draw(st.integers(1, 4)), draw(st.integers(-20, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    re, im = np.ldexp(rng.normal(size=(2, k, n, n)), e)
+    basis = WeightBasis("random", list(re + 1j * im), allow_dependent=True)
+    z = rng.integers(-bound, bound + 1, size=(64, k))
+    z[:16] = bound * rng.choice([-1, 1], size=(16, k))
+    return basis, bound, z.astype(float)
+
+
+class TestDetSlack:
+    @given(boxed_codewords())
+    def test_bounds_every_rows_slack_and_keeps_a_superset(self, args):
+        basis, bound, z = args
+        X = sweep_products(basis, z)
+        n = basis.n_t
+        own = lattice._DET_SLACK * lattice._fro_sq(X) ** n
+        slack = lattice._det_slack(basis, bound)
+        assert np.all(own <= slack)
+        est = np.abs(lattice._det(X)) ** 2
+        kept_per_row = ~(est - own > np.min(est + own))
+        kept = ~(est - slack > np.min(est) + slack)
+        assert np.all(kept[kept_per_row])
+        lapack = float((np.abs(np.linalg.det(X)) ** 2).min())
+        assert lattice._min_abs_det_sq_of_chunk(X, slack).hex() == lapack.hex()
+
+
+class TestBoxProducers:
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("k", [3, 16])
+    def test_random_box_rows_are_the_filtered_draws(self, k, seed):
+        # k = 3 draws zero rows in every chunk, k = 16 (3^-16 a row) none
+        n_random = 2 * lattice._CHUNK + 5
+        rng = np.random.default_rng(seed)
+        want = []
+        for lo in range(0, n_random, lattice._CHUNK):
+            size = min(lattice._CHUNK, n_random - lo)
+            chunk = rng.integers(-1, 2, size=(size, k)).astype(float)
+            want.append(chunk[np.any(chunk, axis=1)])
+        got = list(lattice._random_box(k, 1, n_random, seed))
+        assert [len(c) for c in got] == [len(c) for c in want]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert all(len(c) < lattice._CHUNK for c in got[:2]) == (k == 3)
+
+    def test_default_cap_covers_the_k16_unit_box(self):
+        chunk = next(lattice._coefficient_box(16, 1, lattice.MAX_CANDIDATES))
+        assert chunk.shape == (lattice._CHUNK, 16)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            next(lattice._coefficient_box(24, 1, lattice.MAX_CANDIDATES))
