@@ -198,17 +198,6 @@ def _greedy_separator(bits: list, k: int):
     return gamma, gamma.bit_count() + max(c.bit_count() for c in comps), comps
 
 
-def _orthogonal_prefix(vertices: tuple, adjacency: np.ndarray) -> int:
-    """Length of the longest prefix of the group whose members are pairwise
-    non-adjacent (levels removable from the group's decoding tree)."""
-    count = 0
-    for idx, v in enumerate(vertices):
-        if any(adjacency[v, u] for u in vertices[:idx]):
-            break
-        count += 1
-    return count
-
-
 # ----------------------------------------------------------------------
 # R-matrix structure.
 
@@ -289,13 +278,13 @@ def sample_r_matrix(
     ordering=None,
     trials: int = 20,
     seed: int = 0,
-    n_r: int | None = None,
     tol: float = TOL,
 ) -> RMatrixProfile:
-    """Average |R| over random channels; zero_mask is ANDed across trials."""
+    """Average |R| over random channels at the default receive count;
+    zero_mask is ANDed across trials."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    n_r = _default_n_r(basis) if n_r is None else n_r
+    n_r = _default_n_r(basis)
     order = _check_ordering(ordering, basis.k)
     acc = None
     mask = None
@@ -318,16 +307,28 @@ def sample_r_matrix(
 
 @dataclass(frozen=True)
 class DecodabilityProfile:
-    """Family, symbol grouping, and complexity order of a basis."""
+    """Family, symbol grouping, and complexity order of a basis.
+
+    groups and conditioned partition the k coefficient indices, so the
+    reduction and the fast-decodable flag follow from k and k'."""
 
     family: str
     groups: tuple
     conditioned: tuple
     k_prime: int
-    reduction_pct: float
-    fast_decodable: bool
-    levels: tuple | None = None
     bo_params: tuple | None = None
+
+    @property
+    def _k(self) -> int:
+        return sum(map(len, self.groups)) + len(self.conditioned)
+
+    @property
+    def reduction_pct(self) -> float:
+        return 100.0 * (1.0 - self.k_prime / self._k)
+
+    @property
+    def fast_decodable(self) -> bool:
+        return self.k_prime < self._k - 2
 
     def to_json_dict(self) -> dict:
         out = {
@@ -338,25 +339,9 @@ class DecodabilityProfile:
             "reduction_pct": self.reduction_pct,
             "fast_decodable": self.fast_decodable,
         }
-        if self.levels is not None:
-            out["levels"] = list(self.levels)
         if self.bo_params is not None:
             out["bo_params"] = list(self.bo_params)
         return out
-
-
-def _profile(family, k, k_prime, groups, conditioned=(), **extra):
-    """The one DecodabilityProfile constructor: reduction_pct and
-    fast_decodable follow from k and k'."""
-    return DecodabilityProfile(
-        family=family,
-        groups=groups,
-        conditioned=conditioned,
-        k_prime=k_prime,
-        reduction_pct=100.0 * (1.0 - k_prime / k),
-        fast_decodable=k_prime < k - 2,
-        **extra,
-    )
 
 
 def _uniform_blocks(masks: list):
@@ -429,15 +414,12 @@ def classify(
     trials: int = 20,
     seed: int = 0,
     tol: float = TOL,
-    refine_fast_group: bool = False,
 ) -> DecodabilityProfile:
     """Classify a basis into a decodability family with its complexity order.
 
     Components of the orthogonality graph give parallel groups; a connected
     graph triggers the separator search (exact up to 16 coefficients, greedy
     beyond) and the block-orthogonal confirmation against sampled R factors.
-    The fast-group refinement (per-group removable levels) changes reported
-    complexity orders, so it only runs when refine_fast_group is set.
     tol is both the Hurwitz-Radon graph's cutoff and the threshold of the
     sampled R factors (see hurwitz_radon and sample_r_matrix).  trials must
     be at least 1 and tol finite and nonnegative.
@@ -450,50 +432,22 @@ def classify(
     comps = _components_of_mask((1 << k) - 1, bits)
     if len(comps) >= 2:
         k_prime = max(c.bit_count() for c in comps)
-        profile = _profile("multi_group", k, k_prime, _sorted_groups(comps))
-        return _maybe_refine(profile, hr, refine_fast_group)
+        return DecodabilityProfile("multi_group", _sorted_groups(comps), (), k_prime)
 
     search = _exact_separator if k <= EXACT_SEPARATOR_LIMIT else _greedy_separator
     found = search(bits, k)
     if found is None:
-        return _profile("none", k, k, (tuple(range(k)),))
+        return DecodabilityProfile("none", (tuple(range(k)),), (), k)
     gamma_mask, k_prime, comps = found
     bo = _block_orthogonal_check(basis, gamma_mask, comps, bits, trials, seed, tol)
     if bo is not None and bo[1] <= k_prime:
         bo_params, bo_k_prime, blocks = bo
-        return _profile("block_orthogonal", k, bo_k_prime, blocks, bo_params=bo_params)
-    conditioned = _mask_to_indices(gamma_mask)
-    profile = _profile(
-        "conditional_multi_group", k, k_prime, _sorted_groups(comps), conditioned
-    )
-    return _maybe_refine(profile, hr, refine_fast_group)
-
-
-def _maybe_refine(
-    profile: DecodabilityProfile,
-    hr: HurwitzRadonProfile,
-    refine_fast_group: bool,
-) -> DecodabilityProfile:
-    """Fast-group refinement: remove per-group parallel levels from k'.
-
-    Within a group, a set of pairwise-orthogonal members can be decoded in
-    parallel at the bottom of the tree, removing L_i levels.  This changes
-    the reported complexity order, so it is opt-in.
-    """
-    if not refine_fast_group:
-        return profile
-    levels = tuple(
-        _orthogonal_prefix(g, hr.adjacency) for g in profile.groups
-    )
-    if not any(lv >= 2 for lv in levels):
-        return profile
-    residual = max(len(g) - lv for g, lv in zip(profile.groups, levels))
-    k_prime = max(1, len(profile.conditioned) + residual)
-    if k_prime >= profile.k_prime:
-        return profile
-    k = len(hr.adjacency)
-    return _profile(
-        "fast_group", k, k_prime, profile.groups, profile.conditioned, levels=levels
+        return DecodabilityProfile("block_orthogonal", blocks, (), bo_k_prime, bo_params)
+    return DecodabilityProfile(
+        "conditional_multi_group",
+        _sorted_groups(comps),
+        _mask_to_indices(gamma_mask),
+        k_prime,
     )
 
 

@@ -249,7 +249,7 @@ def _coefficient_box(k: int, bound: int, max_candidates: int):
     if total > 2 * max_candidates:
         raise ValueError(
             f"coefficient box holds {total} vectors which exceeds the cap of "
-            f"{2 * max_candidates}; lower the bound or raise max_candidates"
+            f"{2 * max_candidates} (2 x max_candidates); lower the bound"
         )
     # Vectors whose mixed-radix index lies in the upper half have a positive
     # leading nonzero entry; the zero vector sits exactly at the midpoint.

@@ -384,8 +384,8 @@ def sphere_decode(
     The QR factor of the ordered equivalent channel matrix is thresholded
     into connected column blocks; blocks that do not interact are searched
     separately, so nodes_visited reflects the parallel decoding trees that
-    the classification promises (one block reuses the full factorisation).
-    Rank-deficient equivalent channels are rejected.
+    the classification promises.  Every block reads its R and Q^T y off the
+    one factorisation.  Rank-deficient equivalent channels are rejected.
     """
     k = basis.k
     order = _check_ordering(ordering, k)
@@ -395,14 +395,14 @@ def sphere_decode(
     if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
     blocks = _r_blocks(zero_mask)
+    z = Q.T @ y
     s_hat = np.zeros(k)
     total_nodes = 0
     for comp in blocks:
         block = list(_mask_to_indices(comp))
-        if len(blocks) > 1:
-            Q, R = np.linalg.qr(B[:, block], mode="reduced")
+        R_b = R[np.ix_(block, block)] if len(blocks) > 1 else R
         lex_perm = np.argsort([order[p] for p in block])
-        s_hat[block], nodes = _sphere_block(R, (Q.T @ y).tolist(), values, lex_perm)
+        s_hat[block], nodes = _sphere_block(R_b, z[block].tolist(), values, lex_perm)
         total_nodes += nodes
     resid = y - B @ s_hat
     return DecodeResult(

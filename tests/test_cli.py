@@ -133,6 +133,13 @@ class TestLattice:
         assert (code, out) == (1, "")
         assert "exceeds the cap" in err
 
+    def test_cap_advice_is_one_the_cli_can_follow(self, capsys):
+        # No flag sets max_candidates, so the message must not advise raising it.
+        code, _, err = run(capsys, "lattice", "mimo_relay", "--bound", "1")
+        assert code == 1
+        assert "lower the bound" in err
+        assert "raise" not in err
+
 
 class TestAnalyze:
     def test_silver_profile_json(self, capsys):

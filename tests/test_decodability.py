@@ -660,6 +660,12 @@ class TestInvariances:
                 dependent = basis.rank < basis.k
                 other = classify(WeightBasis(name, mats, allow_dependent=dependent))
                 assert (other.family, other.k_prime) == (prof.family, prof.k_prime), name
+        # The verdict must not depend on how the coefficients are numbered:
+        # every ordering of the star's weights is one group of three.
+        star = synthetic_star_basis()
+        for perm in itertools.permutations(range(star.k)):
+            other = classify(WeightBasis("star-perm", [star.mats[i] for i in perm]))
+            assert (other.family, other.k_prime) == ("multi_group", 3), perm
 
     def test_small_weights_keep_their_family(self):
         basis, prof = zoo("golden")
@@ -693,27 +699,70 @@ def synthetic_star_basis():
     return WeightBasis("star", mats)
 
 
+def alamouti_mixes(*rows):
+    """Weights sum(alamouti[j] for j in row): the alamouti weights are
+    pairwise orthogonal, so two mixes are joined in the graph exactly when
+    they share a weight."""
+    basis, _ = zoo("alamouti")
+    return [sum(basis.mats[j] for j in row) for row in rows]
+
+
+def complete_basis():
+    """Three weights sharing the first alamouti weight: a triangle graph,
+    which no vertex separates."""
+    return WeightBasis("triangle", alamouti_mixes((0,), (0, 1), (0, 2)))
+
+
+def empirical_split_basis():
+    """The 4-cycle 0-2-1-3 with the chord 2-3: the separator {2, 3} is
+    connected in the graph, but once 0 and 1 are projected out their
+    columns are orthogonal, so only the sampled R factor splits it."""
+    return WeightBasis("split", alamouti_mixes((0,), (1,), (0, 1, 2), (0, 1, 3)))
+
+
 class TestFastGroupRefinement:
     def test_off_by_default(self):
         prof = classify(synthetic_star_basis())
         assert prof.family == "multi_group"
         assert prof.k_prime == 3
         assert prof.groups == ((0, 1, 2), (3,))
-        assert prof.levels is None
 
-    def test_prefix_levels_lower_the_order(self):
-        prof = classify(synthetic_star_basis(), refine_fast_group=True)
-        assert prof.family == "fast_group"
-        assert prof.k_prime == 1
-        assert prof.levels == (2, 1)
-        assert prof.reduction_pct == pytest.approx(75.0)
-        assert prof.fast_decodable
 
-    def test_no_upgrade_without_parallel_levels(self):
-        basis, prof = zoo("alamouti")
-        refined = classify(basis, refine_fast_group=True)
-        assert refined.family == "multi_group"
-        assert refined.k_prime == prof.k_prime
+class TestDerivedFigures:
+    """reduction_pct and fast_decodable follow from k' and the k that the
+    groups and conditioned set partition."""
+
+    SYNTHETIC = {
+        "star": (synthetic_star_basis, "multi_group"),
+        "triangle": (complete_basis, "none"),
+        "split": (empirical_split_basis, "block_orthogonal"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY) + sorted(SYNTHETIC))
+    def test_figures_follow_from_k_prime(self, name):
+        if name in self.SYNTHETIC:
+            make, family = self.SYNTHETIC[name]
+            basis = make()
+            prof = classify(basis)
+            assert prof.family == family
+        else:
+            basis, prof = zoo(name)
+        assert prof._k == basis.k
+        assert prof.reduction_pct == 100 * (1 - prof.k_prime / basis.k)
+        assert prof.fast_decodable == (prof.k_prime < basis.k - 2)
+
+    def test_split_basis_is_split_by_the_sampled_r(self, monkeypatch):
+        splits = []
+        real = decodability._empirical_split
+
+        def spy(*args, **kwargs):
+            splits.append(real(*args, **kwargs))
+            return splits[-1]
+
+        monkeypatch.setattr(decodability, "_empirical_split", spy)
+        prof = classify(empirical_split_basis())
+        assert splits == [[0b0100, 0b1000]]
+        assert (prof.k_prime, prof.bo_params) == (3, (2, 2, 1))
 
 
 class TestBoundsCheck:
@@ -732,9 +781,9 @@ class TestBoundsCheck:
             groups=tuple((i,) for i in range(8)),
             conditioned=(),
             k_prime=4,
-            reduction_pct=50.0,
-            fast_decodable=True,
         )
+        assert prof.reduction_pct == 50.0
+        assert prof.fast_decodable is True
         assert bounds_check(prof, 2, full_rate=True) == [
             "group bound", "full-rate floor",
         ]

@@ -16,11 +16,21 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from stlattice import codebook, simulate
-from stlattice.decodability import SIGMA_H, classify, r_matrix
+from stlattice.decodability import (
+    SIGMA_H,
+    TOL,
+    _check_ordering,
+    _mask_to_indices,
+    _r_blocks,
+    _thresholded_r,
+    classify,
+    r_matrix,
+)
 from stlattice.lattice import WeightBasis, _mixed_radix, vectorize
 from stlattice.simulate import (
     Alphabet,
     ChannelConfig,
+    DecodeResult,
     calibrate_noise,
     default_config,
     draw_channel,
@@ -693,6 +703,82 @@ class TestSphereDecodeIsExact:
         assert sp.metric == pytest.approx(ml.metric, rel=1e-9, abs=1e-12)
         assert sp.nodes_visited > 0
         assert sp.nodes_visited % alphabet.size == 0
+
+
+def per_block_qr_decode(Y, H, basis, alphabet, ordering=None, tol=TOL):
+    """sphere_decode as it was when every block of a split R was factorised
+    again from its own columns of B_H."""
+    k = basis.k
+    order = _check_ordering(ordering, k)
+    values, B, y = simulate._real_model(Y, H, basis, alphabet, order)
+    Q, R = np.linalg.qr(B, mode="reduced")
+    _, zero_mask, rank_deficient = _thresholded_r(R, tol)
+    if rank_deficient:
+        raise ValueError("rank-deficient equivalent channel")
+    blocks = _r_blocks(zero_mask)
+    s_hat = np.zeros(k)
+    total_nodes = 0
+    for comp in blocks:
+        block = list(_mask_to_indices(comp))
+        if len(blocks) > 1:
+            Q, R = np.linalg.qr(B[:, block], mode="reduced")
+        lex_perm = np.argsort([order[p] for p in block])
+        s_hat[block], nodes = simulate._sphere_block(R, (Q.T @ y).tolist(), values, lex_perm)
+        total_nodes += nodes
+    resid = y - B @ s_hat
+    return DecodeResult(
+        coeffs=tuple(s_hat[np.argsort(order)].astype(int).tolist()),
+        metric=float(resid @ resid),
+        nodes_visited=total_nodes,
+    )
+
+
+class TestOneFactorisation:
+    """Every block of a split R is read off the one QR of B_H, with the
+    decisions, metric bits and node counts of a QR per block."""
+
+    @pytest.mark.parametrize(
+        "name, size, ordered",
+        [
+            ("alamouti", 2, False),
+            ("alamouti", 4, False),
+            ("mimo_relay", 2, True),
+            ("mimo_relay", 2, False),
+        ],
+    )
+    def test_matches_a_qr_per_block(self, name, size, ordered):
+        basis, alphabet = code(name), pam(size)
+        ordering = None
+        if ordered:
+            prof = classify(basis)
+            ordering = [i for g in prof.groups for i in g] + list(prof.conditioned)
+        cfg = default_config(basis, (), 1, 0)
+        for snr in (0.0, 10.0, 20.0):
+            sigma_n = calibrate_noise(basis, alphabet, cfg, snr, samples=20_000)
+            for t in range(100):
+                H, _, Y = noisy_trial(basis, alphabet, cfg, sigma_n, [5, int(snr), t])
+                assert len(_r_blocks(r_matrix(basis, H, ordering).zero_mask)) > 1
+                a = sphere_decode(Y, H, basis, alphabet, ordering)
+                b = per_block_qr_decode(Y, H, basis, alphabet, ordering)
+                assert a.coeffs == b.coeffs
+                assert a.metric.hex() == b.metric.hex()
+                assert a.nodes_visited == b.nodes_visited
+
+    @pytest.mark.parametrize("name", ["alamouti", "golden", "mimo_relay"])
+    def test_one_qr_per_decode(self, name, monkeypatch):
+        basis = code(name)
+        cfg = default_config(basis, (10.0,), 1, 0)
+        H, _, Y = noisy_trial(basis, pam(2), cfg, 0.3, [6, 0, 0])
+        calls = []
+        real = np.linalg.qr
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        sphere_decode(Y, H, basis, pam(2))
+        assert calls == [(2 * cfg.n_r * basis.T, basis.k)]
 
 
 class TestNonFiniteInputs:
