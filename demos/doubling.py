@@ -15,7 +15,7 @@ import numpy as np
 
 from stlattice import IteratedMapSpec, build, classify, hurwitz_radon, iterate
 
-spec = IteratedMapSpec(tau=np.conj, theta=-2.0, zeta=-1.0, theta_prime=2.0)
+spec = IteratedMapSpec(tau=np.conj, zeta=-1.0, theta_prime=2.0)
 
 X = np.array([[1.0, 2.0], [3.0, 4.0]])
 Y = np.array([[0.0, 1.0], [-1.0, 0.0]])

@@ -1,7 +1,7 @@
 """Cyclic algebras over number fields with numeric embeddings.
 
 An algebra element is a matrix of rational coefficients over a fixed Q-basis
-of the maximal subfield L.  The instance stores the values of every basis
+of the maximal subfield L.  Its NumberField stores the values of every basis
 element under a full set of embeddings L -> C; Galois automorphisms then act
 by permuting embeddings, and field products act pointwise on value vectors.
 This avoids a symbolic number-field engine while keeping every identity exact
@@ -48,45 +48,92 @@ def _perm_power(perm, j):
 
 
 @dataclass(frozen=True)
-class CyclicAlgebra:
-    """Cyclic algebra (L/K, sigma, gamma) of degree n.
+class NumberField:
+    """A field L given by the values of its Q-basis under a full embedding
+    set, plus the index permutations of the automorphisms used by the code
+    constructors.
 
-    full_emb[r, b] is the value of the b-th basis element of L under the r-th
+    full_emb[r, b] is the value of the b-th basis element under the r-th
     embedding; row 0 is the canonical embedding used for codeword entries.
-    sigma_perm encodes tau_r compose sigma = tau_{sigma_perm[r]}, so sigma^j
-    images are read off by walking the permutation.  gamma_coeffs expresses
-    gamma in the L-basis (needed only for products).
+    autos[name] encodes tau_r compose a = tau_{autos[name][r]}.
     """
 
-    n: int
-    gamma: complex
-    basis_labels: tuple
     full_emb: np.ndarray
-    sigma_perm: tuple
-    gamma_coeffs: np.ndarray | None = None
+    autos: dict
 
     def __post_init__(self):
         emb = np.array(self.full_emb, dtype=complex)
+        if emb.ndim != 2 or emb.shape[0] != emb.shape[1]:
+            raise ValueError("full_emb must be square with one row per basis element")
         emb.setflags(write=False)
         object.__setattr__(self, "full_emb", emb)
-        d = len(self.basis_labels)
-        if emb.shape != (d, d):
-            raise ValueError("full_emb must be square with one row per basis element")
-        object.__setattr__(self, "sigma_perm", _check_perm(self.sigma_perm, d))
+        object.__setattr__(
+            self, "autos", {k: _check_perm(v, len(emb)) for k, v in self.autos.items()}
+        )
+
+    @property
+    def dim(self) -> int:
+        return len(self.full_emb)
+
+    def row_after(self, row: int, *auto_names) -> int:
+        """Embedding row of tau_row composed with the named automorphisms.
+
+        row_after(r, 'sigma', 'eta') returns r' with
+        tau_r(sigma(eta(x))) = tau_{r'}(x) for all x.
+        """
+        for name in auto_names:
+            row = self.autos[name][row]
+        return row
+
+    def orbit(self, name: str, steps: int) -> list:
+        """Rows 0, a(0), ..., a^{steps-1}(0) of the automorphism a = autos[name]."""
+        rows, row = [], 0
+        for _ in range(steps):
+            rows.append(row)
+            row = self.autos[name][row]
+        return rows
+
+
+@dataclass(frozen=True)
+class CyclicAlgebra:
+    """Cyclic algebra (L/K, sigma, gamma) of degree n over the field L.
+
+    sigma is the field's automorphism named "sigma", so sigma^j images are
+    read off by walking its permutation.  gamma_coeffs expresses gamma in
+    the L-basis (needed only for products).
+    """
+
+    field: NumberField
+    n: int
+    gamma: complex
+    gamma_coeffs: np.ndarray | None = None
+
+    def __post_init__(self):
+        if "sigma" not in self.field.autos:
+            raise ValueError("the field has no automorphism named 'sigma'")
+        d = self.dim_L
         if _perm_power(self.sigma_perm, self.n) != list(range(d)):
             raise ValueError("sigma does not have order dividing n on the embeddings")
         if self.gamma_coeffs is not None:
             gc = np.asarray(self.gamma_coeffs, dtype=float)
             if gc.shape != (d,):
                 raise ValueError("gamma_coeffs must have one entry per basis element")
-            if abs(emb[0] @ gc - self.gamma) > TOL * (1 + abs(self.gamma)):
+            if abs(self.full_emb[0] @ gc - self.gamma) > TOL * (1 + abs(self.gamma)):
                 raise ValueError("gamma_coeffs disagree with the gamma value")
             gc.setflags(write=False)
             object.__setattr__(self, "gamma_coeffs", gc)
 
     @property
+    def full_emb(self) -> np.ndarray:
+        return self.field.full_emb
+
+    @property
+    def sigma_perm(self) -> tuple:
+        return self.field.autos["sigma"]
+
+    @property
     def dim_L(self) -> int:
-        return len(self.basis_labels)
+        return self.field.dim
 
     def element(self, coeffs) -> np.ndarray:
         """Validate and return an (n, dim_L) rational coefficient matrix."""
@@ -99,7 +146,7 @@ class CyclicAlgebra:
 
     def sigma_rows(self) -> list:
         """Embedding-row index of sigma^j composed with the canonical row."""
-        return [_perm_power(self.sigma_perm, j)[0] for j in range(self.n)]
+        return self.field.orbit("sigma", self.n)
 
     def left_regular(self, x) -> np.ndarray:
         """The n x n matrix of left multiplication in the canonical embedding.
@@ -171,15 +218,8 @@ def _solve_real(emb: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def alamouti_algebra() -> CyclicAlgebra:
     """(Q(i)/Q, conjugation, -1): the Hamiltonian quaternions."""
-    emb = np.array([[1, 1j], [1, -1j]])
-    return CyclicAlgebra(
-        n=2,
-        gamma=-1,
-        basis_labels=("1", "i"),
-        full_emb=emb,
-        sigma_perm=(1, 0),
-        gamma_coeffs=np.array([-1.0, 0.0]),
-    )
+    field = NumberField(full_emb=np.array([[1, 1j], [1, -1j]]), autos={"sigma": (1, 0)})
+    return CyclicAlgebra(field, n=2, gamma=-1, gamma_coeffs=np.array([-1.0, 0.0]))
 
 
 def golden_algebra(gamma: complex = 1j) -> CyclicAlgebra:
@@ -202,14 +242,8 @@ def golden_algebra(gamma: complex = 1j) -> CyclicAlgebra:
         gamma_coeffs = np.array([0.0, 0.0, 1.0, 0.0])
     elif abs(gamma.imag) < TOL:
         gamma_coeffs = np.array([gamma.real, 0.0, 0.0, 0.0])
-    return CyclicAlgebra(
-        n=2,
-        gamma=gamma,
-        basis_labels=("1", "theta", "i", "i*theta"),
-        full_emb=emb,
-        sigma_perm=(1, 0, 3, 2),
-        gamma_coeffs=gamma_coeffs,
-    )
+    field = NumberField(full_emb=emb, autos={"sigma": (1, 0, 3, 2)})
+    return CyclicAlgebra(field, n=2, gamma=gamma, gamma_coeffs=gamma_coeffs)
 
 
 def mido_algebra(gamma: float = -8.0 / 9.0) -> CyclicAlgebra:
@@ -230,49 +264,8 @@ def mido_algebra(gamma: float = -8.0 / 9.0) -> CyclicAlgebra:
     gamma = float(gamma)
     # gamma is rational: 1 = (1/5)(4,3,2,1) in the difference basis
     one = np.array([4.0, 3.0, 2.0, 1.0]) / 5.0
-    return CyclicAlgebra(
-        n=4,
-        gamma=gamma,
-        basis_labels=("1-z", "z-z2", "z2-z3", "z3-z4"),
-        full_emb=emb,
-        sigma_perm=tuple(perm),
-        gamma_coeffs=gamma * one,
-    )
-
-
-@dataclass(frozen=True)
-class NumberField:
-    """A field L given by basis values under a full embedding set, plus the
-    index permutations of the automorphisms used by the code constructors."""
-
-    basis_labels: tuple
-    full_emb: np.ndarray
-    autos: dict
-
-    def __post_init__(self):
-        emb = np.array(self.full_emb, dtype=complex)
-        emb.setflags(write=False)
-        object.__setattr__(self, "full_emb", emb)
-        d = len(self.basis_labels)
-        if emb.shape != (d, d):
-            raise ValueError("full_emb must be square")
-        object.__setattr__(
-            self, "autos", {k: _check_perm(v, d) for k, v in self.autos.items()}
-        )
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_labels)
-
-    def row_after(self, row: int, *auto_names) -> int:
-        """Embedding row of tau_row composed with the named automorphisms.
-
-        row_after(r, 'sigma', 'eta') returns r' with
-        tau_r(sigma(eta(x))) = tau_{r'}(x) for all x.
-        """
-        for name in auto_names:
-            row = self.autos[name][row]
-        return row
+    field = NumberField(full_emb=emb, autos={"sigma": tuple(perm)})
+    return CyclicAlgebra(field, n=4, gamma=gamma, gamma_coeffs=gamma * one)
 
 
 def relay_field(radical_basis: bool = False) -> NumberField:
@@ -303,26 +296,9 @@ def relay_field(radical_basis: bool = False) -> NumberField:
     sigma = [idx[(a, b, 1 - c)] for a, b, c in signs]
     tau = [idx[(a, 1 - b, c)] for a, b, c in signs]
     eta = [idx[(1 - a, b, c)] for a, b, c in signs]
-    suffix = "*s3" if radical_basis else "*t3"
-    labels = tuple(
-        f"{b}{t}" for t in ("", suffix) for b in ("1", "t5", "i", "i*t5")
-    )
     return NumberField(
-        basis_labels=labels,
         full_emb=emb,
         autos={"sigma": tuple(sigma), "tau": tuple(tau), "eta": tuple(eta)},
-    )
-
-
-def _degree2_algebra(field: NumberField, gamma, gamma_coeffs) -> CyclicAlgebra:
-    """(L/K, sigma, gamma) for a field L with a 'sigma' of order 2."""
-    return CyclicAlgebra(
-        n=2,
-        gamma=gamma,
-        basis_labels=field.basis_labels,
-        full_emb=field.full_emb,
-        sigma_perm=field.autos["sigma"],
-        gamma_coeffs=gamma_coeffs,
     )
 
 
@@ -331,7 +307,7 @@ def relay_algebra() -> CyclicAlgebra:
     field = relay_field()
     gc = np.zeros(field.dim)
     gc[0], gc[1] = 0.4, -0.8  # -2/sqrt5 = (2 - 4*t5)/5
-    return _degree2_algebra(field, -2 / np.sqrt(5), gc)
+    return CyclicAlgebra(field, n=2, gamma=-2 / np.sqrt(5), gamma_coeffs=gc)
 
 
 def mimo_relay_field(p: int = 7) -> NumberField:
@@ -350,10 +326,6 @@ def mimo_relay_field(p: int = 7) -> NumberField:
     # eta: m -> 2m (mod p, folded to 1..M), which must cycle row 0 through
     # all M conjugates
     eta = [idx[(min(2 * m % p, p - 2 * m % p), e)] for m, e in signs]
-    if len({_perm_power(eta, j)[0] for j in range(M)}) < M:
-        raise ValueError(
-            f"the doubling map is not transitive on the conjugates: M = {M}, 2M+1 = {p}"
-        )
     omega = 1j * np.sqrt(5)
     rows = []
     for m, e in signs:
@@ -361,11 +333,12 @@ def mimo_relay_field(p: int = 7) -> NumberField:
         w = -omega if e else omega
         xs = [xi**t for t in range(M)]
         rows.append([b * w**u for u in (0, 1) for b in xs])
-    emb = np.array(rows)
-    labels = tuple(
-        f"xi^{t}{w}" for w in ("", "*w") for t in range(M)
-    )
-    return NumberField(basis_labels=labels, full_emb=emb, autos={"sigma": tuple(sigma), "eta": tuple(eta)})
+    field = NumberField(full_emb=np.array(rows), autos={"sigma": tuple(sigma), "eta": tuple(eta)})
+    if len(set(field.orbit("eta", M))) < M:
+        raise ValueError(
+            f"the doubling map is not transitive on the conjugates: M = {M}, 2M+1 = {p}"
+        )
+    return field
 
 
 def mimo_relay_algebra() -> CyclicAlgebra:
@@ -375,4 +348,4 @@ def mimo_relay_algebra() -> CyclicAlgebra:
     gc = np.zeros(field.dim)
     # 1/(1+xi) = 2 - xi^2 from xi^3 + xi^2 - 2xi - 1 = 0
     gc[0], gc[2] = -4.0, 2.0
-    return _degree2_algebra(field, -2 / (1 + xi), gc)
+    return CyclicAlgebra(field, n=2, gamma=-2 / (1 + xi), gamma_coeffs=gc)

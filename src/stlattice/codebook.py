@@ -17,7 +17,6 @@ import numpy as np
 from .algebra import (
     NumberField,
     _is_prime,
-    _perm_power,
     alamouti_algebra,
     golden_algebra,
     mido_algebra,
@@ -198,14 +197,6 @@ def _inner(field: NumberField, row: int, b: int, comp: int, t: float) -> np.ndar
     return np.array([[0, -t * sv], [t * v, 0]])
 
 
-def _eta_orbit(field: NumberField, M: int) -> list:
-    """Rows 0, eta(0), ..., eta^{M-1}(0); eta^M must return to row 0."""
-    eta = field.autos["eta"]
-    if M < 1 or _perm_power(eta, M)[0] != 0:
-        raise ValueError(f"eta does not return to the canonical embedding after {M} steps")
-    return [_perm_power(eta, j)[0] for j in range(M)]
-
-
 def _blockdiag(blocks) -> np.ndarray:
     """Square blocks of one side placed along the diagonal."""
     n = len(blocks[0])
@@ -236,7 +227,7 @@ def simo_relay() -> WeightBasis:
     """
     field = relay_field(radical_basis=True)
     t = np.sqrt(2 / np.sqrt(5))  # sqrt(-gamma), gamma = -2/sqrt5
-    rows = _eta_orbit(field, 2)
+    rows = field.orbit("eta", 2)
     mats = [
         _blockdiag([_inner(field, r, b, comp, t) for r in rows])
         for comp in range(2)
@@ -274,7 +265,7 @@ def mimo_relay(M: int = 3) -> WeightBasis:
         raise ValueError("theta' is not positive at the canonical embedding")
     s = np.sqrt(theta_prime)
     zeta = -1.0
-    rows = _eta_orbit(field, M)
+    rows = field.orbit("eta", M)
     mats = []
     for part in range(2):  # 0: X slot, 1: Y slot of the doubling map
         for comp in range(2):
@@ -326,32 +317,23 @@ def iterated() -> WeightBasis:
 
 @dataclass(frozen=True)
 class IteratedMapSpec:
-    """Data for the doubling maps: (X, Y) -> [[X, theta*tau(Y)], [Y, tau(X)]]
-    and the balanced variant using zeta*sqrt(theta') and sqrt(theta')."""
+    """Data for the doubling map
+    (X, Y) -> [[X, zeta*sqrt(theta')*tau(Y)], [sqrt(theta')*Y, tau(X)]],
+    the balanced form of [[X, theta*tau(Y)], [Y, tau(X)]] with
+    theta = zeta*theta'."""
 
     tau: Callable
-    theta: complex | None = None
-    zeta: complex | None = None
-    theta_prime: float | None = None
+    zeta: complex
+    theta_prime: float
 
     def __post_init__(self):
-        if self.zeta is not None:
-            if not any(abs(self.zeta - u) < 1e-12 for u in (1, -1, 1j, -1j)):
-                raise ValueError("zeta must be one of 1, -1, i, -i")
-        if self.theta_prime is not None and self.theta_prime <= 0:
-            raise ValueError("theta_prime must be positive")
-        if (
-            self.theta is not None
-            and self.zeta is not None
-            and self.theta_prime is not None
-        ):
-            if abs(self.theta - self.zeta * self.theta_prime) > 1e-9 * (
-                1 + abs(self.theta)
-            ):
-                raise ValueError("theta must equal zeta * theta_prime")
+        if not any(abs(self.zeta - u) < 1e-12 for u in (1, -1, 1j, -1j)):
+            raise ValueError("zeta must be one of 1, -1, i, -i")
+        if not 0 < self.theta_prime < np.inf:
+            raise ValueError("theta_prime must be positive and finite")
 
 
-def iterate(X, Y, spec: IteratedMapSpec, balanced: bool = True) -> np.ndarray:
+def iterate(X, Y, spec: IteratedMapSpec) -> np.ndarray:
     """Double a pair of square matrices into a 2n x 2n block matrix."""
     X = np.atleast_2d(np.asarray(X, dtype=complex))
     Y = np.atleast_2d(np.asarray(Y, dtype=complex))
@@ -365,14 +347,8 @@ def iterate(X, Y, spec: IteratedMapSpec, balanced: bool = True) -> np.ndarray:
         and np.allclose(spec.tau(tY), Y, atol=1e-9 * scale)
     ):
         raise ValueError("tau is not an involution on the supplied entries")
-    if balanced:
-        if spec.zeta is None or spec.theta_prime is None:
-            raise ValueError("the balanced map needs zeta and theta_prime")
-        s = np.sqrt(spec.theta_prime)
-        return np.block([[X, spec.zeta * s * tY], [s * Y, tX]])
-    if spec.theta is None:
-        raise ValueError("the plain map needs theta")
-    return np.block([[X, spec.theta * tY], [Y, tX]])
+    s = np.sqrt(spec.theta_prime)
+    return np.block([[X, spec.zeta * s * tY], [s * Y, tX]])
 
 
 # ----------------------------------------------------------------------

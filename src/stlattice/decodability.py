@@ -38,12 +38,10 @@ EXACT_SEPARATOR_LIMIT = 16
 
 @dataclass(frozen=True)
 class HurwitzRadonProfile:
-    """delta matrix and the thresholded orthogonality graph; tol is the
-    relative cutoff that hurwitz_radon applied."""
+    """delta matrix and the thresholded orthogonality graph."""
 
     delta: np.ndarray
     adjacency: np.ndarray
-    tol: float
 
     def __post_init__(self):
         for name in ("delta", "adjacency"):
@@ -66,7 +64,7 @@ def hurwitz_radon(basis: WeightBasis, tol: float = TOL) -> HurwitzRadonProfile:
     energy = np.linalg.norm(basis._stack, axis=(1, 2)) ** 2
     adjacency = delta > tol * np.outer(energy, energy)
     np.fill_diagonal(adjacency, False)
-    return HurwitzRadonProfile(delta=delta, adjacency=adjacency, tol=tol)
+    return HurwitzRadonProfile(delta=delta, adjacency=adjacency)
 
 
 def _check_tol(tol: float) -> None:
@@ -209,7 +207,6 @@ class RMatrixProfile:
     R: np.ndarray
     zero_mask: np.ndarray
     rank_deficient: bool
-    ordering: tuple
 
     def __post_init__(self):
         self.R.setflags(write=False)
@@ -255,9 +252,7 @@ def r_matrix(basis: WeightBasis, H, ordering=None, tol: float = TOL) -> RMatrixP
     signs = np.sign(np.diag(R).copy())
     signs[signs == 0] = 1.0
     R = signs[:, None] * R
-    return RMatrixProfile(
-        R=R, zero_mask=zero_mask, rank_deficient=rank_deficient, ordering=order
-    )
+    return RMatrixProfile(R=R, zero_mask=zero_mask, rank_deficient=rank_deficient)
 
 
 def _default_n_r(basis: WeightBasis) -> int:
@@ -296,9 +291,7 @@ def sample_r_matrix(
         acc = np.abs(prof.R) if acc is None else acc + np.abs(prof.R)
         mask = prof.zero_mask if mask is None else (mask & prof.zero_mask)
         deficient = deficient or prof.rank_deficient
-    return RMatrixProfile(
-        R=acc / trials, zero_mask=mask, rank_deficient=deficient, ordering=order
-    )
+    return RMatrixProfile(R=acc / trials, zero_mask=mask, rank_deficient=deficient)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ __all__ = [
 #: Relative singular-value threshold below which a direction counts as zero.
 RANK_TOL = 1e-9
 
-#: Default cap on the number of coefficient vectors enumerated in the
+#: Cap on the number of coefficient vectors enumerated in the
 #: minimum-determinant / minimum-rank searches: one of each +-z pair, so
 #: the unit box of a k = 16 code (21,523,360 vectors) is within it.
 MAX_CANDIDATES = 25_000_000
@@ -235,21 +235,26 @@ def _mixed_radix(values, k: int, start: int, stop: int, chunk: int):
         yield block.T
 
 
-def _coefficient_box(k: int, bound: int, max_candidates: int):
+def _check_bound(bound: int) -> None:
+    if bound < 0:
+        raise ValueError("search bound must be nonnegative")
+
+
+def _coefficient_box(k: int, bound: int):
     """Yield integer coefficient chunks covering the box ||z||_inf <= bound.
 
     Only one representative of each antipodal pair {z, -z} is produced (the
     determinant modulus and the rank are symmetric under negation), realized
-    by enumerating the lexicographic first half of the box.
+    by enumerating the lexicographic first half of the box.  The box may
+    hold at most 2 * MAX_CANDIDATES nonzero vectors.
     """
-    if bound < 0:
-        raise ValueError("search bound must be nonnegative")
+    _check_bound(bound)
     base = 2 * bound + 1
     total = base**k - 1
-    if total > 2 * max_candidates:
+    if total > 2 * MAX_CANDIDATES:
         raise ValueError(
             f"coefficient box holds {total} vectors which exceeds the cap of "
-            f"{2 * max_candidates} (2 x max_candidates); lower the bound"
+            f"{2 * MAX_CANDIDATES}; lower the bound"
         )
     # Vectors whose mixed-radix index lies in the upper half have a positive
     # leading nonzero entry; the zero vector sits exactly at the midpoint.
@@ -350,34 +355,31 @@ def _det_slack(basis: WeightBasis, bound: int) -> float:
     return _DET_SLACK * (bound * float(norms.sum()) * (1 + 1e-9)) ** (2 * basis.n_t)
 
 
-def _min_abs_det_sq(basis: WeightBasis, bound: int, max_candidates: int) -> float:
+def _min_abs_det_sq(basis: WeightBasis, bound: int) -> float:
     """min |det(sum z_i B_i)|^2 over the box, bit for bit the least of
     LAPACK's values over every codeword, at the cost of the closed form plus
     LAPACK on the few rows near each block's minimum; those rows never
     outlive their block."""
-    chunks = _coefficient_box(basis.k, bound, max_candidates)
+    chunks = _coefficient_box(basis.k, bound)
     slack = _det_slack(basis, bound)
     return _sweep(basis, chunks, lambda mats: _min_abs_det_sq_of_chunk(mats, slack), np.inf)
 
 
-def lattice_profile(
-    basis: WeightBasis,
-    det_search_bound: int = 2,
-    max_candidates: int = MAX_CANDIDATES,
-) -> LatticeProfile:
+def lattice_profile(basis: WeightBasis, det_search_bound: int = 2) -> LatticeProfile:
     """Compute generator, Gram, volume, and determinant figures of a code.
 
     min_det_est is the minimum of |det(sum z_i B_i)|^2 over nonzero integer
     vectors z with ||z||_inf <= det_search_bound, an upper bound on the true
     lattice infimum.  delta = min_det_est / volume^(1/(2n)) and
     eta = min_det_est^(2n) / volume with n = n_t.  A det_search_bound of 0
-    skips the determinant fields.
+    skips the determinant fields; a negative one is refused for every shape.
     """
+    _check_bound(det_search_bound)
     prof = profile_from_generator(generator_matrix(basis))
     if basis.n_t != basis.T or det_search_bound == 0:
         return prof
     n, volume = basis.n_t, prof.volume
-    min_det = _min_abs_det_sq(basis, det_search_bound, max_candidates)
+    min_det = _min_abs_det_sq(basis, det_search_bound)
     return replace(
         prof,
         min_det_est=min_det,
@@ -434,17 +436,13 @@ def _min_rank_of_chunk(mats: np.ndarray) -> int:
     return int(_ranks(mats[suspicious]).min())
 
 
-def min_rank_difference(
-    basis: WeightBasis,
-    search_bound: int = 1,
-    max_candidates: int = MAX_CANDIDATES,
-) -> int:
+def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
     """Smallest rank of sum z_i B_i over nonzero integer z, ||z||_inf bounded.
 
     Exact over the enumerated box.  A result equal to min(n_t, T) certifies
     full diversity within the box.
     """
-    chunks = _coefficient_box(basis.k, search_bound, max_candidates)
+    chunks = _coefficient_box(basis.k, search_bound)
     return _sweep(basis, chunks, _min_rank_of_chunk, min(basis.n_t, basis.T), stop=1)
 
 
@@ -493,8 +491,7 @@ def min_rank_sampled(
     an upper bound on the true minimum rank over the box; it is exact on the
     sparse subset.
     """
-    if search_bound < 0:
-        raise ValueError("search bound must be nonnegative")
+    _check_bound(search_bound)
     chunks = itertools.chain(
         _sparse_box(basis.k, search_bound, max_nonzeros),
         _random_box(basis.k, search_bound, n_random, seed),

@@ -376,22 +376,21 @@ def _sphere_block(R, z, values, lex_perm):
             near.append((nd, s.copy()))
 
 
-def sphere_decode(
-    Y, H, basis: WeightBasis, alphabet: Alphabet, ordering=None, tol: float = TOL
-) -> DecodeResult:
+def sphere_decode(Y, H, basis: WeightBasis, alphabet: Alphabet, ordering=None) -> DecodeResult:
     """Exact ML by sphere search, split across independent column blocks.
 
     The QR factor of the ordered equivalent channel matrix is thresholded
     into connected column blocks; blocks that do not interact are searched
     separately, so nodes_visited reflects the parallel decoding trees that
     the classification promises.  Every block reads its R and Q^T y off the
-    one factorisation.  Rank-deficient equivalent channels are rejected.
+    one factorisation.  R is thresholded at decodability.TOL, and
+    rank-deficient equivalent channels are rejected.
     """
     k = basis.k
     order = _check_ordering(ordering, k)
     values, B, y = _real_model(Y, H, basis, alphabet, order)
     Q, R = np.linalg.qr(B, mode="reduced")
-    _, zero_mask, rank_deficient = _thresholded_r(R, tol)
+    _, zero_mask, rank_deficient = _thresholded_r(R, TOL)
     if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
     blocks = _r_blocks(zero_mask)

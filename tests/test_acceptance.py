@@ -256,7 +256,7 @@ def test_11_structural_property_suite():
     the determinant within 1e-9 on 100 random elements."""
     # Doubling inheritance: B = A W with W anti-Hermitian is mutually
     # orthogonal to A, and both doubled placements stay orthogonal.
-    spec = IteratedMapSpec(tau=np.conj, theta=-2.0, zeta=-1.0, theta_prime=2.0)
+    spec = IteratedMapSpec(tau=np.conj, zeta=-1.0, theta_prime=2.0)
     rng = np.random.default_rng(2024)
     zero = np.zeros((2, 2))
     for _ in range(50):

@@ -5,6 +5,7 @@ import pytest
 
 from stlattice.algebra import (
     CyclicAlgebra,
+    NumberField,
     alamouti_algebra,
     golden_algebra,
     mido_algebra,
@@ -26,14 +27,8 @@ def degree3_algebra(gamma=2.0):
         rows.append([1, xi, xi**2])
     # doubling map folds m to min(2m mod 7, 7 - 2m mod 7): 1->2->3->1
     perm = tuple(ms.index(min(2 * m % 7, 7 - 2 * m % 7)) for m in ms)
-    return CyclicAlgebra(
-        n=3,
-        gamma=gamma,
-        basis_labels=("1", "xi", "xi2"),
-        full_emb=np.array(rows),
-        sigma_perm=perm,
-        gamma_coeffs=np.array([gamma, 0.0, 0.0]),
-    )
+    field = NumberField(full_emb=np.array(rows), autos={"sigma": perm})
+    return CyclicAlgebra(field, n=3, gamma=gamma, gamma_coeffs=np.array([gamma, 0.0, 0.0]))
 
 
 ONE_COEFFS = {
@@ -184,10 +179,14 @@ class TestFieldOps:
         field = relay_field(radical_basis=True)
         # second half of the basis carries sqrt-3 in place of (1+sqrt-3)/2
         assert np.allclose(field.full_emb[0, 4], 1j * np.sqrt(3), atol=1e-12)
-        assert field.basis_labels[4] == "1*s3"
         # still rank 8 over the reals
         stacked = np.vstack([field.full_emb.real, field.full_emb.imag])
         assert np.linalg.matrix_rank(stacked) == 8
+
+    def test_orbit_walks_from_the_canonical_row(self):
+        assert relay_field().orbit("eta", 3) == [0, 4, 0]
+        assert relay_field().orbit("sigma", 0) == []
+        assert mimo_relay_field(11).orbit("eta", 6) == [0, 2, 6, 4, 8, 0]
 
     def test_mimo_relay_eta_cycles_three_blocks(self):
         field = mimo_relay_field()
@@ -200,26 +199,22 @@ class TestFieldOps:
         assert field.row_after(seen[-1], "eta") == 0
 
 
+def gaussian_field(sigma):
+    """Q(i) at its two embeddings, with sigma given as a row table."""
+    return NumberField(full_emb=np.array([[1, 1j], [1, -1j]]), autos={"sigma": sigma})
+
+
 class TestValidation:
     def test_sigma_order_check(self):
-        with pytest.raises(ValueError):
-            CyclicAlgebra(
-                n=2,
-                gamma=-1,
-                basis_labels=("1", "i"),
-                full_emb=np.array([[1, 1j], [1, -1j]]),
-                sigma_perm=(0, 0),
-            )
+        with pytest.raises(ValueError, match="permutation"):
+            gaussian_field((0, 0))
+        with pytest.raises(ValueError, match="order"):
+            CyclicAlgebra(gaussian_field((1, 0)), n=3, gamma=-1)
 
     def test_gamma_coeffs_consistency(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="disagree"):
             CyclicAlgebra(
-                n=2,
-                gamma=-1,
-                basis_labels=("1", "i"),
-                full_emb=np.array([[1, 1j], [1, -1j]]),
-                sigma_perm=(1, 0),
-                gamma_coeffs=np.array([1.0, 0.0]),
+                gaussian_field((1, 0)), n=2, gamma=-1, gamma_coeffs=np.array([1.0, 0.0])
             )
 
     def test_mimo_relay_field_rejects_bad_p(self):

@@ -134,11 +134,20 @@ class TestLattice:
         assert "exceeds the cap" in err
 
     def test_cap_advice_is_one_the_cli_can_follow(self, capsys):
-        # No flag sets max_candidates, so the message must not advise raising it.
+        # No flag sets the cap, so the message must not advise raising it.
         code, _, err = run(capsys, "lattice", "mimo_relay", "--bound", "1")
         assert code == 1
-        assert "lower the bound" in err
+        assert err.endswith("exceeds the cap of 50000000; lower the bound\n")
         assert "raise" not in err
+
+    def test_negative_bound_fails_for_every_shape(self, capsys, tmp_path):
+        rect = tmp_path / "rect.json"
+        mats = [np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)]
+        rect.write_text(WeightBasis("rect", mats).to_json())
+        for source in ("alamouti", str(rect)):
+            code, out, err = run(capsys, "lattice", source, "--bound", "-5")
+            assert (code, out) == (1, "")
+            assert err == "error: search bound must be nonnegative\n"
 
 
 class TestAnalyze:

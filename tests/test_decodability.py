@@ -29,7 +29,7 @@ from stlattice.decodability import (
     sample_r_matrix,
 )
 from stlattice.lattice import WeightBasis
-from stlattice.simulate import default_config, draw_channel, pam, sphere_decode
+from stlattice.simulate import default_config, draw_channel
 
 I2 = np.eye(2, dtype=complex)
 
@@ -480,13 +480,11 @@ class TestRMatrix:
         assert np.allclose(prof.R, np.eye(2), atol=1e-12)
         assert not prof.zero_mask[0, 0] and prof.zero_mask[0, 1]
         assert not prof.rank_deficient
-        assert prof.ordering == (0, 1)
 
     def test_ordering_is_applied(self):
         mats = [np.array([[2, 0], [0, 0]], dtype=complex),
                 np.array([[0, 1], [0, 0]], dtype=complex)]
         prof = r_matrix(WeightBasis("units", mats), np.eye(2), ordering=(1, 0))
-        assert prof.ordering == (1, 0)
         assert prof.R[0, 0] == pytest.approx(1.0)
         assert prof.R[1, 1] == pytest.approx(2.0)
 
@@ -603,9 +601,6 @@ def test_r_factor_thresholds_reject_bad_tol(tol):
         r_matrix(basis, np.zeros((2, 2)), tol=tol)
     with pytest.raises(ValueError, match="tol"):
         sample_r_matrix(basis, trials=2, tol=tol)
-    H = channel(basis, 1, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="tol"):
-        sphere_decode(np.zeros((1, 2)), H, basis, pam(2), tol=tol)
 
 
 class TestOrthogonalityImpliesZeroEntry:

@@ -219,9 +219,17 @@ class TestLatticeProfile:
         prof = lattice_profile(WeightBasis("wide", mats))
         assert prof.min_det_est is None and prof.delta is None and prof.eta is None
 
-    def test_box_cap_enforced(self):
-        with pytest.raises(ValueError, match="cap"):
-            lattice_profile(alamouti_basis(), det_search_bound=2, max_candidates=10)
+    def test_box_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(lattice, "MAX_CANDIDATES", 10)
+        msg = "holds 624 vectors which exceeds the cap of 20; lower the bound$"
+        with pytest.raises(ValueError, match=msg):
+            lattice_profile(alamouti_basis(), det_search_bound=2)
+
+    def test_negative_bound_rejected_for_every_shape(self):
+        wide = WeightBasis("wide", [np.array([[1, 0, 0], [0, 1, 0]], dtype=complex)])
+        for basis in (alamouti_basis(), wide):
+            with pytest.raises(ValueError, match="search bound must be nonnegative"):
+                lattice_profile(basis, det_search_bound=-5)
 
 
 class TestMinRank:
@@ -309,7 +317,7 @@ class TestCoefficientEngine:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("bound", [1, 2])
     def test_box_holds_one_of_each_antipodal_pair(self, k, bound):
-        rows = np.concatenate(list(lattice._coefficient_box(k, bound, 10**6)))
+        rows = np.concatenate(list(lattice._coefficient_box(k, bound)))
         got = {tuple(int(v) for v in z) for z in rows}
         assert len(got) == len(rows) == ((2 * bound + 1) ** k - 1) // 2
         full = set(itertools.product(range(-bound, bound + 1), repeat=k)) - {(0,) * k}
@@ -380,10 +388,12 @@ class TestSweepLayout:
         # product must not depend on the layout, bit for bit.  Blocks of
         # 4096 rows keep mimo_relay's codewords to a few MB.
         monkeypatch.setattr(lattice, "_CHUNK", 4096)
+        # Only the first chunks are taken, so the cap may exceed any box.
+        monkeypatch.setattr(lattice, "MAX_CANDIDATES", 10**30)
         basis = build(name)
         chunks = [
-            *itertools.islice(lattice._coefficient_box(basis.k, 1, 10**30), 2),
-            next(lattice._coefficient_box(basis.k, 2, 10**30)),
+            *itertools.islice(lattice._coefficient_box(basis.k, 1), 2),
+            next(lattice._coefficient_box(basis.k, 2)),
         ]
         for chunk in chunks:
             assert chunk.flags.f_contiguous and not chunk.flags.c_contiguous
@@ -414,7 +424,7 @@ class TestSweepBlocks:
         b = _small_integer_basis(rng, *shape, 4)
         results = []
         for _ in self._each_setting(monkeypatch, b):
-            det = lattice._min_abs_det_sq(b, 2, lattice.MAX_CANDIDATES) if b.n_t == b.T else 0.0
+            det = lattice._min_abs_det_sq(b, 2) if b.n_t == b.T else 0.0
             results.append((
                 det.hex(),
                 min_rank_difference(b, search_bound=2),
@@ -427,14 +437,14 @@ class TestSweepBlocks:
         b = build(name)
         want = _lapack_min_abs_det_sq(b, 1).hex()
         for _ in self._each_setting(monkeypatch, b):
-            assert lattice._min_abs_det_sq(b, 1, lattice.MAX_CANDIDATES).hex() == want
+            assert lattice._min_abs_det_sq(b, 1).hex() == want
 
     def test_stops_at_the_block_of_a_mid_chunk_rank_one_codeword(self, monkeypatch):
         # B_4 = 2 B_1.  Of the 40 rows of the unit box, row 5, z = (0, 1, -1,
         # 0) with codeword diag(0, 2), is the first of rank 1; none is zero.
         J = np.array([[0, -1], [1, 0]], dtype=complex)
         b = WeightBasis("dep", [J, I2, np.diag([1.0, -1.0]), 2 * J], allow_dependent=True)
-        rows_z = np.concatenate(list(lattice._coefficient_box(4, 1, 100)))
+        rows_z = np.concatenate(list(lattice._coefficient_box(4, 1)))
         ranks = np.linalg.matrix_rank(np.tensordot(rows_z, b._stack, axes=1))
         first = int(np.argmax(ranks < 2))
         assert (len(rows_z), first, ranks[first], ranks.min()) == (40, 5, 1, 1)
@@ -470,7 +480,7 @@ def _lapack_min_abs_det_sq(basis, bound):
     """The sweep _min_abs_det_sq replaced: LAPACK's det of every codeword,
     each built by tensordot."""
     best = np.inf
-    for z in lattice._coefficient_box(basis.k, bound, lattice.MAX_CANDIDATES):
+    for z in lattice._coefficient_box(basis.k, bound):
         mats = np.tensordot(z, basis._stack, axes=1)
         best = min(best, float((np.abs(np.linalg.det(mats)) ** 2).min()))
     return best
@@ -481,7 +491,7 @@ class TestMinAbsDetSq:
     @pytest.mark.parametrize("name", ["alamouti", "golden", "silver"])
     def test_bit_equal_to_lapack_sweep(self, name, bound):
         b = build(name)
-        got = lattice._min_abs_det_sq(b, bound, lattice.MAX_CANDIDATES)
+        got = lattice._min_abs_det_sq(b, bound)
         assert got.hex() == _lapack_min_abs_det_sq(b, bound).hex()
 
     def test_bit_equal_on_small_and_dependent_bases(self):
@@ -502,7 +512,7 @@ class TestMinAbsDetSq:
         bases.append(WeightBasis("golden*2^-20", list(np.ldexp(1.0, -20) * build("golden")._stack)))
         for b in bases:
             for bound in (1, 2):
-                got = lattice._min_abs_det_sq(b, bound, lattice.MAX_CANDIDATES)
+                got = lattice._min_abs_det_sq(b, bound)
                 assert got.hex() == _lapack_min_abs_det_sq(b, bound).hex(), b.name
 
 
@@ -555,7 +565,7 @@ class TestBoxProducers:
         assert all(len(c) < lattice._CHUNK for c in got[:2]) == (k == 3)
 
     def test_default_cap_covers_the_k16_unit_box(self):
-        chunk = next(lattice._coefficient_box(16, 1, lattice.MAX_CANDIDATES))
+        chunk = next(lattice._coefficient_box(16, 1))
         assert chunk.shape == (lattice._CHUNK, 16)
         with pytest.raises(ValueError, match="exceeds the cap"):
-            next(lattice._coefficient_box(24, 1, lattice.MAX_CANDIDATES))
+            next(lattice._coefficient_box(24, 1))

@@ -705,14 +705,14 @@ class TestSphereDecodeIsExact:
         assert sp.nodes_visited % alphabet.size == 0
 
 
-def per_block_qr_decode(Y, H, basis, alphabet, ordering=None, tol=TOL):
+def per_block_qr_decode(Y, H, basis, alphabet, ordering=None):
     """sphere_decode as it was when every block of a split R was factorised
     again from its own columns of B_H."""
     k = basis.k
     order = _check_ordering(ordering, k)
     values, B, y = simulate._real_model(Y, H, basis, alphabet, order)
     Q, R = np.linalg.qr(B, mode="reduced")
-    _, zero_mask, rank_deficient = _thresholded_r(R, tol)
+    _, zero_mask, rank_deficient = _thresholded_r(R, TOL)
     if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
     blocks = _r_blocks(zero_mask)
