@@ -3,7 +3,9 @@
 The central object is the quadratic form delta_ij = ||B_i B_j^H + B_j B_i^H||_F^2:
 delta_ij = 0 is equivalent to the columns of the equivalent real channel
 matrix B_H being orthogonal for every channel H, which is what lets a sphere
-decoder split the symbol tree.  Classification walks the orthogonality graph:
+decoder split the symbol tree.  The orthogonality graph (edges where
+sqrt(delta_ij) > TOL ||B_i||_F ||B_j||_F) is built once per basis and is both
+classify's groups and the sphere decoder's split.  Classification walks it:
 components give parallel groups, a small vertex separator gives a conditioned
 group, and an empirically verified zero pattern of the R factor gives the
 block-orthogonal refinement that the quadratic form alone cannot see.
@@ -49,11 +51,10 @@ class HurwitzRadonProfile:
             arr.setflags(write=False)
 
 
-def hurwitz_radon(basis: WeightBasis, tol: float = TOL) -> HurwitzRadonProfile:
-    """delta_ij = ||B_i B_j^H + B_j B_i^H||_F^2 with edges where it exceeds
-    tol * ||B_i||_F^2 * ||B_j||_F^2, so rescaling a weight keeps the graph.
-    tol must be finite and nonnegative."""
-    _check_tol(tol)
+def hurwitz_radon(basis: WeightBasis) -> HurwitzRadonProfile:
+    """delta_ij = ||B_i B_j^H + B_j B_i^H||_F^2 with edges where its square
+    root exceeds TOL * ||B_i||_F * ||B_j||_F, so rescaling a weight keeps the
+    graph and the cutoff is on the scale of the R factors' threshold."""
     mats = basis.mats
     k = basis.k
     delta = np.zeros((k, k))
@@ -62,14 +63,20 @@ def hurwitz_radon(basis: WeightBasis, tol: float = TOL) -> HurwitzRadonProfile:
             M = mats[i] @ mats[j].conj().T + mats[j] @ mats[i].conj().T
             delta[i, j] = delta[j, i] = np.linalg.norm(M) ** 2
     energy = np.linalg.norm(basis._stack, axis=(1, 2)) ** 2
-    adjacency = delta > tol * np.outer(energy, energy)
+    adjacency = delta > TOL * TOL * np.outer(energy, energy)
     np.fill_diagonal(adjacency, False)
     return HurwitzRadonProfile(delta=delta, adjacency=adjacency)
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be a finite nonnegative number, got {tol}")
+def _graph(basis: WeightBasis):
+    """The orthogonality graph as (row bits, components as bitmasks),
+    computed on the first call and kept on the basis."""
+    graph = getattr(basis, "_orthogonality", None)
+    if graph is None:
+        bits = tuple(_adjacency_bits(hurwitz_radon(basis).adjacency))
+        graph = bits, tuple(_components_of_mask((1 << basis.k) - 1, bits))
+        object.__setattr__(basis, "_orthogonality", graph)
+    return graph
 
 
 def _adjacency_bits(adjacency: np.ndarray) -> list:
@@ -222,33 +229,31 @@ def _check_ordering(ordering, k: int) -> tuple:
     return ordering
 
 
-def _thresholded_r(R: np.ndarray, tol: float):
+def _thresholded_r(R: np.ndarray):
     """R, a QR factor of some B, zero-padded to k x k, with the mask of
-    entries at most tol times the largest |r| and whether a diagonal entry
+    entries at most TOL times the largest |r| and whether a diagonal entry
     is masked.  The cutoff has no absolute floor, so scaling B keeps the
     mask and an all-zero R is deficient.  Every numpy QR mode gives the
-    same R bit for bit.  tol must be finite and nonnegative: a NaN one
-    would mask nothing."""
-    _check_tol(tol)
+    same R bit for bit."""
     k = R.shape[1]
     if R.shape[0] < k:
         R = np.vstack([R, np.zeros((k - R.shape[0], k))])
     mag = np.abs(R)
-    zero_mask = mag <= tol * float(mag.max())
+    zero_mask = mag <= TOL * float(mag.max())
     return R, zero_mask, bool(np.any(np.diag(zero_mask)))
 
 
-def r_matrix(basis: WeightBasis, H, ordering=None, tol: float = TOL) -> RMatrixProfile:
+def r_matrix(basis: WeightBasis, H, ordering=None) -> RMatrixProfile:
     """QR structure of B_H = [vec(H B_1) ... vec(H B_k)] under an ordering.
 
     The R factor is sign-normalized to a nonnegative diagonal; zero_mask
-    marks entries below tol scaled by the largest |r|.  rank_deficient is
+    marks entries at most TOL times the largest |r|.  rank_deficient is
     set when some diagonal entry vanishes at that tolerance (for a basis
     whose real span is deficient this happens for every channel).
     """
     order = _check_ordering(ordering, basis.k)
     B = _equivalent_channel(basis, H, order)
-    R, zero_mask, rank_deficient = _thresholded_r(np.linalg.qr(B, mode="r"), tol)
+    R, zero_mask, rank_deficient = _thresholded_r(np.linalg.qr(B, mode="r"))
     signs = np.sign(np.diag(R).copy())
     signs[signs == 0] = 1.0
     R = signs[:, None] * R
@@ -273,7 +278,6 @@ def sample_r_matrix(
     ordering=None,
     trials: int = 20,
     seed: int = 0,
-    tol: float = TOL,
 ) -> RMatrixProfile:
     """Average |R| over random channels at the default receive count;
     zero_mask is ANDed across trials."""
@@ -287,7 +291,7 @@ def sample_r_matrix(
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         H = _rayleigh((n_r, basis.n_t), rng, SIGMA_H)
-        prof = r_matrix(basis, H, order, tol)
+        prof = r_matrix(basis, H, order)
         acc = np.abs(prof.R) if acc is None else acc + np.abs(prof.R)
         mask = prof.zero_mask if mask is None else (mask & prof.zero_mask)
         deficient = deficient or prof.rank_deficient
@@ -356,7 +360,6 @@ def _block_orthogonal_check(
     bits: list,
     trials: int,
     seed: int,
-    tol: float,
 ):
     """Try to confirm a two-part block-orthogonal R structure.
 
@@ -374,12 +377,12 @@ def _block_orthogonal_check(
         return None
     part2 = _components_of_mask(gamma_mask, bits)
     if len(part2) == 1:
-        part2 = _empirical_split(basis, gamma_mask, trials, seed, tol)
+        part2 = _empirical_split(basis, gamma_mask, trials, seed)
     if part2 is None or _uniform_blocks(part2) != shape:
         return None
     blocks = tuple(_mask_to_indices(m) for m in sorted(part1) + sorted(part2))
     ordering = [sym for b in blocks for sym in b]
-    zero_mask = sample_r_matrix(basis, ordering, trials=trials, seed=seed, tol=tol).zero_mask
+    zero_mask = sample_r_matrix(basis, ordering, trials=trials, seed=seed).zero_mask
     block = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
     part = block >= len(part1)
     links = np.triu(~zero_mask, 1) & (block[:, None] != block[None, :])
@@ -390,39 +393,32 @@ def _block_orthogonal_check(
     return (2, n_blocks, p), n_blocks * p + p, blocks
 
 
-def _empirical_split(basis: WeightBasis, gamma_mask: int, trials: int, seed: int, tol: float):
+def _empirical_split(basis: WeightBasis, gamma_mask: int, trials: int, seed: int):
     """Split a separator into blocks using the sampled R zero pattern."""
     symbols = _mask_to_indices(gamma_mask)
     rest = [i for i in range(basis.k) if i not in symbols]
     ordering = rest + list(symbols)
-    prof = sample_r_matrix(basis, ordering, trials=trials, seed=seed, tol=tol)
+    prof = sample_r_matrix(basis, ordering, trials=trials, seed=seed)
     comps = _r_blocks(prof.zero_mask[len(rest) :, len(rest) :])
     if len(comps) < 2:
         return None
     return [sum(1 << symbols[v] for v in _mask_to_indices(c)) for c in comps]
 
 
-def classify(
-    basis: WeightBasis,
-    trials: int = 20,
-    seed: int = 0,
-    tol: float = TOL,
-) -> DecodabilityProfile:
+def classify(basis: WeightBasis, trials: int = 20, seed: int = 0) -> DecodabilityProfile:
     """Classify a basis into a decodability family with its complexity order.
 
-    Components of the orthogonality graph give parallel groups; a connected
-    graph triggers the separator search (exact up to 16 coefficients, greedy
-    beyond) and the block-orthogonal confirmation against sampled R factors.
-    tol is both the Hurwitz-Radon graph's cutoff and the threshold of the
-    sampled R factors (see hurwitz_radon and sample_r_matrix).  trials must
-    be at least 1 and tol finite and nonnegative.
+    Components of the orthogonality graph (see hurwitz_radon; built once per
+    basis, and the sphere decoder splits on the same components) give
+    parallel groups; a connected graph triggers the separator search (exact
+    up to 16 coefficients, greedy beyond) and the block-orthogonal
+    confirmation against R factors sampled at trials channels from seed.
+    trials must be at least 1.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    hr = hurwitz_radon(basis, tol)
     k = basis.k
-    bits = _adjacency_bits(hr.adjacency)
-    comps = _components_of_mask((1 << k) - 1, bits)
+    bits, comps = _graph(basis)
     if len(comps) >= 2:
         k_prime = max(c.bit_count() for c in comps)
         return DecodabilityProfile("multi_group", _sorted_groups(comps), (), k_prime)
@@ -432,7 +428,7 @@ def classify(
     if found is None:
         return DecodabilityProfile("none", (tuple(range(k)),), (), k)
     gamma_mask, k_prime, comps = found
-    bo = _block_orthogonal_check(basis, gamma_mask, comps, bits, trials, seed, tol)
+    bo = _block_orthogonal_check(basis, gamma_mask, comps, bits, trials, seed)
     if bo is not None and bo[1] <= k_prime:
         bo_params, bo_k_prime, blocks = bo
         return DecodabilityProfile("block_orthogonal", blocks, (), bo_k_prime, bo_params)

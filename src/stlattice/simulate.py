@@ -5,9 +5,9 @@ the real linear model iota(Y) = B_H s + n with B_H = [vec(H B_1) ... ].
 The sphere decoder is exact maximum likelihood: an iterative best-first
 depth-first loop whose radius starts infinite and shrinks at each accepted
 leaf; nodes_visited counts every child whose partial distance was computed.
-When the R factor splits into independent column blocks the decoder searches
-each block separately, which is where the classified group structure shows
-up as measured effort.
+The decoder searches each component of the weights' orthogonality graph (the
+groups classify reports) as its own column block, which is where the
+classified group structure shows up as measured effort.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ import numpy as np
 
 from .decodability import (
     SIGMA_H,
-    TOL,
     _check_ordering,
     _default_n_r,
-    _mask_to_indices,
-    _r_blocks,
+    _graph,
     _rayleigh,
     _thresholded_r,
     classify,
@@ -379,26 +377,31 @@ def _sphere_block(R, z, values, lex_perm):
 def sphere_decode(Y, H, basis: WeightBasis, alphabet: Alphabet, ordering=None) -> DecodeResult:
     """Exact ML by sphere search, split across independent column blocks.
 
-    The QR factor of the ordered equivalent channel matrix is thresholded
-    into connected column blocks; blocks that do not interact are searched
-    separately, so nodes_visited reflects the parallel decoding trees that
-    the classification promises.  Every block reads its R and Q^T y off the
-    one factorisation.  R is thresholded at decodability.TOL, and
-    rank-deficient equivalent channels are rejected.
+    The blocks are the orthogonality graph's components (decodability._graph)
+    at their columns under the ordering, so nodes_visited reflects the
+    parallel decoding trees that the classification promises.  Every block
+    reads its R and Q^T y off the one factorisation.  R, thresholded at
+    decodability.TOL, only rejects a rank-deficient channel and checks the
+    plan: an entry that couples two blocks raises ValueError.
     """
     k = basis.k
     order = _check_ordering(ordering, k)
     values, B, y = _real_model(Y, H, basis, alphabet, order)
     Q, R = np.linalg.qr(B, mode="reduced")
-    _, zero_mask, rank_deficient = _thresholded_r(R, TOL)
+    _, zero_mask, rank_deficient = _thresholded_r(R)
     if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
-    blocks = _r_blocks(zero_mask)
+    comps = _graph(basis)[1]
+    # comp_at[p]: the component of the symbol in column p
+    comp_at = np.array([next(c for c, m in enumerate(comps) if m >> s & 1) for s in order])
+    if np.any(~zero_mask & (comp_at[:, None] != comp_at)):
+        raise ValueError("the R factor couples symbols that the orthogonality graph separates")
+    # Blocks in order of their lowest column.
+    blocks = [np.flatnonzero(comp_at == c) for c in dict.fromkeys(comp_at.tolist())]
     z = Q.T @ y
     s_hat = np.zeros(k)
     total_nodes = 0
-    for comp in blocks:
-        block = list(_mask_to_indices(comp))
+    for block in blocks:
         R_b = R[np.ix_(block, block)] if len(blocks) > 1 else R
         lex_perm = np.argsort([order[p] for p in block])
         s_hat[block], nodes = _sphere_block(R_b, z[block].tolist(), values, lex_perm)

@@ -269,12 +269,12 @@ class TestVerbs:
     FLAGS = {
         "construct": {"--gamma", "--M", "--output"},
         "lattice": {"--bound", "--output"},
-        "analyze": {"--trials", "--tol", "--seed", "--output"},
+        "analyze": {"--trials", "--seed", "--output"},
         "simulate": {
             "--snr", "--trials", "--alphabet", "--decoder", "--n-r",
             "--cal-samples", "--seed", "--output",
         },
-        "zoo": {"--trials", "--tol", "--seed", "--output"},
+        "zoo": {"--trials", "--seed", "--output"},
     }
 
     def test_each_verb_takes_only_the_flags_it_reads(self):
@@ -284,7 +284,7 @@ class TestVerbs:
             for verb, sub in subs.items()
         }
         assert flags == self.FLAGS
-        assert sum(map(len, flags.values())) == 21
+        assert sum(map(len, flags.values())) == 19
 
     @pytest.mark.parametrize(
         "argv",
@@ -296,6 +296,8 @@ class TestVerbs:
             ("simulate", "alamouti", "--tol", "1e-3"),
             ("simulate", "alamouti", "--tol", "-5"),
             ("construct", "mimo_relay", "--p", "7"),
+            ("analyze", "golden", "--tol", "1e-9"),
+            ("zoo", "--tol", "1e-9"),
         ],
     )
     def test_flag_the_verb_does_not_read_is_rejected(self, capsys, argv):
@@ -322,10 +324,8 @@ class TestVerbs:
     def test_classifying_verbs_read_tol_and_seed(self, capsys, verb):
         code, default, _ = run(capsys, *verb, "--trials", "5")
         assert code == 0
-        argv = (*verb, "--trials", "5", "--tol", "1e-9", "--seed", "0")
+        argv = (*verb, "--trials", "5", "--seed", "0")
         assert run(capsys, *argv) == (0, default, "")
-        code, _, err = run(capsys, *verb, "--tol", "-1")
-        assert code == 1 and "tol" in err
 
     def test_missing_verb(self, capsys):
         assert run(capsys, )[0] == 1

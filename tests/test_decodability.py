@@ -7,7 +7,6 @@ pattern of the underlying construction and cross-checked numerically
 before being frozen here.
 """
 
-import inspect
 import itertools
 from types import SimpleNamespace
 
@@ -147,14 +146,6 @@ class TestHurwitzRadon:
             hurwitz_radon(scaled).adjacency, hurwitz_radon(basis).adjacency
         )
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
-    def test_rejects_bad_tol(self, tol):
-        basis, _ = zoo("golden")
-        with pytest.raises(ValueError, match="tol"):
-            hurwitz_radon(basis, tol=tol)
-        with pytest.raises(ValueError, match="tol"):
-            classify(basis, tol=tol)
-
 
 class TestClassifyZoo:
     @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -193,7 +184,7 @@ class TestClassifyZoo:
 class TestClassifyValidation:
     @pytest.mark.parametrize("name", ["alamouti", "golden"])
     def test_rejects_zero_trials_before_any_work(self, name, monkeypatch):
-        basis, _ = zoo(name)
+        basis = codebook.build(name)  # no orthogonality graph kept on it yet
 
         def no_work(*args, **kwargs):
             raise AssertionError("classify did work before checking trials")
@@ -201,37 +192,6 @@ class TestClassifyValidation:
         monkeypatch.setattr(decodability, "hurwitz_radon", no_work)
         with pytest.raises(ValueError, match="trial"):
             classify(basis, trials=0)
-
-
-def spy_on_sample_r_tol(monkeypatch):
-    """Record the tol of every sample_r_matrix call, defaults applied."""
-    seen = []
-    real = decodability.sample_r_matrix
-
-    def spy(*args, **kwargs):
-        bound = inspect.signature(real).bind(*args, **kwargs)
-        bound.apply_defaults()
-        seen.append(bound.arguments["tol"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(decodability, "sample_r_matrix", spy)
-    return seen
-
-
-class TestClassifyTol:
-    """classify's tol is also the threshold of the R factors it samples."""
-
-    @pytest.mark.parametrize("name", ["golden", "mido_a4"])
-    def test_sampled_r_uses_the_tol(self, name, monkeypatch):
-        seen = spy_on_sample_r_tol(monkeypatch)
-        classify(codebook.build(name), tol=1e-7)
-        assert seen and set(seen) == {1e-7}
-
-    def test_empirical_split_uses_the_tol(self, monkeypatch):
-        seen = spy_on_sample_r_tol(monkeypatch)
-        basis = codebook.build("golden")
-        decodability._empirical_split(basis, 0b1111, trials=2, seed=0, tol=1e-7)
-        assert seen == [1e-7]
 
 
 def plain_components(adjacency, vertices):
@@ -447,7 +407,7 @@ class TestBlockOrthogonalCheck:
                     lambda *args, **kwargs: SimpleNamespace(zero_mask=zero_mask),
                 )
                 found = decodability._block_orthogonal_check(
-                    None, gamma, part1, bits, trials=1, seed=0, tol=decodability.TOL
+                    None, gamma, part1, bits, trials=1, seed=0
                 )
                 expected = loop_block_test(zero_mask, part1, part2)
                 assert (found is not None) == expected
@@ -585,22 +545,12 @@ class TestSampleRMatrix:
         for trial in range(20):
             rng = np.random.default_rng([0, trial])
             H = (1.0 / np.sqrt(2.0)) * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-            prof = r_matrix(basis, H, tol=1e-9)
+            prof = r_matrix(basis, H)
             acc = np.abs(prof.R) if acc is None else acc + np.abs(prof.R)
             mask = prof.zero_mask if mask is None else (mask & prof.zero_mask)
         sampled = sample_r_matrix(basis)
         assert np.array_equal(sampled.R, acc / 20)
         assert np.array_equal(sampled.zero_mask, mask)
-
-
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
-def test_r_factor_thresholds_reject_bad_tol(tol):
-    # A NaN tol masked no entry, so a zero channel read as full rank.
-    basis, _ = zoo("alamouti")
-    with pytest.raises(ValueError, match="tol"):
-        r_matrix(basis, np.zeros((2, 2)), tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        sample_r_matrix(basis, trials=2, tol=tol)
 
 
 class TestOrthogonalityImpliesZeroEntry:

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from stlattice import codebook, simulate
+from stlattice import codebook, decodability, simulate
 from stlattice.decodability import (
     SIGMA_H,
-    TOL,
     _check_ordering,
     _mask_to_indices,
     _r_blocks,
@@ -712,7 +711,7 @@ def per_block_qr_decode(Y, H, basis, alphabet, ordering=None):
     order = _check_ordering(ordering, k)
     values, B, y = simulate._real_model(Y, H, basis, alphabet, order)
     Q, R = np.linalg.qr(B, mode="reduced")
-    _, zero_mask, rank_deficient = _thresholded_r(R, TOL)
+    _, zero_mask, rank_deficient = _thresholded_r(R)
     if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
     blocks = _r_blocks(zero_mask)
@@ -779,6 +778,56 @@ class TestOneFactorisation:
         monkeypatch.setattr(np.linalg, "qr", spy)
         sphere_decode(Y, H, basis, pam(2))
         assert calls == [(2 * cfg.n_r * basis.T, basis.k)]
+
+
+def perturbed_alamouti(eps):
+    """Alamouti with eps * B_0 added to B_1: only weights 0 and 1 couple,
+    with a coupling of relative size about eps."""
+    mats = list(code("alamouti").mats)
+    mats[1] = mats[1] + eps * mats[0]
+    return WeightBasis(f"alamouti+{eps:g}*B_0", mats)
+
+
+class TestOneOrthogonalityVerdict:
+    """The weights' orthogonality graph is both classify's groups and
+    sphere_decode's split.  Couplings near TOL = 1e-9 are too close to call
+    and are left out."""
+
+    @pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3])
+    def test_groups_are_the_decoders_blocks(self, eps):
+        basis, alphabet = perturbed_alamouti(eps), pam(4)
+        groups = classify(basis).groups
+        cfg = default_config(basis, (), 1, 0)
+        for t in range(50):
+            H, _, Y = noisy_trial(basis, alphabet, cfg, 0.5, [11, 0, t])
+            blocks = _r_blocks(r_matrix(basis, H).zero_mask)
+            assert tuple(_mask_to_indices(m) for m in blocks) == groups
+            ml = ml_exhaustive(Y, H, basis, alphabet)
+            assert sphere_decode(Y, H, basis, alphabet).coeffs == ml.coeffs
+
+    def test_a_plan_that_drops_a_coupling_is_refused(self, monkeypatch):
+        basis, alphabet = perturbed_alamouti(1e-3), pam(2)
+        H, _, Y = noisy_trial(basis, alphabet, default_config(basis, (), 1, 0), 0.3, [6, 0, 0])
+        sphere_decode(Y, H, basis, alphabet)
+        singletons = tuple(1 << i for i in range(basis.k))
+        monkeypatch.setattr(simulate, "_graph", lambda b: (None, singletons))
+        with pytest.raises(ValueError, match="couples"):
+            sphere_decode(Y, H, basis, alphabet)
+
+    @pytest.mark.parametrize("name", ["alamouti", "golden"])
+    def test_one_graph_per_basis_per_campaign(self, name, monkeypatch):
+        basis = codebook.build(name)  # no orthogonality graph kept on it yet
+        calls = []
+        real = decodability.hurwitz_radon
+
+        def spy(b):
+            calls.append(b is basis)
+            return real(b)
+
+        monkeypatch.setattr(decodability, "hurwitz_radon", spy)
+        cfg = default_config(basis, (0.0, 10.0), trials=5, seed=1)
+        run_campaign(basis, pam(2), cfg, decoder="sphere", calibration_samples=10_000)
+        assert calls == [True]
 
 
 class TestNonFiniteInputs:
