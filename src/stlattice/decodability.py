@@ -230,17 +230,18 @@ def _check_ordering(ordering, k: int) -> tuple:
 
 
 def _thresholded_r(R: np.ndarray):
-    """R, a QR factor of some B, zero-padded to k x k, with the mask of
-    entries at most TOL times the largest |r| and whether a diagonal entry
-    is masked.  The cutoff has no absolute floor, so scaling B keeps the
+    """R, a QR factor of some B or a stack of them (..., rows, k),
+    zero-padded to k x k, with the mask of entries at most TOL times the
+    largest |r| of their own factor and whether a diagonal entry is masked,
+    per factor.  The cutoff has no absolute floor, so scaling B keeps the
     mask and an all-zero R is deficient.  Every numpy QR mode gives the
     same R bit for bit."""
-    k = R.shape[1]
-    if R.shape[0] < k:
-        R = np.vstack([R, np.zeros((k - R.shape[0], k))])
+    k = R.shape[-1]
+    if R.shape[-2] < k:
+        R = np.concatenate([R, np.zeros((*R.shape[:-2], k - R.shape[-2], k))], axis=-2)
     mag = np.abs(R)
-    zero_mask = mag <= TOL * float(mag.max())
-    return R, zero_mask, bool(np.any(np.diag(zero_mask)))
+    zero_mask = mag <= TOL * mag.max(axis=(-2, -1), keepdims=True)
+    return R, zero_mask, np.diagonal(zero_mask, axis1=-2, axis2=-1).any(axis=-1)
 
 
 def r_matrix(basis: WeightBasis, H, ordering=None) -> RMatrixProfile:
@@ -257,7 +258,7 @@ def r_matrix(basis: WeightBasis, H, ordering=None) -> RMatrixProfile:
     signs = np.sign(np.diag(R).copy())
     signs[signs == 0] = 1.0
     R = signs[:, None] * R
-    return RMatrixProfile(R=R, zero_mask=zero_mask, rank_deficient=rank_deficient)
+    return RMatrixProfile(R=R, zero_mask=zero_mask, rank_deficient=bool(rank_deficient))
 
 
 def _default_n_r(basis: WeightBasis) -> int:

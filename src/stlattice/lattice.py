@@ -47,11 +47,14 @@ def vectorize(U: np.ndarray) -> np.ndarray:
         raise ValueError("vectorize expects a matrix")
     if not np.all(np.isfinite(U)):
         raise ValueError("matrix entries must be finite")
-    cols = U.T.reshape(-1)  # column-major traversal
-    out = np.empty(2 * cols.size)
-    out[0::2] = cols.real
-    out[1::2] = cols.imag
-    return out
+    return _vectorize_stack(U)
+
+
+def _vectorize_stack(U: np.ndarray) -> np.ndarray:
+    """vectorize of every matrix of a stack (..., rows, cols), unchecked, as
+    a fresh (..., 2 * rows * cols) array: the float view of the transposes,
+    which run down each column, real part then imaginary part."""
+    return np.swapaxes(U, -1, -2).copy().view(float).reshape(*U.shape[:-2], -1)
 
 
 def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -157,18 +160,19 @@ def generator_matrix(basis: WeightBasis) -> np.ndarray:
 
 
 def _equivalent_channel(basis: WeightBasis, H, order) -> np.ndarray:
-    """Equivalent real channel B_H = [vectorize(H B_i) for i in order];
-    the channel is validated before the product."""
+    """Equivalent real channel B_H = [vectorize(H B_i) for i in order], one
+    C-contiguous matrix per channel of a stack H (..., n_r, n_t); the
+    channels are validated before the product.  Each product H B_i has the
+    bits of its own matmul, whatever the stack."""
     H = np.atleast_2d(np.asarray(H, dtype=complex))
-    if H.shape[1] != basis.n_t:
-        raise ValueError(f"channel has {H.shape[1]} columns, expected {basis.n_t}")
-    if not np.all(np.isfinite(H)):
+    if H.shape[-1] != basis.n_t:
+        raise ValueError(f"channel has {H.shape[-1]} columns, expected {basis.n_t}")
+    if not np.isfinite(H).all():
         raise ValueError("channel entries must be finite")
-    HB = H @ basis._stack[list(order)]
-    # Side by side, the products' column-major traversal runs through
-    # H B_i one after another, so one vectorize yields every column.
-    side_by_side = HB.transpose(1, 0, 2).reshape(HB.shape[1], -1)
-    return np.ascontiguousarray(vectorize(side_by_side).reshape(len(HB), -1).T)
+    columns = _vectorize_stack(H[..., None, :, :] @ basis._stack[list(order)])
+    if not np.isfinite(columns).all():
+        raise ValueError("matrix entries must be finite")
+    return np.ascontiguousarray(np.swapaxes(columns, -1, -2))
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,21 @@ leaf; nodes_visited counts every child whose partial distance was computed.
 The decoder searches each component of the weights' orthogonality graph (the
 groups classify reports) as its own column block, which is where the
 classified group structure shows up as measured effort.
+
+A campaign decodes each SNR point's trials in blocks.  A block's received
+blocks, equivalent channels, overflow and finiteness checks, QR factors,
+R thresholds and plan checks are formed in stacked calls, through the same
+stages that ml_exhaustive and sphere_decode run on one trial; only the
+searches run trial by trial.  Each codeword stays its own trial's product:
+stacked, the codewords would be one matrix product, with other bits than a
+matrix-vector product each.  The other stacked BLAS and LAPACK calls give
+every trial the bits of its own call.  The tests check that, and CI runs
+them under OpenBLAS's Prescott and SandyBridge kernels too; another BLAS
+could differ in the last bits.
 """
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -23,11 +33,18 @@ from .decodability import (
     _check_ordering,
     _default_n_r,
     _graph,
+    _mask_to_indices,
     _rayleigh,
     _thresholded_r,
     classify,
 )
-from .lattice import WeightBasis, _equivalent_channel, _mixed_radix, vectorize
+from .lattice import (
+    _BLOCK_BYTES,
+    WeightBasis,
+    _equivalent_channel,
+    _mixed_radix,
+    _vectorize_stack,
+)
 
 __all__ = [
     "Alphabet",
@@ -222,32 +239,50 @@ def _noise_scale(mean_sig: float, cfg: ChannelConfig, snr_db: float) -> float:
 
 
 def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
-    """The sorted alphabet, B_H with its columns in order, and iota(Y).
+    """The sorted alphabet, B_H with its columns in order, and iota(Y), for
+    one trial or a stack of trials (leading axes shared by Y and H).
 
     A finite Y or H so large that a metric could overflow is rejected
     before any product is formed.  Every entry of y - B_H s is at most
     e = |Y| + k |s| 2 n_t |H| |B_i| in modulus (each |.| the largest real or
-    imaginary part), and the metrics and the sphere decoder's partial
-    distances stay below (k + 1) 2 n_r T e^2.
+    imaginary part of the trial's own block), and the metrics and the
+    sphere decoder's partial distances stay below (k + 1) 2 n_r T e^2.
     """
     H = np.atleast_2d(np.asarray(H, dtype=complex))
     Y = np.atleast_2d(np.asarray(Y, dtype=complex))
-    if Y.shape != (H.shape[0], basis.T):
+    if Y.shape != (*H.shape[:-1], basis.T):
         raise ValueError(
-            f"received block has shape {Y.shape}, expected {(H.shape[0], basis.T)}"
+            f"received block has shape {Y.shape}, expected {(*H.shape[:-1], basis.T)}"
         )
     values = np.array(sorted(alphabet.values), dtype=float)
-    # The largest |real part| or |imaginary part| of Y and of H (a trailing
-    # zero keeps H's segment non-empty); the B_i's is basis._peak.
-    parts = np.abs(np.concatenate((Y, H, [0j]), axis=None).view(float))
-    peak_y, peak_h = np.maximum.reduceat(parts, (0, 2 * Y.size)).tolist()
+    # The largest |real part| or |imaginary part| of each trial's Y and H;
+    # the B_i's is basis._peak.
+    peak_y, peak_h = (
+        np.abs(np.ascontiguousarray(A).view(float)).max(axis=(-2, -1), initial=0.0)
+        for A in (Y, H)
+    )
     # Non-finite entries are left to the finiteness checks below.
-    if math.isfinite(peak_y) and math.isfinite(peak_h):
-        peak_s = max(map(abs, alphabet.values))
+    finite = np.isfinite(peak_y) & np.isfinite(peak_h)
+    peak_s = max(map(abs, alphabet.values))
+    with np.errstate(over="ignore", invalid="ignore"):
         e = peak_y + basis.k * peak_s * 2 * basis.n_t * peak_h * basis._peak
-        if not (basis.k + 1) * 2 * Y.size * e * e <= sys.float_info.max:
-            raise ValueError("received block or channel too large: the metric would overflow")
-    return values, _equivalent_channel(basis, H, order), vectorize(Y)
+        fits = (basis.k + 1) * 2 * Y.shape[-2] * Y.shape[-1] * e * e <= sys.float_info.max
+    if (finite & ~fits).any():
+        raise ValueError("received block or channel too large: the metric would overflow")
+    B = _equivalent_channel(basis, H, order)
+    if not np.isfinite(Y).all():
+        raise ValueError("matrix entries must be finite")
+    return values, B, _vectorize_stack(Y)
+
+
+def _ml_table(values: np.ndarray, k: int):
+    """The grid's trailing-digit count m and its lo rows S_lo, which depend
+    on the alphabet and k alone; a grid past the 2^24 guard raises."""
+    L = len(values)
+    if L**k > ML_SPACE_LIMIT:
+        raise ValueError(f"exhaustive search space {L}^{k} exceeds the 2^24 guard")
+    m = _table_width(L, k, _CHUNK)
+    return m, next(_mixed_radix(values, m, 0, L**m, L**m))
 
 
 def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
@@ -272,14 +307,13 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     grow with the number of tied rows.
     """
     values, B, y = _real_model(Y, H, basis, alphabet, range(basis.k))
-    L, k = len(values), basis.k
-    total = L**k
-    if total > ML_SPACE_LIMIT:
-        raise ValueError(
-            f"exhaustive search space {L}^{k} exceeds the 2^24 guard"
-        )
-    m = _table_width(L, k, _CHUNK)
-    S_lo = next(_mixed_radix(values, m, 0, L**m, L**m))
+    return _ml_search(B, y, values, _ml_table(values, basis.k))
+
+
+def _ml_search(B, y, values, table) -> DecodeResult:
+    """ml_exhaustive's grid search on one trial's B and y."""
+    L, k = len(values), B.shape[1]
+    m, S_lo = table
     P = B[:, k - m :] @ S_lo.T
     B_hi = B[:, : k - m]
     per_block = _CHUNK // L**m
@@ -310,7 +344,7 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
                 lowest = dist
                 kept.append((dist, np.concatenate([S_hi[h], S_lo[l]])))
     metric, row = kept[0]
-    return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=total)
+    return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=L**k)
 
 
 def _table_width(base: int, k: int, chunk: int) -> int:
@@ -374,6 +408,68 @@ def _sphere_block(R, z, values, lex_perm):
             near.append((nd, s.copy()))
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """The column order, its inverse, the R entries that would couple two
+    blocks, and per block its columns and its symbols' lexicographic order."""
+
+    order: tuple
+    inverse: np.ndarray
+    coupling: np.ndarray
+    blocks: tuple
+
+
+def _plan(basis: WeightBasis, ordering) -> _Plan:
+    """The orthogonality graph's components (decodability._graph) at their
+    columns under the ordering, as blocks in order of their lowest column."""
+    order = _check_ordering(ordering, basis.k)
+    comp_of = {s: c for c, m in enumerate(_graph(basis)[1]) for s in _mask_to_indices(m)}
+    # comp_at[p]: the component of the symbol in column p
+    comp_at = np.array([comp_of[s] for s in order])
+    cols = [np.flatnonzero(comp_at == c) for c in dict.fromkeys(comp_at.tolist())]
+    return _Plan(
+        order=order,
+        inverse=np.argsort(order),
+        coupling=comp_at[:, None] != comp_at,
+        blocks=tuple((b, np.argsort([order[p] for p in b])) for b in cols),
+    )
+
+
+def _sphere_stages(Y, H, basis: WeightBasis, alphabet: Alphabet, plan: _Plan):
+    """The sorted alphabet, B_H, iota(Y), and per block its R and its rows of
+    Q^T y (as lists), for one trial or a stack of them, from one QR of each
+    B_H.
+
+    R, thresholded at decodability.TOL, only rejects a rank-deficient
+    channel and checks the plan: an entry that couples two blocks raises
+    ValueError.  In a stack, the first trial that fails raises.
+    """
+    values, B, y = _real_model(Y, H, basis, alphabet, plan.order)
+    Q, R = np.linalg.qr(B, mode="reduced")
+    _, zero_mask, deficient = _thresholded_r(R)
+    failed = deficient | (~zero_mask & plan.coupling).any(axis=(-2, -1))
+    if failed.any():
+        if deficient.flat[failed.argmax()]:
+            raise ValueError("rank-deficient equivalent channel")
+        raise ValueError("the R factor couples symbols that the orthogonality graph separates")
+    z = (np.swapaxes(Q, -1, -2) @ y[..., None])[..., 0]
+    if len(plan.blocks) == 1:
+        return values, B, y, [R], [z.tolist()]
+    R_blocks = [np.ascontiguousarray(R[..., b[:, None], b]) for b, _ in plan.blocks]
+    return values, B, y, R_blocks, [z[..., b].tolist() for b, _ in plan.blocks]
+
+
+def _sphere_search(R_blocks, z_blocks, values, plan: _Plan):
+    """One trial's symbols in column order, its coefficients in their own
+    order, and nodes_visited: each block searched on its own R and Q^T y."""
+    s_hat = np.zeros(len(plan.order))
+    total_nodes = 0
+    for (cols, lex_perm), R_b, z_b in zip(plan.blocks, R_blocks, z_blocks):
+        s_hat[cols], nodes = _sphere_block(R_b, z_b, values, lex_perm)
+        total_nodes += nodes
+    return s_hat, tuple(s_hat[plan.inverse].astype(int).tolist()), total_nodes
+
+
 def sphere_decode(Y, H, basis: WeightBasis, alphabet: Alphabet, ordering=None) -> DecodeResult:
     """Exact ML by sphere search, split across independent column blocks.
 
@@ -384,34 +480,11 @@ def sphere_decode(Y, H, basis: WeightBasis, alphabet: Alphabet, ordering=None) -
     decodability.TOL, only rejects a rank-deficient channel and checks the
     plan: an entry that couples two blocks raises ValueError.
     """
-    k = basis.k
-    order = _check_ordering(ordering, k)
-    values, B, y = _real_model(Y, H, basis, alphabet, order)
-    Q, R = np.linalg.qr(B, mode="reduced")
-    _, zero_mask, rank_deficient = _thresholded_r(R)
-    if rank_deficient:
-        raise ValueError("rank-deficient equivalent channel")
-    comps = _graph(basis)[1]
-    # comp_at[p]: the component of the symbol in column p
-    comp_at = np.array([next(c for c, m in enumerate(comps) if m >> s & 1) for s in order])
-    if np.any(~zero_mask & (comp_at[:, None] != comp_at)):
-        raise ValueError("the R factor couples symbols that the orthogonality graph separates")
-    # Blocks in order of their lowest column.
-    blocks = [np.flatnonzero(comp_at == c) for c in dict.fromkeys(comp_at.tolist())]
-    z = Q.T @ y
-    s_hat = np.zeros(k)
-    total_nodes = 0
-    for block in blocks:
-        R_b = R[np.ix_(block, block)] if len(blocks) > 1 else R
-        lex_perm = np.argsort([order[p] for p in block])
-        s_hat[block], nodes = _sphere_block(R_b, z[block].tolist(), values, lex_perm)
-        total_nodes += nodes
+    plan = _plan(basis, ordering)
+    values, B, y, R_blocks, z_blocks = _sphere_stages(Y, H, basis, alphabet, plan)
+    s_hat, coeffs, nodes = _sphere_search(R_blocks, z_blocks, values, plan)
     resid = y - B @ s_hat
-    return DecodeResult(
-        coeffs=tuple(s_hat[np.argsort(order)].astype(int).tolist()),
-        metric=float(resid @ resid),
-        nodes_visited=total_nodes,
-    )
+    return DecodeResult(coeffs=coeffs, metric=float(resid @ resid), nodes_visited=nodes)
 
 
 # ----------------------------------------------------------------------
@@ -464,6 +537,13 @@ def run_campaign(
     seeded by (seed, snr index, trial index), in that order, so results are
     independent of execution schedule.  The sphere decoder runs with the
     classified group-then-conditioned ordering.
+
+    The trials of an SNR point are decoded in blocks of about _BLOCK_BYTES
+    of B_H, Q and R factors.  Each block forms its received blocks, real
+    models and QR factors in stacked calls, through the stages that
+    ml_exhaustive and sphere_decode run on one trial, and only the searches
+    run trial by trial.  Each codeword stays one trial's own product: a
+    stacked one would be a matrix product with other bits.
     """
     if decoder not in ("ml", "sphere", "both"):
         raise ValueError("decoder must be one of 'ml', 'sphere', 'both'")
@@ -471,11 +551,15 @@ def run_campaign(
     want_sp = decoder in ("sphere", "both")
     if cfg.trials == 0 or not cfg.snr_db_grid:
         return SimCampaign(rows=())
-    ordering = None
+    k, T = basis.k, basis.T
+    values = np.array(sorted(alphabet.values), dtype=int)
+    if want_ml:
+        table = _ml_table(values.astype(float), k)
     if want_sp:
         prof = classify(basis)
-        ordering = [i for g in prof.groups for i in g] + list(prof.conditioned)
-    values = np.array(sorted(alphabet.values), dtype=int)
+        plan = _plan(basis, [i for g in prof.groups for i in g] + list(prof.conditioned))
+    dim = 2 * cfg.n_r * T
+    per_block = max(1, _BLOCK_BYTES // (8 * k * (2 * dim + k)))
     mean_sig = _mean_signal_power(basis, alphabet, cfg, calibration_samples)
     rows = []
     for si, snr_db in enumerate(cfg.snr_db_grid):
@@ -483,26 +567,37 @@ def run_campaign(
         err_ml = 0
         err_sp = 0
         node_counts = []
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng([cfg.seed, si, trial])
-            H = draw_channel(cfg, rng)
-            s = rng.choice(values, size=basis.k)
-            X = basis.combination(s)
-            noise = sigma_n * (
-                rng.normal(size=(cfg.n_r, basis.T))
-                + 1j * rng.normal(size=(cfg.n_r, basis.T))
-            )
+        for start in range(0, cfg.trials, per_block):
+            n = min(per_block, cfg.trials - start)
+            H = np.empty((n, cfg.n_r, cfg.n_t), dtype=complex)
+            X = np.empty((n, cfg.n_t, T), dtype=complex)
+            noise = np.empty((n, cfg.n_r, T), dtype=complex)
+            S = np.empty((n, k), dtype=int)
+            for i in range(n):
+                rng = np.random.default_rng([cfg.seed, si, start + i])
+                H[i] = draw_channel(cfg, rng)
+                S[i] = rng.choice(values, size=k)
+                X[i] = basis.combination(S[i])
+                noise[i] = sigma_n * (
+                    rng.normal(size=(cfg.n_r, T)) + 1j * rng.normal(size=(cfg.n_r, T))
+                )
             Y = H @ X + noise
-            truth = tuple(int(v) for v in s)
+            truths = [tuple(s) for s in S.tolist()]
             if want_ml:
-                res = ml_exhaustive(Y, H, basis, alphabet)
-                err_ml += res.coeffs != truth
-                if not want_sp:
-                    node_counts.append(res.nodes_visited)
+                ml_values, B, y = _real_model(Y, H, basis, alphabet, range(k))
+                for i, truth in enumerate(truths):
+                    res = _ml_search(B[i], y[i], ml_values, table)
+                    err_ml += res.coeffs != truth
+                    if not want_sp:
+                        node_counts.append(res.nodes_visited)
             if want_sp:
-                res = sphere_decode(Y, H, basis, alphabet, ordering)
-                err_sp += res.coeffs != truth
-                node_counts.append(res.nodes_visited)
+                sp_values, _, _, R_blocks, z_blocks = _sphere_stages(Y, H, basis, alphabet, plan)
+                for i, truth in enumerate(truths):
+                    _, coeffs, nodes = _sphere_search(
+                        [R_b[i] for R_b in R_blocks], [z_b[i] for z_b in z_blocks], sp_values, plan
+                    )
+                    err_sp += coeffs != truth
+                    node_counts.append(nodes)
         rows.append(
             (
                 float(snr_db),

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from stlattice import codebook, decodability, simulate
+from stlattice import codebook, decodability, lattice, simulate
 from stlattice.decodability import (
     SIGMA_H,
     _check_ordering,
@@ -780,6 +780,102 @@ class TestOneFactorisation:
         assert calls == [(2 * cfg.n_r * basis.T, basis.k)]
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def one_trial_stages(Y, H, basis, order):
+    """B_H, iota(Y), Q, R and Q^T y of one trial as sphere_decode formed them
+    before a campaign stacked its stages: B_H from one vectorize of the
+    products H B_i side by side."""
+    HB = H @ basis._stack[list(order)]
+    side_by_side = HB.transpose(1, 0, 2).reshape(HB.shape[1], -1)
+    B = np.ascontiguousarray(vectorize(side_by_side).reshape(len(HB), -1).T)
+    y = vectorize(Y)
+    Q, R = np.linalg.qr(B, mode="reduced")
+    return B, y, Q, R, Q.T @ y
+
+
+def one_trial_decode(Y, H, basis, alphabet, order):
+    """sphere_decode on one_trial_stages, each block cut out of R with np.ix_."""
+    B, y, _, R, z = one_trial_stages(Y, H, basis, order)
+    comps = decodability._graph(basis)[1]
+    comp_at = np.array([next(c for c, m in enumerate(comps) if m >> s & 1) for s in order])
+    blocks = [np.flatnonzero(comp_at == c) for c in dict.fromkeys(comp_at.tolist())]
+    values = np.array(sorted(alphabet.values), dtype=float)
+    s_hat = np.zeros(basis.k)
+    total_nodes = 0
+    for block in blocks:
+        R_b = R[np.ix_(block, block)] if len(blocks) > 1 else R
+        lex_perm = np.argsort([order[p] for p in block])
+        s_hat[block], nodes = simulate._sphere_block(R_b, z[block].tolist(), values, lex_perm)
+        total_nodes += nodes
+    resid = y - B @ s_hat
+    return DecodeResult(
+        coeffs=tuple(s_hat[np.argsort(order)].astype(int).tolist()),
+        metric=float(resid @ resid),
+        nodes_visited=total_nodes,
+    )
+
+
+class TestStackedStages:
+    """A campaign forms the stages of a block of trials in stacked calls;
+    every trial gets the bits of the one-trial stages, and the same
+    decisions, metric bits and node counts as the one-trial decoder."""
+
+    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    def test_match_the_one_trial_stages(self, name):
+        basis, alphabet = code(name), pam(2)
+        prof = classify(basis)
+        plan = simulate._plan(basis, [i for g in prof.groups for i in g] + list(prof.conditioned))
+        cfg = default_config(basis, (), 1, 0)
+        draws = [noisy_trial(basis, alphabet, cfg, 0.3, [17, t]) for t in range(200)]
+        H = np.stack([h for h, _, _ in draws])
+        Y = np.stack([y for _, _, y in draws])
+        values, B, y = simulate._real_model(Y, H, basis, alphabet, plan.order)
+        Q, R = np.linalg.qr(B, mode="reduced")
+        _, zero_mask, deficient = _thresholded_r(R)
+        assert B.flags.c_contiguous
+        for t in range(len(draws)):
+            _, B1, y1 = simulate._real_model(Y[t], H[t], basis, alphabet, plan.order)
+            Q1, R1 = np.linalg.qr(B1, mode="reduced")
+            _, zero_mask1, deficient1 = _thresholded_r(R1)
+            ref_B, ref_y, _, _, ref_z = one_trial_stages(Y[t], H[t], basis, plan.order)
+            assert B1.flags.c_contiguous
+            assert same_bits(B[t], B1) and same_bits(B1, ref_B)
+            assert same_bits(y[t], y1) and same_bits(y1, ref_y)
+            assert same_bits(Q[t], Q1) and same_bits(R[t], R1)
+            assert same_bits(zero_mask[t], zero_mask1) and deficient[t] == deficient1
+        if name == "iterated":  # its real span is deficient: so is every channel
+            assert deficient.all()
+            with pytest.raises(ValueError, match="rank-deficient"):
+                simulate._sphere_stages(Y, H, basis, alphabet, plan)
+            with pytest.raises(ValueError, match="rank-deficient"):
+                sphere_decode(Y[0], H[0], basis, alphabet, plan.order)
+            return
+        _, _, _, R_blocks, z_blocks = simulate._sphere_stages(Y, H, basis, alphabet, plan)
+        for t in range(len(draws)):
+            _, B1, y1, R1_blocks, z1_blocks = simulate._sphere_stages(
+                Y[t], H[t], basis, alphabet, plan
+            )
+            _, _, _, ref_R, ref_z = one_trial_stages(Y[t], H[t], basis, plan.order)
+            for (block, _), R_b, z_b, R1_b, z1_b in zip(
+                plan.blocks, R_blocks, z_blocks, R1_blocks, z1_blocks
+            ):
+                assert same_bits(R_b[t], R1_b) and same_bits(R1_b, ref_R[np.ix_(block, block)])
+                assert same_bits(z_b[t], z1_b) and same_bits(z1_b, ref_z[block])
+            s_hat, coeffs, nodes = simulate._sphere_search(
+                [R_b[t] for R_b in R_blocks], [z_b[t] for z_b in z_blocks], values, plan
+            )
+            resid = y[t] - B[t] @ s_hat
+            stacked = (coeffs, float(resid @ resid).hex(), nodes)
+            one = sphere_decode(Y[t], H[t], basis, alphabet, plan.order)
+            ref = one_trial_decode(Y[t], H[t], basis, alphabet, plan.order)
+            assert stacked == (one.coeffs, one.metric.hex(), one.nodes_visited)
+            assert stacked == (ref.coeffs, ref.metric.hex(), ref.nodes_visited)
+
+
 def perturbed_alamouti(eps):
     """Alamouti with eps * B_0 added to B_1: only weights 0 and 1 couple,
     with a coupling of relative size about eps."""
@@ -1045,6 +1141,42 @@ class TestCampaign:
         cfg = default_config(basis, snrs, trials=30, seed=seed)
         csv = run_campaign(basis, pam(alphabet), cfg, decoder=decoder).to_csv()
         assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("decoder", ["ml", "both"])
+    def test_ml_guard_fails_before_calibrating(self, decoder, monkeypatch):
+        basis = code("mimo_relay")  # 4^24 grid points
+        cfg = default_config(basis, (10.0,), trials=5, seed=0)
+        calls = []
+        estimate = simulate._mean_signal_power
+
+        def counted(*args):
+            calls.append(args)
+            return estimate(*args)
+
+        monkeypatch.setattr(simulate, "_mean_signal_power", counted)
+        with pytest.raises(ValueError, match="2\\^24 guard"):
+            run_campaign(basis, pam(4), cfg, decoder=decoder, calibration_samples=10_000)
+        assert calls == []
+
+    def test_one_qr_per_block_of_trials(self, monkeypatch):
+        basis = code("mimo_relay")
+        cfg = default_config(basis, (0.0, 10.0), trials=60, seed=0)
+        calls = []
+        real = np.linalg.qr
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        run_campaign(basis, pam(2), cfg, decoder="sphere", calibration_samples=10_000)
+        # A block holds about _BLOCK_BYTES of B_H, Q and R: 8 k (2 dim + k)
+        # bytes a trial, 37 trials for mimo_relay.
+        dim = 2 * cfg.n_r * basis.T
+        per_block = lattice._BLOCK_BYTES // (8 * basis.k * (2 * dim + basis.k))
+        assert 1 < per_block < cfg.trials
+        blocks = [(per_block, dim, basis.k), (cfg.trials - per_block, dim, basis.k)]
+        assert calls == blocks * len(cfg.snr_db_grid)
 
     def test_rejects_unknown_decoder(self):
         basis = code("alamouti")
