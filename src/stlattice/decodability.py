@@ -270,8 +270,17 @@ SIGMA_H = 1.0 / np.sqrt(2.0)  # channel scale per real dimension: E|h|^2 = 1
 
 def _rayleigh(shape, rng, sigma_h: float) -> np.ndarray:
     """Rayleigh channels of any shape: independent N(0, sigma_h^2) real and
-    imaginary parts, the real parts drawn first."""
-    return sigma_h * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    imaginary parts, the real parts drawn first.
+
+    sigma_h times each draw is written straight into its half of one
+    complex array, so only one draw is held beside it.  That equals
+    sigma_h * (re + 1j * im) bit for bit, except that a draw of exactly
+    +-0 may come out with the other sign of zero.
+    """
+    H = np.empty(shape, dtype=complex)
+    np.multiply(rng.normal(size=shape), sigma_h, out=H.real)
+    np.multiply(rng.normal(size=shape), sigma_h, out=H.imag)
+    return H
 
 
 def sample_r_matrix(

@@ -211,32 +211,41 @@ def _mixed_radix(values, k: int, start: int, stop: int, chunk: int):
     and is filled with them.  Any other column is periodic: one period of
     its cycle, tabulated once per call, is copied in from the block's
     offset, and the filled prefix is doubled until the column is full.
+
+    One block is held at a time: each is built in _radix_block, so the
+    generator keeps no name bound to a block it has yielded.
     """
     base = len(values)
     runs = [base ** (k - 1 - j) for j in range(k)]
     longest = min(chunk, stop - start)
     cycles = {run: np.repeat(values, run) for run in runs if run < longest}
     for lo in range(start, stop, chunk):
-        n = min(chunk, stop - lo)
-        block = np.empty((k, n), dtype=values.dtype)
-        for col, run in zip(block, runs):
-            digit, into = divmod(lo % (base * run), run)
-            if run not in cycles:
-                head = min(run - into, n)
-                col[:head] = values[digit]
-                col[head:] = values[(digit + 1) % base]
-                continue
-            cycle = cycles[run]
-            at = digit * run + into
-            head = min(len(cycle) - at, n)
-            col[:head] = cycle[at : at + head]
-            filled = min(len(cycle), n)
-            col[head:filled] = cycle[: filled - head]
-            while filled < n:
-                step = min(filled, n - filled)
-                col[filled : filled + step] = col[:step]
-                filled += step
-        yield block.T
+        yield _radix_block(values, runs, cycles, lo, min(chunk, stop - lo))
+
+
+def _radix_block(values, runs, cycles, lo: int, n: int) -> np.ndarray:
+    """The n rows of _mixed_radix from index lo, as the transpose of a
+    digit-major block."""
+    base = len(values)
+    block = np.empty((len(runs), n), dtype=values.dtype)
+    for col, run in zip(block, runs):
+        digit, into = divmod(lo % (base * run), run)
+        if run not in cycles:
+            head = min(run - into, n)
+            col[:head] = values[digit]
+            col[head:] = values[(digit + 1) % base]
+            continue
+        cycle = cycles[run]
+        at = digit * run + into
+        head = min(len(cycle) - at, n)
+        col[:head] = cycle[at : at + head]
+        filled = min(len(cycle), n)
+        col[head:filled] = cycle[: filled - head]
+        while filled < n:
+            step = min(filled, n - filled)
+            col[filled : filled + step] = col[:step]
+            filled += step
+    return block.T
 
 
 def _check_bound(bound: int) -> None:
@@ -250,7 +259,8 @@ def _coefficient_box(k: int, bound: int):
     Only one representative of each antipodal pair {z, -z} is produced (the
     determinant modulus and the rank are symmetric under negation), realized
     by enumerating the lexicographic first half of the box.  The box may
-    hold at most 2 * MAX_CANDIDATES nonzero vectors.
+    hold at most 2 * MAX_CANDIDATES nonzero vectors.  One chunk is held at
+    a time, as _mixed_radix yields them.
     """
     _check_bound(bound)
     base = 2 * bound + 1
@@ -273,7 +283,11 @@ def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
     Each chunk is cut into blocks of about _BLOCK_BYTES of codewords, at
     least one row, and every block is formed, reduced and checked against
     stop before the next, so no reduction streams a whole chunk through
-    memory.  The producers and their chunks are unchanged.
+    memory.  A chunk of integers is converted to float one block at a time,
+    so its float form is never built whole (for a float chunk the
+    conversion is a no-op).  The sweep drops a finished chunk before it
+    asks for the next, so with a producer that keeps none, one chunk is
+    held at a time.
 
     The codewords are one real product of z with the stack's float view,
     viewed back as complex.  With z real, a complex tensordot would add the
@@ -287,12 +301,19 @@ def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
     for chunk in chunks:
         empty = False
         for lo in range(0, len(chunk), rows):
-            best = min(best, reduce((chunk[lo : lo + rows] @ flat).view(complex).reshape(shape)))
+            best = min(best, reduce(_codewords(chunk[lo : lo + rows], flat, shape)))
             if stop is not None and best <= stop:
                 return best
+        del chunk
     if empty:
         raise ValueError("no coefficient vector to search: the bound is 0 or none was requested")
     return best
+
+
+def _codewords(z: np.ndarray, flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The codewords of the coefficient rows z, converted to float here: z
+    times the stack's float view, viewed back as complex in shape."""
+    return (z.astype(float, copy=False) @ flat).view(complex).reshape(shape)
 
 
 #: Bound, relative to ||X||_F^(2n), on how far the closed form and LAPACK
@@ -452,7 +473,9 @@ def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
 
 def _sparse_box(k: int, bound: int, max_nonzeros: int):
     """Yield chunks of the vectors with 1..max_nonzeros nonzero entries in
-    [-bound, bound], one of each antipodal pair (positive first nonzero)."""
+    [-bound, bound], one of each antipodal pair (positive first nonzero).
+    One chunk is held at a time: each is built in _scatter, so the
+    generator keeps no name bound to a chunk it has yielded."""
     base = 2 * bound
     vals = np.delete(np.arange(-bound, bound + 1.0), bound)
     for nnz in range(1, max_nonzeros + 1):
@@ -462,23 +485,33 @@ def _sparse_box(k: int, bound: int, max_nonzeros: int):
             supports = itertools.combinations(range(k), nnz)
             per_chunk = _CHUNK // len(values)  # >= 1: values has at most _CHUNK rows
             while block := list(itertools.islice(supports, per_chunk)):
-                cols = np.repeat(np.array(block), len(values), axis=0)
-                z = np.zeros((len(cols), k))
-                np.put_along_axis(z, cols, np.tile(values, (len(block), 1)), axis=1)
-                yield z
+                yield _scatter(k, block, values)
+
+
+def _scatter(k: int, supports: list, values: np.ndarray) -> np.ndarray:
+    """Rows of length k holding each row of values at each support, support
+    by support."""
+    cols = np.repeat(np.array(supports), len(values), axis=0)
+    z = np.zeros((len(cols), k))
+    np.put_along_axis(z, cols, np.tile(values, (len(supports), 1)), axis=1)
+    return z
 
 
 def _random_box(k: int, bound: int, n_random: int, seed: int):
-    """Yield seeded uniform draws from the box, zero vectors dropped."""
+    """Yield seeded uniform draws from the box as int64 rows, zero vectors
+    dropped; _sweep converts them to float block by block.  One chunk is
+    held at a time: the generator drops each chunk it has yielded before it
+    draws the next."""
     rng = np.random.default_rng(seed)
     for lo in range(0, n_random, _CHUNK):
         size = min(_CHUNK, n_random - lo)
-        chunk = rng.integers(-bound, bound + 1, size=(size, k)).astype(float)
+        chunk = rng.integers(-bound, bound + 1, size=(size, k))
         nonzero = np.any(chunk, axis=1)
         if not nonzero.all():
             chunk = chunk[nonzero]
         if len(chunk):
             yield chunk
+        del chunk
 
 
 def min_rank_sampled(

@@ -186,10 +186,11 @@ def _mean_signal_power(
 
     The stream is seeded by cfg.seed alone, so the estimate does not depend
     on the SNR it is used for.  Each chunk of 20,000 samples draws symbols,
-    then channels, and sums |HX|^2 over the chunk.  The codewords are built
-    _BLOCK samples at a time from the nonzero weights of the stack's float
-    view, each entry adding its rounded products in ascending k: the bits of
-    a real einsum over every k, since a zero product leaves a sum unchanged.
+    then channels, and sums |HX|^2 over the chunk (_chunk_power); one chunk
+    is held at a time.  The codewords are built _BLOCK samples at a time
+    from the nonzero weights of the stack's float view, each entry adding
+    its rounded products in ascending k: the bits of a real einsum over
+    every k, since a zero product leaves a sum unchanged.
     """
     if (cfg.n_t, cfg.T) != (basis.n_t, basis.T):
         raise ValueError(
@@ -204,14 +205,20 @@ def _mean_signal_power(
     rng = np.random.default_rng([cfg.seed, _CALIBRATION_STREAM])
     total = 0.0
     for done in range(0, samples, 20_000):
-        n = min(20_000, samples - done)
-        s = rng.choice(values, size=(n, basis.k))
-        H = _rayleigh((n, cfg.n_r, cfg.n_t), rng, SIGMA_H)
-        power = np.empty((n, cfg.n_r, basis.T))
-        for rows, X in _codeword_blocks(s, basis._stack):
-            power[rows] = np.abs(H[rows] @ X) ** 2
-        total += float(np.sum(power))
+        total += _chunk_power(basis, values, cfg, rng, min(20_000, samples - done))
     return total / samples
+
+
+def _chunk_power(basis: WeightBasis, values, cfg: ChannelConfig, rng, n: int) -> float:
+    """The sum of |HX|^2 over one chunk of n samples, symbols drawn before
+    channels.  |HX|^2 is formed in place, block by block, and the chunk's
+    arrays are freed on return, before the next chunk is drawn."""
+    s = rng.choice(values, size=(n, basis.k))
+    H = _rayleigh((n, cfg.n_r, cfg.n_t), rng, SIGMA_H)
+    power = np.empty((n, cfg.n_r, basis.T))
+    for rows, X in _codeword_blocks(s, basis._stack):
+        np.square(np.abs(H[rows] @ X, out=power[rows]), out=power[rows])
+    return float(np.sum(power))
 
 
 def calibrate_noise(
@@ -420,10 +427,22 @@ class _Plan:
 
 
 def _plan(basis: WeightBasis, ordering) -> _Plan:
-    """The orthogonality graph's components (decodability._graph) at their
-    columns under the ordering, as blocks in order of their lowest column."""
+    """The decode plan of the ordering, which is validated on every call.
+    The plan of the last ordering asked for is kept on the basis, beside
+    the orthogonality graph it was built from."""
     order = _check_ordering(ordering, basis.k)
-    comp_of = {s: c for c, m in enumerate(_graph(basis)[1]) for s in _mask_to_indices(m)}
+    graph = _graph(basis)
+    kept = getattr(basis, "_decode_plan", None)
+    if kept is None or kept[0] is not graph or kept[1].order != order:
+        kept = graph, _build_plan(graph[1], order)
+        object.__setattr__(basis, "_decode_plan", kept)
+    return kept[1]
+
+
+def _build_plan(components, order: tuple) -> _Plan:
+    """The graph's components (bitmasks) at their columns under the order,
+    as blocks in order of their lowest column."""
+    comp_of = {s: c for c, m in enumerate(components) for s in _mask_to_indices(m)}
     # comp_at[p]: the component of the symbol in column p
     comp_at = np.array([comp_of[s] for s in order])
     cols = [np.flatnonzero(comp_at == c) for c in dict.fromkeys(comp_at.tolist())]

@@ -15,6 +15,7 @@ import pytest
 
 from stlattice import codebook, decodability
 from stlattice.decodability import (
+    SIGMA_H,
     DecodabilityProfile,
     _adjacency_bits,
     _default_n_r,
@@ -551,6 +552,44 @@ class TestSampleRMatrix:
         sampled = sample_r_matrix(basis)
         assert np.array_equal(sampled.R, acc / 20)
         assert np.array_equal(sampled.zero_mask, mask)
+
+
+def old_rayleigh(shape, rng, sigma_h):
+    """The Rayleigh draw as one complex expression, with its temporaries."""
+    return sigma_h * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+class TestRayleigh:
+    """_rayleigh fills one complex array in place; it must keep the bits of
+    the complex expression and leave the stream where that left it."""
+
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2), (4, 4), (7, 1, 2), (300, 2, 4)])
+    @pytest.mark.parametrize("sigma_h", [decodability.SIGMA_H, 1.0, 0.3])
+    def test_equals_the_complex_expression(self, shape, sigma_h):
+        for seed in (0, 1, 7, [16001, 0x5EED], [3, 1, 4]):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = decodability._rayleigh(shape, rng, sigma_h)
+            want = old_rayleigh(shape, ref, sigma_h)
+            assert got.dtype == want.dtype and got.shape == want.shape == shape
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+            assert rng.normal(size=5).tobytes() == ref.normal(size=5).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    def test_keeps_the_channel_samplers_bits(self, name):
+        basis, _ = zoo(name)
+        cfg = default_config(basis, (), trials=0, seed=0)
+        for key in ([0, 0, 0], [5, 2, 9], 11):
+            want = old_rayleigh((cfg.n_r, cfg.n_t), np.random.default_rng(key), SIGMA_H)
+            assert draw_channel(cfg, key).tobytes() == want.tobytes()
+        acc = mask = None
+        for trial in range(5):
+            H = old_rayleigh((cfg.n_r, cfg.n_t), np.random.default_rng([3, trial]), SIGMA_H)
+            prof = r_matrix(basis, H)
+            acc = np.abs(prof.R) if acc is None else acc + np.abs(prof.R)
+            mask = prof.zero_mask if mask is None else (mask & prof.zero_mask)
+        sampled = sample_r_matrix(basis, trials=5, seed=3)
+        assert sampled.R.tobytes() == (acc / 5).tobytes()
+        assert sampled.zero_mask.tobytes() == mask.tobytes()
 
 
 class TestOrthogonalityImpliesZeroEntry:

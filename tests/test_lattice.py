@@ -8,6 +8,7 @@ were independently brute-forced before being frozen here.
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -551,21 +552,74 @@ class TestBoxProducers:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("k", [3, 16])
     def test_random_box_rows_are_the_filtered_draws(self, k, seed):
-        # k = 3 draws zero rows in every chunk, k = 16 (3^-16 a row) none
+        # k = 3 draws zero rows in every chunk, k = 16 (3^-16 a row) none.
+        # The rows are the int64 draws; _sweep converts them block by block.
         n_random = 2 * lattice._CHUNK + 5
         rng = np.random.default_rng(seed)
         want = []
         for lo in range(0, n_random, lattice._CHUNK):
             size = min(lattice._CHUNK, n_random - lo)
-            chunk = rng.integers(-1, 2, size=(size, k)).astype(float)
+            chunk = rng.integers(-1, 2, size=(size, k))
             want.append(chunk[np.any(chunk, axis=1)])
         got = list(lattice._random_box(k, 1, n_random, seed))
         assert [len(c) for c in got] == [len(c) for c in want]
+        assert all(g.dtype == w.dtype == np.int64 for g, w in zip(got, want))
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
         assert all(len(c) < lattice._CHUNK for c in got[:2]) == (k == 3)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_integer_rows_give_the_float_rows_codewords(self, monkeypatch, name):
+        # _sweep converts each block of int64 draws to float; every block
+        # must reach the reduction with the bits of the float chunk's block.
+        monkeypatch.setattr(lattice, "_CHUNK", 300)
+        basis = build(name)
+        rows = lattice._BLOCK_BYTES // (16 * basis.n_t * basis.T)
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", min(rows, 128) * 16 * basis.n_t * basis.T)
+        draws = list(lattice._random_box(basis.k, 2, 700, 5))
+        assert len(draws) == 3 and all(c.dtype == np.int64 for c in draws)
+
+        def blocks(chunks):
+            seen = []
+
+            def record(mats):
+                seen.append(mats.tobytes())
+                return 1
+
+            lattice._sweep(basis, chunks, record, 2)
+            return seen
+
+        got = blocks(iter(draws))
+        assert got == blocks(c.astype(float) for c in draws)
+        assert len(got) == sum(-(-len(c) // min(rows, 128)) for c in draws)
 
     def test_default_cap_covers_the_k16_unit_box(self):
         chunk = next(lattice._coefficient_box(16, 1))
         assert chunk.shape == (lattice._CHUNK, 16)
         with pytest.raises(ValueError, match="exceeds the cap"):
             next(lattice._coefficient_box(24, 1))
+
+
+class TestOneChunkInFlight:
+    """Traced peaks of the box sweeps: a producer that held its last chunk
+    while it built the next, or a float copy of a whole chunk of integer
+    draws, would take each past its bound."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_min_rank_sampled(self):
+        # 500,000 random draws of k = 16: one 65,536-row chunk is 8 MiB.
+        basis = build("srinath_rajan")
+        peak = self.traced_peak(min_rank_sampled, basis, 1, 3, 500_000)
+        assert peak <= 12 * 2**20
+
+    def test_lattice_profile(self):
+        # golden's bound-3 box: one 65,536-row float chunk is 4 MiB.
+        basis = build("golden")
+        assert self.traced_peak(lattice_profile, basis, 3) <= 8 * 2**20
