@@ -4,7 +4,7 @@ The codeword map is linear in the real coefficients, so decoding reduces to
 the real linear model iota(Y) = B_H s + n with B_H = [vec(H B_1) ... ].
 The sphere decoder is exact maximum likelihood: an iterative best-first
 depth-first loop whose radius starts infinite and shrinks at each accepted
-leaf; nodes_visited counts every child whose partial distance was computed.
+leaf; nodes_visited counts the whole alphabet at every expanded node.
 The decoder searches each component of the weights' orthogonality graph (the
 groups classify reports) as its own column block, which is where the
 classified group structure shows up as measured effort.
@@ -24,7 +24,9 @@ could differ in the last bits.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -368,44 +370,102 @@ def _sphere_block(R, z, values, lex_perm):
 
     An iterative Schnorr-Euchner loop (Agrell, Eriksson, Vardy and Zeger,
     IEEE T-IT 2002): children are visited in order of increasing partial
-    distance (a stable sort), the radius starts infinite and shrinks to the
-    tie window of the best leaf, and the first child beyond it ends its
-    level.  Of the leaves in the final window, the lexicographically smallest
-    in the coefficients' original positions wins.  nodes_visited counts
-    every child whose partial distance was computed: the whole alphabet at
-    each expanded node.
+    distance, equal distances in alphabet order (a stable sort's order), the
+    radius starts infinite and shrinks to the tie window of the best leaf,
+    and the first child beyond it ends its level.  Of the leaves in the
+    final window, the lexicographically smallest in the coefficients'
+    original positions wins.  nodes_visited counts the whole alphabet, L
+    children, at each expanded node.
+
+    Children are generated on demand: a child's distance is computed when
+    the walk reaches it, and most expansions stop after one or two.  A level
+    with R[l, l] < 0 is searched mirrored, on -t and the centres
+    |R[l, l]| v; negation is exact, so every distance (c - t)^2 keeps its
+    bits, and every level's centres ascend in alphabet order.  Rounding is
+    monotone, so the distances are weakly valley-shaped: they fall weakly up
+    to t and rise weakly after it.  A walk outward from t, with a pointer on
+    each side taking the nearer head and the left one on a tie (the lower
+    alphabet index), gives the stable sort's order, unless two children on
+    one side tie: the stable sort takes the lower index first, a walk going
+    left the higher.  Such a tie needs the rounding to merge two distances.
+    With a = |R[l, l]|, g the alphabet's smallest gap and V its largest
+    |value|, it cannot while |t| <= far = a (2^47 g - V) and a g >= 2^-500:
+    each centre and each difference from t is then rounded by under a g / 30,
+    so the differences on one side stay over a g / 2 apart and about
+    2^47 a g at most, and their squares stay normal and apart by far more
+    than a rounding.  An expansion beyond far sorts its distances, as
+    before, and walks them in that order.  R and z are finite, with finite
+    partial distances, as _real_model guarantees.
     """
     kc, L = R.shape[0], len(values)
-    children = range(L)
+    inf = float("inf")
     vals = values.tolist()
-    # R[l, l] * values for every level in one numpy call, however small.
-    centers = (R.diagonal()[:, None] * values).tolist()
+    diag = R.diagonal().tolist()
+    flip = [a < 0 for a in diag]
+    # The centres |R[l, l]| * v, between the walks' infinite sentinels, which
+    # no finite radius takes.
+    walks = [[-inf, *[abs(a) * v for v in vals], inf] for a in diag]
+    walk_vals = [0.0, *vals, 0.0]
+    gap = min(map(sub, vals[1:], vals), default=inf)
+    reach = gap * 2.0**47 - max(map(abs, vals))
+    far = [abs(a) * reach if abs(a) * gap >= 2.0**-500 else -1.0 for a in diag]
     s = np.zeros(kc)
-    # R[l, l+1:] @ s[l+1:] stays a numpy dot, bound to views made once: a
-    # Python sum rounds differently and would move ties and nodes_visited.
+    # R[l, l+1:] @ s[l+1:] stays a numpy dot, bound to views made once.  A
+    # Python sum could round differently: numpy's 1-D dot is itself
+    # kernel-dependent, and differs from a left-to-right sum from length 2
+    # under OpenBLAS's SkylakeX kernel and from length 3 under Prescott, but
+    # matches it below length 16 under Haswell and SandyBridge.
     interference = [R[l, l + 1 :].dot for l in range(kc)]
     above = [s[l + 1 :] for l in range(kc)]
-    dists, partials, pending = [None] * kc, [0.0] * kc, [None] * kc
-    radius = best_metric = np.inf
+    frames = []
+    radius = best_metric = inf
     near, nodes = [], 0
-    level, nd = kc, 0.0
+    level, partial = kc - 1, 0.0
     while True:
-        # Expand the child just fixed one level up, at partial distance nd.
-        level -= 1
+        # Expand the node fixed one level up, at partial distance `partial`:
+        # the walk's heads are the centres either side of t.
         t = z[level] - float(interference[level](above[level]))
-        d = [(c - t) * (c - t) for c in centers[level]]
+        if flip[level]:
+            t = -t
         nodes += L
-        dists[level] = d
-        partials[level] = nd
-        pending[level] = iter(sorted(children, key=d.__getitem__))
+        if abs(t) <= far[level]:
+            cl, vl = walks[level], walk_vals
+            hi = bisect_left(cl, t)
+            lo = hi - 1
+        else:
+            # The stable sort's order, walked as one side.
+            row = walks[level][1:-1]
+            d = [(c - t) * (c - t) for c in row]
+            order = sorted(range(L), key=d.__getitem__)
+            cl = [-inf, *[row[i] for i in order], inf]
+            vl = [0.0, *[vals[i] for i in order], 0.0]
+            lo, hi = 0, 1
+        e = cl[lo] - t
+        d_lo = e * e
+        e = cl[hi] - t
+        d_hi = e * e
         while True:
-            ci = next(pending[level], None)
-            if ci is None or (nd := partials[level] + dists[level][ci]) > radius:
+            # The next child is the nearer head, the left one on a tie.
+            if d_lo <= d_hi:
+                nd = partial + d_lo
+                if nd <= radius:
+                    s[level] = vl[lo]
+                    lo -= 1
+                    e = cl[lo] - t
+                    d_lo = e * e
+            else:
+                nd = partial + d_hi
+                if nd <= radius:
+                    s[level] = vl[hi]
+                    hi += 1
+                    e = cl[hi] - t
+                    d_hi = e * e
+            if nd > radius:
                 level += 1
                 if level == kc:
                     return min(near, key=lambda leaf: tuple(leaf[1][lex_perm]))[1], nodes
+                cl, vl, t, lo, hi, d_lo, d_hi, partial = frames.pop()
                 continue
-            s[level] = vals[ci]
             if level:
                 break
             if nd < best_metric:
@@ -413,6 +473,9 @@ def _sphere_block(R, z, values, lex_perm):
                 radius = nd * (1.0 + _TIE_TOL)
                 near = [leaf for leaf in near if leaf[0] <= radius]
             near.append((nd, s.copy()))
+        frames.append((cl, vl, t, lo, hi, d_lo, d_hi, partial))
+        level -= 1
+        partial = nd
 
 
 @dataclass(frozen=True)

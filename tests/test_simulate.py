@@ -712,6 +712,149 @@ class TestSphereDecodeIsExact:
         assert sp.nodes_visited % alphabet.size == 0
 
 
+def reference_sphere_block(R, z, values, lex_perm):
+    """simulate._sphere_block as it was before its children were walked
+    outward from t: every expansion computes all L distances and visits the
+    children in the order of a stable sort on them."""
+    kc, L = R.shape[0], len(values)
+    children = range(L)
+    vals = values.tolist()
+    centers = (R.diagonal()[:, None] * values).tolist()
+    s = np.zeros(kc)
+    interference = [R[l, l + 1 :].dot for l in range(kc)]
+    above = [s[l + 1 :] for l in range(kc)]
+    dists, partials, pending = [None] * kc, [0.0] * kc, [None] * kc
+    radius = best_metric = np.inf
+    near, nodes = [], 0
+    level, nd = kc, 0.0
+    while True:
+        level -= 1
+        t = z[level] - float(interference[level](above[level]))
+        d = [(c - t) * (c - t) for c in centers[level]]
+        nodes += L
+        dists[level] = d
+        partials[level] = nd
+        pending[level] = iter(sorted(children, key=d.__getitem__))
+        while True:
+            ci = next(pending[level], None)
+            if ci is None or (nd := partials[level] + dists[level][ci]) > radius:
+                level += 1
+                if level == kc:
+                    return min(near, key=lambda leaf: tuple(leaf[1][lex_perm]))[1], nodes
+                continue
+            s[level] = vals[ci]
+            if level:
+                break
+            if nd < best_metric:
+                best_metric = nd
+                radius = nd * (1.0 + simulate._TIE_TOL)
+                near = [leaf for leaf in near if leaf[0] <= radius]
+            near.append((nd, s.copy()))
+
+
+WALK_ALPHABETS = ((-1, 1), (-3, -1, 1, 3), (-2, 0, 2), (-5, -1, 1, 5))
+
+
+@st.composite
+def search_blocks(draw):
+    """One block's R (upper triangular, k <= 5, diagonal entries of both
+    signs), Q^T y, sorted alphabet and lexicographic order, R and Q^T y
+    scaled by 2^e with |e| <= 40.  Gaussian R with noisy, zero or far
+    (|z_l| from 2^45 to 2^60 |R_ll|; past about 2^50 the rounding merges
+    distances) Q^T y;
+    or integer R with Q^T y at exact midpoints of the lattice, where the
+    distances tie across t."""
+    values = np.array(draw(st.sampled_from(WALK_ALPHABETS)), dtype=float)
+    kc = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(("noisy", "zero", "far", "integer_midpoint")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], kc)
+    if kind == "integer_midpoint":
+        R = np.triu(rng.integers(-2, 3, (kc, kc))).astype(float)
+        R[np.diag_indices(kc)] = signs * rng.integers(1, 3, kc)
+        z = R @ (rng.choice(values, kc) + rng.choice(values, kc)) / 2
+    else:
+        R = np.triu(rng.normal(size=(kc, kc)))
+        R[np.diag_indices(kc)] = signs * (0.1 + np.abs(rng.normal(size=kc)))
+        if kind == "noisy":
+            z = R @ rng.choice(values, kc) + rng.choice([0.1, 1.0, 3.0]) * rng.normal(size=kc)
+        elif kind == "zero":
+            z = np.zeros(kc)
+        else:
+            z = R.diagonal() * rng.uniform(-1, 1, kc) * 2.0 ** rng.integers(45, 61, kc)
+    scale = 2.0 ** draw(st.integers(-40, 40))
+    return R * scale, (z * scale).tolist(), values, rng.permutation(kc)
+
+
+class SpyRow(np.ndarray):
+    """An R whose rows record, at each expansion, the symbols fixed above
+    the expanded node."""
+
+    def dot(self, other):
+        SpyRow.seen.append(tuple(other.tolist()))
+        return np.ndarray.dot(self, other)
+
+
+def expansions(search, R, z, values, lex_perm):
+    """search's result, and the symbols above each node it expanded, in the
+    order it expanded them."""
+    SpyRow.seen = []
+    result = search(R.view(SpyRow), z, values, lex_perm)
+    return result, SpyRow.seen
+
+
+def top_level_order(search, r, t, values):
+    """The top level's children, in the order `search` expands them, of the
+    2 x 2 block whose top level has R_11 = r and sees t.  The lower level
+    sits 2^20 from every centre, so every leaf's metric is about 2^40 and
+    the tie window lets every top-level child be expanded."""
+    R = np.array([[1.0, 0.0], [0.0, r]])
+    _, seen = expansions(search, R, [2.0**20, t], values, np.arange(2))
+    return [above[0] for above in seen if above]
+
+
+def stable_sort_order(r, t, values):
+    d = [(c - t) * (c - t) for c in (r * values).tolist()]
+    return [values.tolist()[i] for i in sorted(range(len(values)), key=d.__getitem__)]
+
+
+class TestSphereWalk:
+    """_sphere_block walks each level's children outward from t instead of
+    sorting their distances; it visits the same nodes in the same order."""
+
+    @given(search_blocks())
+    def test_matches_the_sorted_loop(self, block):
+        (s, nodes), walked = expansions(simulate._sphere_block, *block)
+        (s_ref, nodes_ref), sorted_ = expansions(reference_sphere_block, *block)
+        assert s.tobytes() == s_ref.tobytes()
+        assert nodes == nodes_ref
+        assert walked == sorted_
+
+    @pytest.mark.parametrize("r", [0.75, -0.75, 2.0**-30, -4.0])
+    def test_a_cross_side_tie_takes_the_lower_index(self, r):
+        # t = 0 lies exactly between the centres of -1 and 1, and of -3 and
+        # 3: the stable sort takes -1 before 1 and -3 before 3.
+        values = np.array([-3.0, -1.0, 1.0, 3.0])
+        expected = stable_sort_order(r, 0.0, values)
+        assert expected == [-1.0, 1.0, -3.0, 3.0]
+        assert top_level_order(reference_sphere_block, r, 0.0, values) == expected
+        assert top_level_order(simulate._sphere_block, r, 0.0, values) == expected
+
+    @pytest.mark.parametrize("r", [0.75, -0.75, 1.0, -1.0])
+    @pytest.mark.parametrize("values", [(-3.0, -1.0, 1.0, 3.0), (-5.0, -1.0, 1.0, 5.0)])
+    def test_a_same_side_tie_follows_the_stable_sort(self, r, values):
+        # At t = 2^55 R_11 the centres all lie on one side of t, and the
+        # rounding merges their differences from t, so distances tie.  A walk
+        # outward from t would meet the tied children from the far end, in
+        # descending alphabet order; the stable sort takes them ascending.
+        values = np.array(values)
+        t = 2.0**55 * r
+        expected = stable_sort_order(r, t, values)
+        assert expected != values[::-1].tolist()
+        assert top_level_order(reference_sphere_block, r, t, values) == expected
+        assert top_level_order(simulate._sphere_block, r, t, values) == expected
+
+
 def per_block_qr_decode(Y, H, basis, alphabet, ordering=None):
     """sphere_decode as it was when every block of a split R was factorised
     again from its own columns of B_H."""
