@@ -402,12 +402,14 @@ def _sphere_block(R, z, values, lex_perm):
     vals = values.tolist()
     diag = R.diagonal().tolist()
     flip = [a < 0 for a in diag]
-    # The centres |R[l, l]| * v, between the walks' infinite sentinels, which
-    # no finite radius takes.
+    # The centres |R[l, l]| * v, between infinite sentinels.  No walk takes
+    # one: the radius is finite from the first leaf on, before any level can
+    # run out of children.
     walks = [[-inf, *[abs(a) * v for v in vals], inf] for a in diag]
     walk_vals = [0.0, *vals, 0.0]
     gap = min(map(sub, vals[1:], vals), default=inf)
     reach = gap * 2.0**47 - max(map(abs, vals))
+    # Within far no two children on one side of t tie; -1 sorts every time.
     far = [abs(a) * reach if abs(a) * gap >= 2.0**-500 else -1.0 for a in diag]
     s = np.zeros(kc)
     # R[l, l+1:] @ s[l+1:] stays a numpy dot, bound to views made once.  A

@@ -788,19 +788,22 @@ def search_blocks(draw):
 
 class SpyRow(np.ndarray):
     """An R whose rows record, at each expansion, the symbols fixed above
-    the expanded node."""
+    the expanded node, in the list `seen` that its views share."""
+
+    def __array_finalize__(self, obj):
+        self.seen = getattr(obj, "seen", None)
 
     def dot(self, other):
-        SpyRow.seen.append(tuple(other.tolist()))
+        self.seen.append(tuple(other.tolist()))
         return np.ndarray.dot(self, other)
 
 
 def expansions(search, R, z, values, lex_perm):
     """search's result, and the symbols above each node it expanded, in the
     order it expanded them."""
-    SpyRow.seen = []
-    result = search(R.view(SpyRow), z, values, lex_perm)
-    return result, SpyRow.seen
+    spy = R.view(SpyRow)
+    spy.seen = []
+    return search(spy, z, values, lex_perm), spy.seen
 
 
 def top_level_order(search, r, t, values):
@@ -814,8 +817,9 @@ def top_level_order(search, r, t, values):
 
 
 def stable_sort_order(r, t, values):
+    vals = values.tolist()
     d = [(c - t) * (c - t) for c in (r * values).tolist()]
-    return [values.tolist()[i] for i in sorted(range(len(values)), key=d.__getitem__)]
+    return [vals[i] for i in sorted(range(len(vals)), key=d.__getitem__)]
 
 
 class TestSphereWalk:
