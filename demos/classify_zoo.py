@@ -42,13 +42,12 @@ print("alamouti orthogonality graph edges:", int(hr.adjacency.sum()) // 2)
 print()
 
 # For a conditional code the structure shows up in the R factor of the
-# equivalent channel.  Order the symbols as the profile suggests
-# (groups first, conditioned last) and average |R| over channels; a dot
-# marks an entry that vanished on every draw.
+# equivalent channel.  Order the symbols as the profile does (groups
+# first, conditioned last) and average |R| over channels; a dot marks an
+# entry that vanished on every draw.
 basis = build("srinath_rajan")
 prof = classify(basis)
-order = tuple(i for g in prof.groups for i in g) + prof.conditioned
-mask = sample_r_matrix(basis, ordering=order, trials=20, seed=3).zero_mask
+mask = sample_r_matrix(basis, ordering=prof.ordering, trials=20, seed=3).zero_mask
 print("srinath_rajan averaged R pattern (x nonzero, . zero):")
 for row in range(basis.k):
     print(" ".join("." if mask[row, col] else "x" for col in range(basis.k)))

@@ -27,8 +27,7 @@ alphabet = pam(4)
 cfg = default_config(basis, snr_db_grid=(0.0, 8.0, 16.0), trials=300, seed=42)
 
 # Decoder agreement on a handful of noisy trials.
-prof = classify(basis)
-order = tuple(i for g in prof.groups for i in g) + prof.conditioned
+order = classify(basis).ordering
 values = np.array(alphabet.values, dtype=float)
 agree = 0
 nodes_sphere = 0

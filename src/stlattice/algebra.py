@@ -163,17 +163,6 @@ class CyclicAlgebra:
                 out[i, j] = self.gamma * v if i < j else v
         return out
 
-    def balanced_rep(self, x) -> np.ndarray:
-        """Determinant-preserving variant of the degree-2 representation."""
-        if self.n != 2:
-            raise ValueError("the balanced representation is defined for degree 2")
-        x = self.element(x)
-        rows = self.sigma_rows()
-        t = np.sqrt(complex(-self.gamma))
-        x0, x1 = self.full_emb[rows[0]] @ x[0], self.full_emb[rows[0]] @ x[1]
-        sx0, sx1 = self.full_emb[rows[1]] @ x[0], self.full_emb[rows[1]] @ x[1]
-        return np.array([[x0, -t * sx1], [t * x1, sx0]])
-
     def multiply(self, x, y) -> np.ndarray:
         """Algebra product of two elements, as coefficient matrices.
 

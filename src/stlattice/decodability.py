@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 TOL = 1e-9
+#: Largest k that gets a separator search: it builds three 2^k-entry int64
+#: tables, 1.5 MiB at k = 16.
 EXACT_SEPARATOR_LIMIT = 16
 
 
@@ -185,24 +187,6 @@ def _grow(comp: np.ndarray, avail: np.ndarray, nbr: np.ndarray) -> np.ndarray:
         comp = nxt
 
 
-def _greedy_separator(bits: list, k: int):
-    """Heuristic separator: repeatedly remove the highest-degree vertex
-    (the lowest index among equals).  Returns (gamma_mask, k_prime,
-    components), or None when no proper subset is found."""
-    avail = (1 << k) - 1
-    gamma = 0
-    while len(comps := _components_of_mask(avail, bits)) < 2:
-        if avail.bit_count() <= 2:
-            return None
-        victim = max(
-            _mask_to_indices(avail),
-            key=lambda v: ((bits[v] & avail).bit_count(), -v),
-        )
-        avail &= ~(1 << victim)
-        gamma |= 1 << victim
-    return gamma, gamma.bit_count() + max(c.bit_count() for c in comps), comps
-
-
 # ----------------------------------------------------------------------
 # R-matrix structure.
 
@@ -334,6 +318,11 @@ class DecodabilityProfile:
         return 100.0 * (1.0 - self.k_prime / self._k)
 
     @property
+    def ordering(self) -> tuple:
+        """The decode ordering: the grouped symbols, then the conditioned."""
+        return tuple(i for g in self.groups for i in g) + self.conditioned
+
+    @property
     def fast_decodable(self) -> bool:
         return self.k_prime < self._k - 2
 
@@ -420,10 +409,11 @@ def classify(basis: WeightBasis, trials: int = 20, seed: int = 0) -> Decodabilit
 
     Components of the orthogonality graph (see hurwitz_radon; built once per
     basis, and the sphere decoder splits on the same components) give
-    parallel groups; a connected graph triggers the separator search (exact
-    up to 16 coefficients, greedy beyond) and the block-orthogonal
-    confirmation against R factors sampled at trials channels from seed.
-    trials must be at least 1.
+    parallel groups.  A connected graph of at most EXACT_SEPARATOR_LIMIT
+    coefficients gets the exact separator search and the block-orthogonal
+    confirmation against R factors sampled at trials channels from seed; a
+    larger one, or one that no separator splits, is family none with
+    k' = k.  trials must be at least 1.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -433,8 +423,7 @@ def classify(basis: WeightBasis, trials: int = 20, seed: int = 0) -> Decodabilit
         k_prime = max(c.bit_count() for c in comps)
         return DecodabilityProfile("multi_group", _sorted_groups(comps), (), k_prime)
 
-    search = _exact_separator if k <= EXACT_SEPARATOR_LIMIT else _greedy_separator
-    found = search(bits, k)
+    found = _exact_separator(bits, k) if k <= EXACT_SEPARATOR_LIMIT else None
     if found is None:
         return DecodabilityProfile("none", (tuple(range(k)),), (), k)
     gamma_mask, k_prime, comps = found

@@ -19,7 +19,6 @@ __all__ = [
     "WeightBasis",
     "LatticeProfile",
     "vectorize",
-    "unvectorize",
     "generator_matrix",
     "lattice_profile",
     "profile_from_generator",
@@ -55,15 +54,6 @@ def _vectorize_stack(U: np.ndarray) -> np.ndarray:
     a fresh (..., 2 * rows * cols) array: the float view of the transposes,
     which run down each column, real part then imaginary part."""
     return np.swapaxes(U, -1, -2).copy().view(float).reshape(*U.shape[:-2], -1)
-
-
-def unvectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vectorize` for a matrix of known shape; each
-    (Re, Im) pair is read in place as one complex, so signed zeros survive."""
-    v = np.array(v, dtype=float).reshape(-1)
-    if v.size != 2 * rows * cols:
-        raise ValueError("vector length does not match the requested shape")
-    return v.view(complex).reshape(cols, rows).T
 
 
 @dataclass(frozen=True)

@@ -620,7 +620,7 @@ def run_campaign(
     Each trial draws its channel, coefficients, and noise from the stream
     seeded by (seed, snr index, trial index), in that order, so results are
     independent of execution schedule.  The sphere decoder runs with the
-    classified group-then-conditioned ordering.
+    classified profile's ordering (groups, then conditioned).
 
     The trials of an SNR point are decoded in blocks of about _BLOCK_BYTES
     of B_H, Q and R factors.  Each block forms its received blocks, real
@@ -640,8 +640,7 @@ def run_campaign(
     if want_ml:
         table = _ml_table(values.astype(float), k)
     if want_sp:
-        prof = classify(basis)
-        plan = _plan(basis, [i for g in prof.groups for i in g] + list(prof.conditioned))
+        plan = _plan(basis, classify(basis).ordering)
     dim = 2 * cfg.n_r * T
     per_block = max(1, _BLOCK_BYTES // (8 * k * (2 * dim + k)))
     mean_sig = _mean_signal_power(basis, alphabet, cfg, calibration_samples)

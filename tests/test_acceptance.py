@@ -7,7 +7,9 @@ a monotonic timer around the computation they name.
 
 The checks deliberately go through the public package surface (build,
 classify, r_matrix, lattice figures, decoders, campaign) rather than
-internals, so a pass here certifies the same code paths a user runs.
+internals, so a pass here certifies the same code paths a user runs.  The
+one exception is codebook._inner, the relay codes' degree-2 block, which
+test_11 checks against the left-regular representation.
 """
 
 import time
@@ -37,6 +39,7 @@ from stlattice import (
     sample_r_matrix,
     sphere_decode,
 )
+from stlattice.codebook import _inner
 
 ZOO = (
     "alamouti",
@@ -65,12 +68,6 @@ def profile(name):
 def channel(basis, n_r, rng):
     """One Rayleigh channel for the basis from the public sampler."""
     return draw_channel(default_config(basis, (), trials=0, seed=0, n_r=n_r), rng)
-
-
-def aligned(prof):
-    """Decoding order implied by a profile: grouped symbols, then the
-    conditioned ones."""
-    return tuple(i for g in prof.groups for i in g) + prof.conditioned
 
 
 def test_01_alamouti_four_groups_and_diagonal_r():
@@ -134,7 +131,7 @@ def test_04_srinath_rajan_profile_and_r_pattern():
     assert prof.k_prime == 10
     assert prof.reduction_pct == 37.5
 
-    order = aligned(prof)
+    order = prof.ordering
     mask = sample_r_matrix(basis, ordering=order, trials=20, seed=3).zero_mask
     k = basis.k
     # Entries the pattern forbids must vanish on every sampled channel.
@@ -225,7 +222,7 @@ def test_10_sphere_decoder_matches_exhaustive_ml():
     runs = (("alamouti", pam(4), 1000, 1, 0.7), ("golden", pam(2), 500, 2, 0.5))
     for name, alphabet, trials, n_r, sigma in runs:
         basis = code(name)
-        order = aligned(profile(name))
+        order = profile(name).ordering
         values = np.array(alphabet.values, dtype=float)
         nodes_sphere = 0
         nodes_ml = 0
@@ -297,13 +294,20 @@ def test_11_structural_property_suite():
         == 12
     )
 
-    # Determinant agreement between the two degree-2 representations.
+    # Determinant agreement between the left-regular representation and
+    # the balanced degree-2 block that the relay codes are built from.
     rng = np.random.default_rng(31)
     for alg in (golden_algebra(), relay_algebra()):
+        t = np.sqrt(complex(-alg.gamma))
         for _ in range(50):
             x = rng.integers(-3, 4, size=(alg.n, alg.dim_L)).astype(float)
             d1 = np.linalg.det(alg.left_regular(x))
-            d2 = np.linalg.det(alg.balanced_rep(x))
+            block = sum(
+                x[comp, b] * _inner(alg.field, 0, b, comp, t)
+                for comp in range(2)
+                for b in range(alg.dim_L)
+            )
+            d2 = np.linalg.det(block)
             assert abs(d1 - d2) <= 1e-9 * max(1.0, abs(d1))
 
 

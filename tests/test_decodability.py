@@ -20,7 +20,6 @@ from stlattice.decodability import (
     _adjacency_bits,
     _default_n_r,
     _exact_separator,
-    _greedy_separator,
     _mask_to_indices,
     bounds_check,
     classify,
@@ -164,8 +163,13 @@ class TestClassifyZoo:
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_groups_and_conditioned_partition_coefficients(self, name):
         basis, prof = zoo(name)
-        members = [i for g in prof.groups for i in g] + list(prof.conditioned)
-        assert sorted(members) == list(range(basis.k))
+        assert sorted(prof.ordering) == list(range(basis.k))
+
+    @pytest.mark.parametrize("name", sorted(FROZEN))
+    def test_ordering_is_groups_then_conditioned(self, name):
+        _, prof = zoo(name)
+        grouped = [i for g in prof.groups for i in g]
+        assert prof.ordering == tuple(grouped) + prof.conditioned
 
     @pytest.mark.parametrize("name", sorted(FROZEN))
     def test_complexity_order_at_most_k(self, name):
@@ -275,45 +279,39 @@ class TestSeparators:
             rest = set(range(k)) - set(expected[1])
             assert component_sets(comps) == set(plain_components(adjacency, rest))
 
-    def test_greedy_separates_or_gives_up(self):
-        for adjacency in self.graphs():
-            k = len(adjacency)
-            found = _greedy_separator(_adjacency_bits(adjacency), k)
-            if len(plain_components(adjacency, range(k))) >= 2:
-                continue  # classify never searches a disconnected graph
-            if found is None:
-                continue
-            gamma_mask, k_prime, comps = found
-            gamma = _mask_to_indices(gamma_mask)
-            rest = set(range(k)) - set(gamma)
-            assert component_sets(comps) == set(plain_components(adjacency, rest))
-            assert len(comps) >= 2
-            assert k_prime == len(gamma) + max(len(_mask_to_indices(c)) for c in comps)
-            assert k_prime >= brute_separator(adjacency)[0]
 
-    def test_greedy_removes_a_star_center(self):
-        adjacency = np.zeros((5, 5), dtype=bool)
-        adjacency[2, :] = adjacency[:, 2] = True
-        adjacency[2, 2] = False
-        gamma_mask, k_prime, comps = _greedy_separator(_adjacency_bits(adjacency), 5)
-        assert _mask_to_indices(gamma_mask) == (2,)
-        assert k_prime == 2
-        assert component_sets(comps) == {frozenset({v}) for v in (0, 1, 3, 4)}
+def hub_and_blocks_basis(per_block):
+    """The 4x4 all-ones hub, then per_block unit weights (E_rc, then i*E_rc,
+    column by column) on each of the two diagonal 2x2 blocks.  The hub
+    touches every weight; without it the graph falls into the blocks'
+    columns, four weights each, so the hub alone is the best separator."""
+    mats = [np.ones((4, 4), dtype=complex)]
+    for off, n in zip((0, 2), per_block):
+        units = []
+        for c, r, z in itertools.product(range(2), range(2), (1, 1j)):
+            W = np.zeros((4, 4), dtype=complex)
+            W[off + r, off + c] = z
+            units.append(W)
+        mats += units[:n]
+    return WeightBasis("hub", mats)
 
-    def test_greedy_cuts_a_path_at_the_first_inner_vertex(self):
-        adjacency = np.zeros((5, 5), dtype=bool)
-        for v in range(4):
-            adjacency[v, v + 1] = adjacency[v + 1, v] = True
-        gamma_mask, k_prime, comps = _greedy_separator(_adjacency_bits(adjacency), 5)
-        # every inner vertex has degree 2; the lowest index goes first
-        assert _mask_to_indices(gamma_mask) == (1,)
-        assert k_prime == 4
-        assert component_sets(comps) == {frozenset({0}), frozenset({2, 3, 4})}
 
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_greedy_finds_nothing_in_a_complete_graph(self, k):
-        adjacency = ~np.eye(k, dtype=bool)
-        assert _greedy_separator(_adjacency_bits(adjacency), k) is None
+class TestSeparatorLimit:
+    def test_beyond_the_limit_a_connected_graph_is_none(self):
+        basis = hub_and_blocks_basis((8, 8))
+        assert basis.k == decodability.EXACT_SEPARATOR_LIMIT + 1
+        prof = classify(basis)
+        assert (prof.family, prof.k_prime) == ("none", 17)
+        assert prof.groups == (tuple(range(17)),) and prof.conditioned == ()
+
+    def test_at_the_limit_the_exact_search_decides(self):
+        basis = hub_and_blocks_basis((8, 7))
+        assert basis.k == decodability.EXACT_SEPARATOR_LIMIT
+        gamma_mask, k_prime, _ = _exact_separator(decodability._graph(basis)[0], basis.k)
+        prof = classify(basis)
+        assert (prof.family, prof.k_prime) == ("conditional_multi_group", k_prime)
+        assert prof.conditioned == _mask_to_indices(gamma_mask) == (0,)
+        assert k_prime == 5
 
 
 def loop_exact_separator(bits, k):
@@ -491,7 +489,7 @@ class TestRMatrix:
 
     def test_srinath_rajan_block_pattern(self):
         basis, prof = zoo("srinath_rajan")
-        ordering = [i for g in prof.groups for i in g] + list(prof.conditioned)
+        ordering = prof.ordering
         sampled = sample_r_matrix(basis, ordering, trials=20, seed=3)
         mask = sampled.zero_mask
         group_of = {}
@@ -602,7 +600,7 @@ class TestOrthogonalityImpliesZeroEntry:
     def test_profile_aligned_ordering(self, name):
         basis, prof = zoo(name)
         hr = hurwitz_radon(basis)
-        ordering = [i for g in prof.groups for i in g] + list(prof.conditioned)
+        ordering = prof.ordering
         pos = {sym: idx for idx, sym in enumerate(ordering)}
         k = basis.k
         n_r = max(1, -(-k // (2 * basis.T)))

@@ -24,7 +24,6 @@ from stlattice.lattice import (
     min_rank_difference,
     min_rank_sampled,
     profile_from_generator,
-    unvectorize,
     vectorize,
 )
 
@@ -67,18 +66,14 @@ class TestVectorize:
                 np.linalg.norm(U, "fro"), rel=1e-12
             )
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(8)
-        U = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        assert np.allclose(unvectorize(vectorize(U), 3, 2), U)
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             vectorize(np.array([[np.nan, 0], [0, 0]]))
 
     @given(finite_matrices())
     def test_round_trip_keeps_every_bit(self, U):
-        back = unvectorize(vectorize(U), *U.shape)
+        # read back as (Re, Im) pairs, column by column: signed zeros survive
+        back = vectorize(U).view(complex).reshape(U.shape[::-1]).T
         assert back.shape == U.shape and back.tobytes() == U.tobytes()
 
 

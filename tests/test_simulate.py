@@ -902,10 +902,7 @@ class TestOneFactorisation:
     )
     def test_matches_a_qr_per_block(self, name, size, ordered):
         basis, alphabet = code(name), pam(size)
-        ordering = None
-        if ordered:
-            prof = classify(basis)
-            ordering = [i for g in prof.groups for i in g] + list(prof.conditioned)
+        ordering = classify(basis).ordering if ordered else None
         cfg = default_config(basis, (), 1, 0)
         for snr in (0.0, 10.0, 20.0):
             sigma_n = calibrate_noise(basis, alphabet, cfg, snr, samples=20_000)
@@ -982,8 +979,7 @@ class TestStackedStages:
     @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
     def test_match_the_one_trial_stages(self, name):
         basis, alphabet = code(name), pam(2)
-        prof = classify(basis)
-        plan = simulate._plan(basis, [i for g in prof.groups for i in g] + list(prof.conditioned))
+        plan = simulate._plan(basis, classify(basis).ordering)
         cfg = default_config(basis, (), 1, 0)
         draws = [noisy_trial(basis, alphabet, cfg, 0.3, [17, t]) for t in range(200)]
         H = np.stack([h for h, _, _ in draws])
@@ -1195,8 +1191,7 @@ class TestCampaign:
         monkeypatch.setattr(simulate, "_mean_signal_power", counted)
         camp = run_campaign(basis, alphabet, cfg, calibration_samples=10_000)
         assert len(calls) == 1
-        prof = classify(basis)
-        ordering = [i for g in prof.groups for i in g] + list(prof.conditioned)
+        ordering = classify(basis).ordering
         rows = []
         for si, snr_db in enumerate(cfg.snr_db_grid):
             sigma_n = calibrate_noise(basis, alphabet, cfg, snr_db, samples=10_000)
