@@ -252,9 +252,10 @@ def _default_n_r(basis: WeightBasis) -> int:
 SIGMA_H = 1.0 / np.sqrt(2.0)  # channel scale per real dimension: E|h|^2 = 1
 
 
-def _rayleigh(shape, rng, sigma_h: float) -> np.ndarray:
+def _rayleigh(shape, rng, sigma_h: float, real=None) -> np.ndarray:
     """Rayleigh channels of any shape: independent N(0, sigma_h^2) real and
-    imaginary parts, the real parts drawn first.
+    imaginary parts, the real parts drawn first.  Given the real parts'
+    standard normal draws already made, it draws the imaginary parts only.
 
     sigma_h times each draw is written straight into its half of one
     complex array, so only one draw is held beside it.  That equals
@@ -262,7 +263,7 @@ def _rayleigh(shape, rng, sigma_h: float) -> np.ndarray:
     +-0 may come out with the other sign of zero.
     """
     H = np.empty(shape, dtype=complex)
-    np.multiply(rng.normal(size=shape), sigma_h, out=H.real)
+    np.multiply(rng.normal(size=shape) if real is None else real, sigma_h, out=H.real)
     np.multiply(rng.normal(size=shape), sigma_h, out=H.imag)
     return H
 

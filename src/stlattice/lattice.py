@@ -489,12 +489,14 @@ def _scatter(k: int, supports: list, values: np.ndarray) -> np.ndarray:
 
 def _random_box(k: int, bound: int, n_random: int, seed: int):
     """Yield seeded uniform draws from the box as int64 rows, zero vectors
-    dropped; _sweep converts them to float block by block.  One chunk is
-    held at a time: the generator drops each chunk it has yielded before it
-    draws the next."""
+    dropped; _sweep converts them to float block by block.  Each call draws
+    about _BLOCK_BYTES of rows, and a split draw continues the same stream.
+    One chunk is held at a time: the generator drops each chunk it has
+    yielded before it draws the next."""
     rng = np.random.default_rng(seed)
-    for lo in range(0, n_random, _CHUNK):
-        size = min(_CHUNK, n_random - lo)
+    per_call = max(1, _BLOCK_BYTES // (8 * k))
+    for lo in range(0, n_random, per_call):
+        size = min(per_call, n_random - lo)
         chunk = rng.integers(-bound, bound + 1, size=(size, k))
         nonzero = np.any(chunk, axis=1)
         if not nonzero.all():

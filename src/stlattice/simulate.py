@@ -164,18 +164,19 @@ def draw_channel(cfg: ChannelConfig, rng_state) -> np.ndarray:
     return _rayleigh((cfg.n_r, cfg.n_t), np.random.default_rng(rng_state), SIGMA_H)
 
 
-def _codeword_blocks(s: np.ndarray, stack: np.ndarray):
-    """Yield (rows, X): the codewords of the symbols s[rows], _BLOCK rows at
-    a time in one reused buffer, from the stack's nonzero real weights only."""
+def _codeword_blocks(values: np.ndarray, digits: np.ndarray, stack: np.ndarray):
+    """Yield (rows, X): the codewords of the symbols values[digits[rows]],
+    _BLOCK rows at a time in one reused buffer, from the stack's nonzero
+    real weights only."""
     flat = stack.view(float).reshape(len(stack), -1)
     depth = np.count_nonzero(flat, axis=0)
     cols = np.flatnonzero(depth)
     # per codeword entry, the k of its nonzero weights ascending, then the rest
     K = np.argsort(flat[:, cols] == 0, axis=0, kind="stable")[: depth.max()]
     W = np.take_along_axis(flat[:, cols], K, axis=0)
-    X = np.zeros((min(_BLOCK, len(s)), *stack.shape[1:]), dtype=complex)
-    for start in range(0, len(s), _BLOCK):
-        block = s[start : start + _BLOCK]
+    X = np.zeros((min(_BLOCK, len(digits)), *stack.shape[1:]), dtype=complex)
+    for start in range(0, len(digits), _BLOCK):
+        block = values[digits[start : start + _BLOCK]]
         acc = sum(block[:, k] * w for k, w in zip(K, W))  # a left fold, k ascending
         X[: len(block)].view(float).reshape(len(block), -1)[:, cols] = acc
         yield slice(start, start + len(block)), X[: len(block)]
@@ -184,7 +185,8 @@ def _codeword_blocks(s: np.ndarray, stack: np.ndarray):
 def _mean_signal_power(
     basis: WeightBasis, alphabet: Alphabet, cfg: ChannelConfig, samples: int
 ) -> float:
-    """Monte Carlo estimate of E||HX||_F^2 over symbols and channels.
+    """Monte Carlo estimate of E||HX||_F^2 over symbols and channels; an
+    estimate that is not above 0 (no signal power) raises.
 
     The stream is seeded by cfg.seed alone, so the estimate does not depend
     on the SNR it is used for.  Each chunk of 20,000 samples draws symbols,
@@ -202,24 +204,32 @@ def _mean_signal_power(
     if samples < 10_000:
         raise ValueError("calibration needs at least 10^4 samples")
     values = np.array(sorted(alphabet.values), dtype=float)
-    if np.max(np.abs(values)) == 0:
-        raise ValueError("the alphabet carries no signal power")
     rng = np.random.default_rng([cfg.seed, _CALIBRATION_STREAM])
     total = 0.0
     for done in range(0, samples, 20_000):
         total += _chunk_power(basis, values, cfg, rng, min(20_000, samples - done))
+    if not total > 0:
+        raise ValueError("the basis and alphabet carry no signal power")
     return total / samples
 
 
 def _chunk_power(basis: WeightBasis, values, cfg: ChannelConfig, rng, n: int) -> float:
     """The sum of |HX|^2 over one chunk of n samples, symbols drawn before
-    channels.  |HX|^2 is formed in place, block by block, and the chunk's
-    arrays are freed on return, before the next chunk is drawn."""
-    s = rng.choice(values, size=(n, basis.k))
-    H = _rayleigh((n, cfg.n_r, cfg.n_t), rng, SIGMA_H)
+    channels.  The symbols are kept as alphabet indices in the smallest
+    unsigned dtype, drawn _BLOCK rows a call: rng.choice(values) is values
+    at rng.integers(0, L), and a split draw continues the same stream.  The
+    channels' real parts are drawn whole, then each block's imaginary parts,
+    and |HX|^2 is formed in place, block by block.  The chunk's arrays are
+    freed on return, before the next chunk is drawn."""
+    L, k = len(values), basis.k
+    digits = np.empty((n, k), dtype=np.min_scalar_type(L))
+    for lo in range(0, n, _BLOCK):
+        digits[lo : lo + _BLOCK] = rng.integers(0, L, size=(min(_BLOCK, n - lo), k))
+    real = rng.normal(size=(n, cfg.n_r, cfg.n_t))
     power = np.empty((n, cfg.n_r, basis.T))
-    for rows, X in _codeword_blocks(s, basis._stack):
-        np.square(np.abs(H[rows] @ X, out=power[rows]), out=power[rows])
+    for rows, X in _codeword_blocks(values, digits, basis._stack):
+        H = _rayleigh(real[rows].shape, rng, SIGMA_H, real[rows])
+        np.square(np.abs(H @ X, out=power[rows]), out=power[rows])
     return float(np.sum(power))
 
 

@@ -257,6 +257,18 @@ class TestSimulate:
         assert code == 0
         assert out.splitlines()[1].startswith("inf,2,0.000000,0.000000,")
 
+    def test_rejects_a_basis_with_no_signal_power(self, capsys, tmp_path):
+        # All-zero weights load from JSON; they calibrated to sigma_n = 0 and
+        # reported cer_ml 1.000000 under a 10 dB label.
+        zero = [[[0.0, 0.0]] * 2] * 2
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"name": "zero", "nt": 2, "T": 2, "k": 2, "mats": [zero] * 2}))
+        code, out, err = run(
+            capsys, "simulate", str(path), "--decoder", "ml", "--snr", "10", "--trials", "2",
+        )
+        assert code == 1 and out == ""
+        assert "no signal power" in err
+
     def test_rejects_bad_snr_list(self, capsys):
         code, _, err = run(
             capsys, "simulate", "alamouti", "--snr", "zero", "--trials", "1",

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stlattice import codebook, decodability
+from stlattice import codebook, decodability, simulate
 from stlattice.decodability import (
     SIGMA_H,
     DecodabilityProfile,
@@ -28,7 +28,7 @@ from stlattice.decodability import (
     sample_r_matrix,
 )
 from stlattice.lattice import WeightBasis
-from stlattice.simulate import default_config, draw_channel
+from stlattice.simulate import default_config, draw_channel, pam
 
 I2 = np.eye(2, dtype=complex)
 
@@ -588,6 +588,33 @@ class TestRayleigh:
         sampled = sample_r_matrix(basis, trials=5, seed=3)
         assert sampled.R.tobytes() == (acc / 5).tobytes()
         assert sampled.zero_mask.tobytes() == mask.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 511, 1025, 20_000])
+    @pytest.mark.parametrize("name", ["golden", "mimo_relay"])
+    def test_calibration_channels_are_the_whole_draw(self, monkeypatch, name, n):
+        # A calibration chunk draws its symbols, every real channel part,
+        # then each block's imaginary parts.  Its blocks of channels,
+        # concatenated, must be one old_rayleigh draw after one choice of
+        # the symbols, and leave the stream where that left it.
+        basis, _ = zoo(name)
+        cfg = default_config(basis, (), trials=0, seed=0)
+        values = np.array(sorted(pam(4).values), dtype=float)
+        seen = []
+
+        def spy(*args):
+            seen.append(decodability._rayleigh(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(simulate, "_rayleigh", spy)
+        for seed in (0, [16001, 0x5EED]):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            seen.clear()
+            simulate._chunk_power(basis, values, cfg, rng, n)
+            ref.choice(values, size=(n, basis.k))
+            want = old_rayleigh((n, cfg.n_r, cfg.n_t), ref, SIGMA_H)
+            assert len(seen) == -(-n // simulate._BLOCK)
+            assert np.concatenate(seen).tobytes() == want.tobytes()
+            assert rng.normal(size=5).tobytes() == ref.normal(size=5).tobytes()
 
 
 class TestOrthogonalityImpliesZeroEntry:

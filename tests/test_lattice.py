@@ -547,31 +547,31 @@ class TestBoxProducers:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("k", [3, 16])
     def test_random_box_rows_are_the_filtered_draws(self, k, seed):
-        # k = 3 draws zero rows in every chunk, k = 16 (3^-16 a row) none.
-        # The rows are the int64 draws; _sweep converts them block by block.
+        # k = 3 draws zero rows in every call, k = 16 (3^-16 a row) none.
+        # The rows are the int64 draws, about _BLOCK_BYTES a call; _sweep
+        # converts them block by block.  Concatenated, they are the rows of
+        # one whole draw.
+        per_call = lattice._BLOCK_BYTES // (8 * k)
         n_random = 2 * lattice._CHUNK + 5
-        rng = np.random.default_rng(seed)
-        want = []
-        for lo in range(0, n_random, lattice._CHUNK):
-            size = min(lattice._CHUNK, n_random - lo)
-            chunk = rng.integers(-1, 2, size=(size, k))
-            want.append(chunk[np.any(chunk, axis=1)])
+        whole = np.random.default_rng(seed).integers(-1, 2, size=(n_random, k))
+        want = whole[np.any(whole, axis=1)]
         got = list(lattice._random_box(k, 1, n_random, seed))
-        assert [len(c) for c in got] == [len(c) for c in want]
-        assert all(g.dtype == w.dtype == np.int64 for g, w in zip(got, want))
-        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-        assert all(len(c) < lattice._CHUNK for c in got[:2]) == (k == 3)
+        assert len(got) == -(-n_random // per_call)
+        assert all(c.dtype == np.int64 for c in got)
+        assert np.concatenate(got).tobytes() == want.tobytes()
+        assert all(len(c) < per_call for c in got[:2]) == (k == 3)
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_integer_rows_give_the_float_rows_codewords(self, monkeypatch, name):
         # _sweep converts each block of int64 draws to float; every block
         # must reach the reduction with the bits of the float chunk's block.
-        monkeypatch.setattr(lattice, "_CHUNK", 300)
         basis = build(name)
+        per_call = lattice._BLOCK_BYTES // (8 * basis.k)
+        draws = list(lattice._random_box(basis.k, 2, 2 * per_call + 300, 5))
+        assert len(draws) == 3 and all(c.dtype == np.int64 for c in draws)
+        # Sweep blocks of at most 128 rows, so that each draw spans several.
         rows = lattice._BLOCK_BYTES // (16 * basis.n_t * basis.T)
         monkeypatch.setattr(lattice, "_BLOCK_BYTES", min(rows, 128) * 16 * basis.n_t * basis.T)
-        draws = list(lattice._random_box(basis.k, 2, 700, 5))
-        assert len(draws) == 3 and all(c.dtype == np.int64 for c in draws)
 
         def blocks(chunks):
             seen = []
@@ -609,10 +609,12 @@ class TestOneChunkInFlight:
             tracemalloc.stop()
 
     def test_min_rank_sampled(self):
-        # 500,000 random draws of k = 16: one 65,536-row chunk is 8 MiB.
+        # 500,000 random draws of k = 16: one 65,536-row chunk was 8 MiB and
+        # a traced peak of 8.9 MiB; one call's 4,096 rows are 0.5 MiB, and
+        # the peak is 1.3 MiB.
         basis = build("srinath_rajan")
         peak = self.traced_peak(min_rank_sampled, basis, 1, 3, 500_000)
-        assert peak <= 12 * 2**20
+        assert peak <= 3 * 2**20
 
     def test_lattice_profile(self):
         # golden's bound-3 box: one 65,536-row float chunk is 4 MiB.

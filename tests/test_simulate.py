@@ -236,15 +236,21 @@ class TestCalibration:
                 assert got.hex() == want.hex(), (size, seed)
 
 
-    @pytest.mark.parametrize("size", [2, 4, 8])
+    @pytest.mark.parametrize(
+        "alphabet",
+        [pam(2), pam(4), pam(8), Alphabet((-7, -1, 0, 1, 7))],
+        ids=["2", "4", "8", "five_point"],
+    )
     @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
-    def test_blocks_keep_the_bits_of_the_dense_einsum(self, name, size):
+    def test_blocks_keep_the_bits_of_the_dense_einsum(self, name, alphabet):
+        # 20,513 samples end in a second chunk of 513: one full block of
+        # symbols and channels, then a block of one row.
         basis = code(name)
-        for seed in (0, 5):
+        for seed, samples in ((0, 10_000), (5, 10_000), (5, 20_513)):
             cfg = default_config(basis, (0.0,), 1, seed)
-            got = simulate._mean_signal_power(basis, pam(size), cfg, 10_000)
-            want = _real_einsum_signal_power(basis, pam(size), cfg, 10_000)
-            assert got.hex() == want.hex(), seed
+            got = simulate._mean_signal_power(basis, alphabet, cfg, samples)
+            want = _real_einsum_signal_power(basis, alphabet, cfg, samples)
+            assert got.hex() == want.hex(), (seed, samples)
 
     @pytest.mark.parametrize("name", ["golden", "mimo_relay"])
     def test_blocks_keep_the_bits_over_several_chunks(self, name):
@@ -254,28 +260,38 @@ class TestCalibration:
         want = _real_einsum_signal_power(basis, pam(4), cfg, 45_001)
         assert got.hex() == want.hex()
 
-    def test_mimo_relay_calibration_memory(self):
-        # The dense einsum held two 20,000 x 288 codeword chunks at once, a
-        # traced peak of 95.9 MiB; one block of 512 codewords is 1.2 MB.
-        # With one chunk's symbols (3.7 MiB), channels (3.7 MiB) and powers
-        # (1.8 MiB) held at a time, the peak is 12.6 MiB; holding the last
-        # chunk while the next is drawn, or building the channels through
-        # complex temporaries, took it to 18.5 MiB.
-        basis = code("mimo_relay")
+    @staticmethod
+    def traced_peak(name):
+        basis = code(name)
         cfg = default_config(basis, (10.0,), 1, 0)
         tracemalloc.start()
         try:
             calibrate_noise(basis, pam(2), cfg, 10.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 14 * 2**20
+
+    def test_mimo_relay_calibration_memory(self):
+        # The dense einsum held two 20,000 x 288 codeword chunks at once, a
+        # traced peak of 95.9 MiB.  Whole-chunk float symbols (3.7 MiB) and
+        # complex channels (3.7 MiB) took it to 11.9 MiB.  A chunk holds its
+        # symbols as uint8 indices (0.5 MiB), the channels' real parts
+        # (1.8 MiB) and the powers (1.8 MiB); with one block's codewords and
+        # their temporaries, 1.1 MiB each, the peak is 7.0 MiB (7.8 MiB when
+        # the call also loads numpy.random, as a fresh process's first does).
+        assert self.traced_peak("mimo_relay") <= 8 * 2**20
+
+    def test_srinath_rajan_calibration_memory(self):
+        # A search-workload code: 6.8 MiB with whole-chunk float symbols and
+        # complex channels, 3.6 MiB drawn block by block.
+        assert self.traced_peak("srinath_rajan") <= 4.5 * 2**20
 
 
 @st.composite
 def codeword_problems(draw):
     """A random stack with a random zero pattern and weights across 2^+-20,
-    and symbols from a random alphabet, up to three blocks of them."""
+    and symbols from a random alphabet, as uint8 indices into its sorted
+    values, up to three blocks of them."""
     k, n_t, T = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
@@ -284,20 +300,22 @@ def codeword_problems(draw):
     flat[rng.random(shape) >= density] = 0.0
     alphabet = draw(st.sampled_from(ALPHABETS + (pam(8), Alphabet((-7, -1, 0, 1, 7)))))
     n = draw(st.integers(1, 3 * simulate._BLOCK))
-    s = rng.choice(np.array(alphabet.values, dtype=float), size=(n, k))
-    return s, flat.view(complex).reshape(k, n_t, T)
+    values = np.array(sorted(alphabet.values), dtype=float)
+    digits = rng.integers(0, len(values), size=(n, k)).astype(np.uint8)
+    return values, digits, flat.view(complex).reshape(k, n_t, T)
 
 
 class TestCodewordBlocks:
     @given(codeword_problems())
     def test_equals_the_plain_loop_bit_for_bit(self, problem):
-        s, stack = problem
+        values, digits, stack = problem
+        s = values[digits]
         flat = stack.view(float).reshape(len(stack), -1)
         want = np.zeros((len(s), flat.shape[1]))
         for k in range(len(flat)):
             want = want + s[:, k, None] * flat[k]
         got, end = [], 0
-        for rows, X in simulate._codeword_blocks(s, stack):
+        for rows, X in simulate._codeword_blocks(values, digits, stack):
             assert rows.start == end and X.shape == (rows.stop - end,) + stack.shape[1:]
             got.append(X.view(float).reshape(len(X), -1).copy())
             end = rows.stop
