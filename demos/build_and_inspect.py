@@ -22,7 +22,7 @@ print()
 
 # A codeword is a plain linear combination of the weights.
 z = np.array([1.0, 2.0, 3.0, 4.0])
-codeword = np.tensordot(z, np.stack(alamouti.mats), axes=1)
+codeword = alamouti.combination(z)
 print("codeword for z = (1, 2, 3, 4):")
 print(np.round(codeword, 6))
 print()

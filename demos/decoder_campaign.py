@@ -37,7 +37,7 @@ for t in range(trials):
     rng = np.random.default_rng([5, t])
     H = draw_channel(cfg, rng)
     s = rng.choice(values, size=basis.k)
-    X = np.tensordot(s, np.stack(basis.mats), axes=1)
+    X = basis.combination(s)
     noise = rng.normal(size=(1, basis.T)) + 1j * rng.normal(size=(1, basis.T))
     Y = H @ X + 0.7 * noise / np.sqrt(2.0)
     ml = ml_exhaustive(Y, H, basis, alphabet)

@@ -104,11 +104,12 @@ class WeightBasis:
             raise ValueError("weight matrices are linearly dependent over the reals")
 
     def combination(self, coeffs) -> np.ndarray:
-        """Return sum_i coeffs[i] * B_i as a complex matrix."""
+        """Return sum_i coeffs[i] * B_i as a complex matrix: the one-row
+        product of _codewords."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.k,):
             raise ValueError(f"expected {self.k} coefficients")
-        return np.tensordot(coeffs, self._stack, axes=1)
+        return _codewords(self, coeffs[None])[0]
 
     # JSON schema: {name, nt, T, k, mats: [[[re, im], ...], ...]}, row-major.
     def to_json_dict(self) -> dict:
@@ -278,20 +279,13 @@ def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
     conversion is a no-op).  The sweep drops a finished chunk before it
     asks for the next, so with a producer that keeps none, one chunk is
     held at a time.
-
-    The codewords are one real product of z with the stack's float view,
-    viewed back as complex.  With z real, a complex tensordot would add the
-    same real products in the same order, and BLAS gives the two the same
-    bits at several times the speed.
     """
-    flat = basis._stack.view(float).reshape(basis.k, -1)
-    shape = (-1, basis.n_t, basis.T)
-    rows = max(1, _BLOCK_BYTES // flat[0].nbytes)
+    rows = max(1, _BLOCK_BYTES // basis._stack[0].nbytes)
     empty = True
     for chunk in chunks:
         empty = False
         for lo in range(0, len(chunk), rows):
-            best = min(best, reduce(_codewords(chunk[lo : lo + rows], flat, shape)))
+            best = min(best, reduce(_codewords(basis, chunk[lo : lo + rows])))
             if stop is not None and best <= stop:
                 return best
         del chunk
@@ -300,10 +294,14 @@ def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
     return best
 
 
-def _codewords(z: np.ndarray, flat: np.ndarray, shape: tuple) -> np.ndarray:
-    """The codewords of the coefficient rows z, converted to float here: z
-    times the stack's float view, viewed back as complex in shape."""
-    return (z.astype(float, copy=False) @ flat).view(complex).reshape(shape)
+def _codewords(basis: WeightBasis, z: np.ndarray) -> np.ndarray:
+    """The codewords sum_i z_i B_i of the coefficient rows z (n x k), as an
+    n x n_t x T stack: z, converted to float here, times the stack's float
+    view, viewed back as complex.  Every codeword is formed here.  A row's
+    bits can depend on the rows multiplied with it, so a caller whose bits
+    are pinned keeps its blocks of rows."""
+    flat = basis._stack.view(float).reshape(basis.k, -1)
+    return (z.astype(float, copy=False) @ flat).view(complex).reshape(-1, basis.n_t, basis.T)
 
 
 #: Bound, relative to ||X||_F^(2n), on how far the closed form and LAPACK

@@ -13,10 +13,11 @@ A campaign decodes each SNR point's trials in blocks.  A block's received
 blocks, equivalent channels, overflow and finiteness checks, QR factors,
 R thresholds and plan checks are formed in stacked calls, through the same
 stages that ml_exhaustive and sphere_decode run on one trial; only the
-searches run trial by trial.  Each codeword stays its own trial's product:
-stacked, the codewords would be one matrix product, with other bits than a
-matrix-vector product each.  The other stacked BLAS and LAPACK calls give
-every trial the bits of its own call.  The tests check that, and CI runs
+searches run trial by trial.  Each codeword is its own trial's one-row
+product (basis.combination, through lattice._codewords, the one codeword
+builder): a block's rows stacked into one product could get other bits.
+The other stacked BLAS and LAPACK calls give every trial the bits of its
+own call.  The tests check that, and CI runs
 them under OpenBLAS's Prescott and SandyBridge kernels too; another BLAS
 could differ in the last bits.
 """

@@ -100,6 +100,17 @@ class TestWeightBasis:
         expected = np.array([[1 + 2j, -3 + 4j], [3 + 4j, 1 - 2j]])
         assert np.allclose(X, expected)
 
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_combination_is_the_one_row_codeword(self, name):
+        # One codeword builder: combination is _codewords on one row, bit
+        # for bit, under any kernel.
+        b = build(name)
+        rng = np.random.default_rng(23)
+        for s in rng.choice([-3.0, -1.0, 1.0, 3.0], size=(50, b.k)):
+            want = lattice._codewords(b, s[None])[0]
+            assert b.combination(s).tobytes() == want.tobytes()
+            assert b.combination(s.astype(int)).tobytes() == want.tobytes()
+
     def test_json_round_trip(self):
         b = alamouti_basis()
         data = json.loads(b.to_json())

@@ -1335,49 +1335,52 @@ class TestCampaign:
         csv = run_campaign(basis, pam(alphabet), cfg, decoder=decoder).to_csv()
         assert hashlib.sha256(csv.encode("utf-8")).hexdigest() == digest
 
-    # SHA-256 of the 200 codewords per code, under OpenBLAS's Haswell,
-    # Prescott and SandyBridge kernels: a codeword is a complex matrix-vector
-    # product, whose last bits depend on the kernel (see ROADMAP).
+    # SHA-256 of the 200 codewords per code, under OpenBLAS's SkylakeX,
+    # Haswell, Prescott and SandyBridge kernels: a codeword is the one-row
+    # real product of lattice._codewords, whose last bits depend on the
+    # kernel (see ROADMAP).
     CODEWORD_DIGESTS = {
         "alamouti": ("d1afebea328d1d977e6393caa0a3fab99c0a007f69229ed0bdbee9a4ead650e0",),
         "golden": ("12b7692a6d3dd0700cb0e6f6b5da16daab4b034c8880c65ed62898bdaec259b8",),
         "iterated": (
-            "1cf6da2ffdcbb41fb710dc621466f0ad62be90b65fea54d1f79043b13f437b44",
-            "2ac3656557513f7a527d39aaa256b5e1e522dbbd1048e0d455d960b59cabb07d",
-            "5aa63174ac6073cb86a80a263f6fb0e5019c3ef655eedaf129f032518f6fa5e8",
+            "29d0d90ef2d8e487e88dd0175205f02877e03424b84a801da664e2d3dc5cdf12",  # SkylakeX
+            "bfdd04d413c9c0c5fe392ac1c2197fec411011305b5f53f01bf1c6b7a6340fc6",  # Haswell
+            "2ac3656557513f7a527d39aaa256b5e1e522dbbd1048e0d455d960b59cabb07d",  # Prescott, SandyBridge
         ),
         "mido_a4": (
-            "c2392b1efb221b8b031f9d0555512fe5dc176afe36f5bf838b6986a330c49f41",
-            "a1e65f74444102630cbcbc518d0e2e2011ab9e45b88f130ff44d79377af84ca0",
+            "924efc47360b68cf7e32233bf71f60fa2d15f492399b029977336c0c6ebff1de",  # SkylakeX
+            "ad57a899823b058617014e6dda9618ded32cf240319db2dcebec3d163eb699ba",  # Haswell
+            "a1e65f74444102630cbcbc518d0e2e2011ab9e45b88f130ff44d79377af84ca0",  # Prescott, SandyBridge
         ),
         "mimo_relay": (
-            "b32465fee8e7c95b489cc326b804f73eebca9904ab41d1afa9499e3333cbcd5f",
-            "6a993728fa742e75012bc8c41a67cb37c4ac0039eae2f70e52eca399ac209a69",
-            "0a9d9cf5bf36b2a7c118e5c4d8787a0961c8ea98d60ac43836c4aa30d6283cac",
+            "308025689ce4782f2ee222574e1632c1eabc1cb435b440a0eb9b5fc4afef935a",  # SkylakeX
+            "a30dbe6354243568c6bb1074d93c71dfd6606ef6a575852db5b2749516cc9479",  # Haswell
+            "6a993728fa742e75012bc8c41a67cb37c4ac0039eae2f70e52eca399ac209a69",  # Prescott, SandyBridge
         ),
         "silver": (
-            "b4f3e07e9fb110497ede9351068f4579699fe196663cb925e7249a5119566348",
-            "51353a72caa9f9e9c28d4e5513470e03a23eca851497232fe2160147a1bbb245",
-            "07aed6fab8ae0b0f714b00dd665ad1ffa33ff1e797c22181753804a5c5d143e4",
+            "e7de486f4737a06b7ae4d3803c2a55ec03a88bf8d58ea55a88aecbe82106d7b5",  # SkylakeX
+            "1d682cb8b3b4d7cb156dcb87c6e823c34289b3b104c394ef25fe1478af47eecd",  # Haswell
+            "51353a72caa9f9e9c28d4e5513470e03a23eca851497232fe2160147a1bbb245",  # Prescott, SandyBridge
         ),
         "simo_relay": (
-            "85eafd59cad03239e53703f551eb504b1d2fc678467c8626218a4d51a6731d76",
-            "1a1740bca555b8485e6212f07c5e77c6e747f87ff00a1ecfea838bd11d931928",
-            "2ac22170e344dc0c42e9e0d48892cfbb9ff15b3efcaaf85fa32ac3d8c91f7e14",
+            "369317a0b9b33144869b403ec5c38cdcee9bc3fe00ccee2deadfea4e4a5aca09",  # SkylakeX
+            "2ac22170e344dc0c42e9e0d48892cfbb9ff15b3efcaaf85fa32ac3d8c91f7e14",  # Haswell
+            "1a1740bca555b8485e6212f07c5e77c6e747f87ff00a1ecfea838bd11d931928",  # Prescott, SandyBridge
         ),
         "srinath_rajan": (
-            "77615722c1ff8f414ea5049a1b7a6d9f1b8d287f322c939c7f954c97e474930e",
-            "8bb1b87ee4eff794d8aed0b21f862fe54c1d677d5054c8703e792396259e96d3",
+            "77615722c1ff8f414ea5049a1b7a6d9f1b8d287f322c939c7f954c97e474930e",  # SkylakeX
+            "ff68ca489033f2554fb7603d211d0c9a7c122359b483e07ee925bb7e2f589d94",  # Haswell
+            "8bb1b87ee4eff794d8aed0b21f862fe54c1d677d5054c8703e792396259e96d3",  # Prescott, SandyBridge
         ),
     }
 
     @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
     def test_pins_the_codeword_bits(self, name, monkeypatch):
-        # Decisions and node counts can hide a codeword's last bits: under
-        # the Haswell kernel a stacked tensordot (a zgemm) moves X on
-        # silver, simo_relay, mimo_relay and iterated, yet keeps every
-        # campaign CSV.  So the 200 codewords basis.combination(s) of the
-        # PAM-4 stream [0, 0, trial] are pinned, and the noiseless received
+        # Decisions and node counts can hide a codeword's last bits: one
+        # stacked product of a block's rows moves X on silver, mido_a4,
+        # simo_relay, mimo_relay and iterated, yet keeps every campaign
+        # CSV.  So the 200 codewords basis.combination(s) of the PAM-4
+        # stream [0, 0, trial] are pinned, and the noiseless received
         # blocks that the campaign forms for its first block of trials must
         # be H X with those X, bit for bit, under any kernel.
         basis = code(name)
