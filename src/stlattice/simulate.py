@@ -44,6 +44,7 @@ from .decodability import (
 from .lattice import (
     _BLOCK_BYTES,
     WeightBasis,
+    _codewords,
     _equivalent_channel,
     _mixed_radix,
     _vectorize_stack,
@@ -165,24 +166,6 @@ def draw_channel(cfg: ChannelConfig, rng_state) -> np.ndarray:
     return _rayleigh((cfg.n_r, cfg.n_t), np.random.default_rng(rng_state), SIGMA_H)
 
 
-def _codeword_blocks(values: np.ndarray, digits: np.ndarray, stack: np.ndarray):
-    """Yield (rows, X): the codewords of the symbols values[digits[rows]],
-    _BLOCK rows at a time in one reused buffer, from the stack's nonzero
-    real weights only."""
-    flat = stack.view(float).reshape(len(stack), -1)
-    depth = np.count_nonzero(flat, axis=0)
-    cols = np.flatnonzero(depth)
-    # per codeword entry, the k of its nonzero weights ascending, then the rest
-    K = np.argsort(flat[:, cols] == 0, axis=0, kind="stable")[: depth.max()]
-    W = np.take_along_axis(flat[:, cols], K, axis=0)
-    X = np.zeros((min(_BLOCK, len(digits)), *stack.shape[1:]), dtype=complex)
-    for start in range(0, len(digits), _BLOCK):
-        block = values[digits[start : start + _BLOCK]]
-        acc = sum(block[:, k] * w for k, w in zip(K, W))  # a left fold, k ascending
-        X[: len(block)].view(float).reshape(len(block), -1)[:, cols] = acc
-        yield slice(start, start + len(block)), X[: len(block)]
-
-
 def _mean_signal_power(
     basis: WeightBasis, alphabet: Alphabet, cfg: ChannelConfig, samples: int
 ) -> float:
@@ -192,10 +175,7 @@ def _mean_signal_power(
     The stream is seeded by cfg.seed alone, so the estimate does not depend
     on the SNR it is used for.  Each chunk of 20,000 samples draws symbols,
     then channels, and sums |HX|^2 over the chunk (_chunk_power); one chunk
-    is held at a time.  The codewords are built _BLOCK samples at a time
-    from the nonzero weights of the stack's float view, each entry adding
-    its rounded products in ascending k: the bits of a real einsum over
-    every k, since a zero product leaves a sum unchanged.
+    is held at a time.
     """
     if (cfg.n_t, cfg.T) != (basis.n_t, basis.T):
         raise ValueError(
@@ -219,8 +199,9 @@ def _chunk_power(basis: WeightBasis, values, cfg: ChannelConfig, rng, n: int) ->
     channels.  The symbols are kept as alphabet indices in the smallest
     unsigned dtype, drawn _BLOCK rows a call: rng.choice(values) is values
     at rng.integers(0, L), and a split draw continues the same stream.  The
-    channels' real parts are drawn whole, then each block's imaginary parts,
-    and |HX|^2 is formed in place, block by block.  The chunk's arrays are
+    channels' real parts are drawn whole, then each block's imaginary parts.
+    Block by block, the codewords come from lattice._codewords, one product
+    of _BLOCK rows, and |HX|^2 is formed in place.  The chunk's arrays are
     freed on return, before the next chunk is drawn."""
     L, k = len(values), basis.k
     digits = np.empty((n, k), dtype=np.min_scalar_type(L))
@@ -228,8 +209,10 @@ def _chunk_power(basis: WeightBasis, values, cfg: ChannelConfig, rng, n: int) ->
         digits[lo : lo + _BLOCK] = rng.integers(0, L, size=(min(_BLOCK, n - lo), k))
     real = rng.normal(size=(n, cfg.n_r, cfg.n_t))
     power = np.empty((n, cfg.n_r, basis.T))
-    for rows, X in _codeword_blocks(values, digits, basis._stack):
+    for lo in range(0, n, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
         H = _rayleigh(real[rows].shape, rng, SIGMA_H, real[rows])
+        X = _codewords(basis, values[digits[rows]])
         np.square(np.abs(H @ X, out=power[rows]), out=power[rows])
     return float(np.sum(power))
 

@@ -225,17 +225,6 @@ class TestCalibration:
         sigma_n = calibrate_noise(basis, pam(4), cfg, 10.0, samples=20_000)
         assert sigma_n == pytest.approx(exact, rel=0.01)
 
-    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
-    def test_real_einsum_keeps_every_bit(self, name):
-        basis = code(name)
-        for size in (2, 4):
-            for seed in (0, 3, 7):
-                cfg = default_config(basis, (0.0,), 1, seed)
-                got = simulate._mean_signal_power(basis, pam(size), cfg, 10_000)
-                want = _complex_einsum_signal_power(basis, pam(size), cfg, 10_000)
-                assert got.hex() == want.hex(), (size, seed)
-
-
     @pytest.mark.parametrize(
         "alphabet",
         [pam(2), pam(4), pam(8), Alphabet((-7, -1, 0, 1, 7))],
@@ -249,7 +238,7 @@ class TestCalibration:
         for seed, samples in ((0, 10_000), (5, 10_000), (5, 20_513)):
             cfg = default_config(basis, (0.0,), 1, seed)
             got = simulate._mean_signal_power(basis, alphabet, cfg, samples)
-            want = _real_einsum_signal_power(basis, alphabet, cfg, samples)
+            want = _whole_draw_signal_power(basis, alphabet, cfg, samples)
             assert got.hex() == want.hex(), (seed, samples)
 
     @pytest.mark.parametrize("name", ["golden", "mimo_relay"])
@@ -257,7 +246,7 @@ class TestCalibration:
         basis = code(name)
         cfg = default_config(basis, (0.0,), 1, 2)
         got = simulate._mean_signal_power(basis, pam(4), cfg, 45_001)
-        want = _real_einsum_signal_power(basis, pam(4), cfg, 45_001)
+        want = _whole_draw_signal_power(basis, pam(4), cfg, 45_001)
         assert got.hex() == want.hex()
 
     @staticmethod
@@ -276,81 +265,34 @@ class TestCalibration:
         # traced peak of 95.9 MiB.  Whole-chunk float symbols (3.7 MiB) and
         # complex channels (3.7 MiB) took it to 11.9 MiB.  A chunk holds its
         # symbols as uint8 indices (0.5 MiB), the channels' real parts
-        # (1.8 MiB) and the powers (1.8 MiB); with one block's codewords and
-        # their temporaries, 1.1 MiB each, the peak is 7.0 MiB (7.8 MiB when
-        # the call also loads numpy.random, as a fresh process's first does).
+        # (1.8 MiB) and the powers (1.8 MiB).  With one block's codewords
+        # (1.1 MiB) the peak is 6.6 MiB (7.3 MiB when the call also loads
+        # numpy.random, as a fresh process's first does); a fold over the
+        # nonzero weights, with its buffer and temporaries, took 7.0 MiB.
         assert self.traced_peak("mimo_relay") <= 8 * 2**20
 
     def test_srinath_rajan_calibration_memory(self):
         # A search-workload code: 6.8 MiB with whole-chunk float symbols and
-        # complex channels, 3.6 MiB drawn block by block.
+        # complex channels, 3.6 MiB drawn block by block, 3.1 MiB with each
+        # block's codewords one product.
         assert self.traced_peak("srinath_rajan") <= 4.5 * 2**20
 
 
-@st.composite
-def codeword_problems(draw):
-    """A random stack with a random zero pattern and weights across 2^+-20,
-    and symbols from a random alphabet, as uint8 indices into its sorted
-    values, up to three blocks of them."""
-    k, n_t, T = draw(st.integers(1, 12)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
-    shape = (k, 2 * n_t * T)
-    flat = rng.normal(size=shape) * 2.0 ** rng.integers(-20, 21, shape)
-    flat[rng.random(shape) >= density] = 0.0
-    alphabet = draw(st.sampled_from(ALPHABETS + (pam(8), Alphabet((-7, -1, 0, 1, 7)))))
-    n = draw(st.integers(1, 3 * simulate._BLOCK))
-    values = np.array(sorted(alphabet.values), dtype=float)
-    digits = rng.integers(0, len(values), size=(n, k)).astype(np.uint8)
-    return values, digits, flat.view(complex).reshape(k, n_t, T)
-
-
-class TestCodewordBlocks:
-    @given(codeword_problems())
-    def test_equals_the_plain_loop_bit_for_bit(self, problem):
-        values, digits, stack = problem
-        s = values[digits]
-        flat = stack.view(float).reshape(len(stack), -1)
-        want = np.zeros((len(s), flat.shape[1]))
-        for k in range(len(flat)):
-            want = want + s[:, k, None] * flat[k]
-        got, end = [], 0
-        for rows, X in simulate._codeword_blocks(values, digits, stack):
-            assert rows.start == end and X.shape == (rows.stop - end,) + stack.shape[1:]
-            got.append(X.view(float).reshape(len(X), -1).copy())
-            end = rows.stop
-        assert end == len(s)
-        assert np.concatenate(got).tobytes() == want.tobytes()
-
-
-def _real_einsum_signal_power(basis, alphabet, cfg, samples):
-    """_mean_signal_power as it was, with one dense real einsum per chunk."""
+def _whole_draw_signal_power(basis, alphabet, cfg, samples):
+    """_mean_signal_power with each chunk's symbols and channels drawn
+    whole, as it was, and |HX|^2 formed out of place.  The codewords come
+    from lattice._codewords over the same _BLOCK rows, whose bits can depend
+    on the rows multiplied together."""
     values = np.array(sorted(alphabet.values), dtype=float)
     rng = np.random.default_rng([cfg.seed, simulate._CALIBRATION_STREAM])
-    flat = basis._stack.view(float).reshape(basis.k, -1)
     total = 0.0
     for done in range(0, samples, 20_000):
         n = min(20_000, samples - done)
         s = rng.choice(values, size=(n, basis.k))
-        X = np.einsum("sk,ke->se", s, flat).view(complex).reshape(n, basis.n_t, basis.T)
+        blocks = range(0, n, simulate._BLOCK)
+        X = np.concatenate([lattice._codewords(basis, s[lo : lo + simulate._BLOCK]) for lo in blocks])
         shape = (n, cfg.n_r, cfg.n_t)
         H = SIGMA_H * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        total += float(np.sum(np.abs(H @ X) ** 2))
-    return total / samples
-
-
-def _complex_einsum_signal_power(basis, alphabet, cfg, samples):
-    """_mean_signal_power as it was, with a complex einsum for the codewords."""
-    values = np.array(sorted(alphabet.values), dtype=float)
-    rng = np.random.default_rng([cfg.seed, simulate._CALIBRATION_STREAM])
-    total = 0.0
-    for done in range(0, samples, 20_000):
-        n = min(20_000, samples - done)
-        s = rng.choice(values, size=(n, basis.k))
-        X = np.einsum("sk,kij->sij", s, basis._stack)
-        Hr = rng.normal(size=(n, cfg.n_r, cfg.n_t))
-        Hi = rng.normal(size=(n, cfg.n_r, cfg.n_t))
-        H = SIGMA_H * (Hr + 1j * Hi)
         total += float(np.sum(np.abs(H @ X) ** 2))
     return total / samples
 
