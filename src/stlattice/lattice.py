@@ -455,8 +455,16 @@ def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
     Exact over the enumerated box.  A result equal to min(n_t, T) certifies
     full diversity within the box.
     """
-    chunks = _coefficient_box(basis.k, search_bound)
-    return _sweep(basis, chunks, _min_rank_of_chunk, min(basis.n_t, basis.T), stop=1)
+    return _min_rank_sweep(basis, _coefficient_box(basis.k, search_bound))
+
+
+def _min_rank_sweep(basis: WeightBasis, chunks) -> int:
+    """The least rank over the chunks' codewords.  The sweep ends at the
+    first block that reaches the least possible rank: 1 for independent
+    weights, 0 for a dependent basis, where a nonzero z can give the zero
+    codeword."""
+    stop = 1 if basis.rank == basis.k else 0
+    return _sweep(basis, chunks, _min_rank_of_chunk, min(basis.n_t, basis.T), stop)
 
 
 def _sparse_box(k: int, bound: int, max_nonzeros: int):
@@ -523,4 +531,4 @@ def min_rank_sampled(
         _sparse_box(basis.k, search_bound, max_nonzeros),
         _random_box(basis.k, search_bound, n_random, seed),
     )
-    return _sweep(basis, chunks, _min_rank_of_chunk, min(basis.n_t, basis.T), stop=1)
+    return _min_rank_sweep(basis, chunks)

@@ -271,6 +271,15 @@ class TestMinRank:
         assert min_rank_difference(b, search_bound=1) == 0
         assert min_rank_sampled(b, search_bound=1, max_nonzeros=2, n_random=0) == 0
 
+    def test_dependent_basis_sweeps_on_past_rank_one(self):
+        # z = (1, 0, 0), of rank 1, comes before z = (0, 1, -1), whose
+        # codeword is zero; a dependent basis must not stop at rank 1.
+        b = WeightBasis("dep", [np.diag([1.0, 0.0]), I2, I2], allow_dependent=True)
+        assert min_rank_sampled(b, 1, 3, 1000) == 0
+        assert min_rank_difference(b, search_bound=1) == 0
+        # with one nonzero entry no codeword is zero
+        assert min_rank_sampled(b, 1, 1, 0) == 1
+
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             min_rank_difference(alamouti_basis(), search_bound=-1)
@@ -447,10 +456,12 @@ class TestSweepBlocks:
             assert lattice._min_abs_det_sq(b, 1).hex() == want
 
     def test_stops_at_the_block_of_a_mid_chunk_rank_one_codeword(self, monkeypatch):
-        # B_4 = 2 B_1.  Of the 40 rows of the unit box, row 5, z = (0, 1, -1,
-        # 0) with codeword diag(0, 2), is the first of rank 1; none is zero.
+        # B_4 = 2i B_1.  Of the 40 rows of the unit box, row 5, z = (0, 1,
+        # -1, 0) with codeword diag(0, 2), is the first of rank 1.  The
+        # weights are independent, so no codeword is zero and rank 1 ends
+        # the sweep.
         J = np.array([[0, -1], [1, 0]], dtype=complex)
-        b = WeightBasis("dep", [J, I2, np.diag([1.0, -1.0]), 2 * J], allow_dependent=True)
+        b = WeightBasis("rank-one", [J, I2, np.diag([1.0, -1.0]), 2j * J])
         rows_z = np.concatenate(list(lattice._coefficient_box(4, 1)))
         ranks = np.linalg.matrix_rank(np.tensordot(rows_z, b._stack, axes=1))
         first = int(np.argmax(ranks < 2))
