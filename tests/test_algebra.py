@@ -220,6 +220,26 @@ class TestValidation:
         with pytest.raises(ValueError, match="order"):
             CyclicAlgebra(gaussian_field((1, 0)), n=3, gamma=-1)
 
+    def test_full_emb_must_be_square(self):
+        for emb in ([1, 1j], [[1, 1j, 0], [1, -1j, 0]]):
+            with pytest.raises(ValueError, match="square"):
+                NumberField(full_emb=np.array(emb), autos={})
+
+    def test_cyclic_algebra_needs_sigma(self):
+        field = NumberField(full_emb=np.array([[1, 1j], [1, -1j]]), autos={"tau": (1, 0)})
+        with pytest.raises(ValueError, match="named 'sigma'"):
+            CyclicAlgebra(field, n=2, gamma=-1)
+
+    def test_gamma_coeffs_need_one_entry_per_basis_element(self):
+        with pytest.raises(ValueError, match="one entry per basis element"):
+            CyclicAlgebra(gaussian_field((1, 0)), n=2, gamma=-1, gamma_coeffs=np.array([-1.0]))
+
+    def test_multiply_needs_gamma_coeffs(self):
+        alg = CyclicAlgebra(gaussian_field((1, 0)), n=2, gamma=-1)
+        one = [[1.0, 0.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="L-basis"):
+            alg.multiply(one, one)
+
     def test_gamma_coeffs_consistency(self):
         with pytest.raises(ValueError, match="disagree"):
             CyclicAlgebra(

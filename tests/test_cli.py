@@ -116,6 +116,13 @@ class TestLattice:
         assert code == 0
         assert json.loads(out)["volume" ] == pytest.approx(4.0, abs=1e-9)
 
+    def test_missing_source_names_the_known_families(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        code, _, err = run(capsys, "lattice", str(missing))
+        assert code == 1
+        assert f"'{missing}' is neither a basis JSON file nor a known family" in err
+        assert "alamouti" in err
+
     def test_degenerate_span_is_a_clean_error(self, capsys):
         code, _, err = run(capsys, "lattice", "iterated")
         assert code == 1

@@ -70,6 +70,10 @@ class TestVectorize:
         with pytest.raises(ValueError):
             vectorize(np.array([[np.nan, 0], [0, 0]]))
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError, match="expects a matrix"):
+            vectorize(np.zeros((2, 2, 2)))
+
     @given(finite_matrices())
     def test_round_trip_keeps_every_bit(self, U):
         # read back as (Re, Im) pairs, column by column: signed zeros survive
@@ -99,6 +103,24 @@ class TestWeightBasis:
         X = b.combination([1, 2, 3, 4])
         expected = np.array([[1 + 2j, -3 + 4j], [3 + 4j, 1 - 2j]])
         assert np.allclose(X, expected)
+
+    @pytest.mark.parametrize(
+        "mats, match",
+        [
+            ([], "at least one matrix"),
+            ([np.ones(2)], "2-D"),
+            ([I2, np.ones((2, 3))], "share one shape"),
+            ([I2, np.diag([1.0, np.nan])], "finite"),
+        ],
+        ids=["none", "one_d", "mixed_shapes", "nan"],
+    )
+    def test_rejects_malformed_matrices(self, mats, match):
+        with pytest.raises(ValueError, match=match):
+            WeightBasis("bad", mats)
+
+    def test_combination_rejects_a_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 4 coefficients"):
+            alamouti_basis().combination([1, 2, 3])
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_combination_is_the_one_row_codeword(self, name):
@@ -179,6 +201,10 @@ class TestLatticeProfile:
         # singular only up to rounding, so the determinant alone gave a volume
         with pytest.raises(ValueError, match="degenerate.* 32 .* 16 "):
             lattice_profile(build("iterated"), det_search_bound=0)
+
+    def test_generator_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="generator must be a matrix"):
+            profile_from_generator(np.ones(3))
 
     def test_singular_gram_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -108,6 +108,10 @@ class TestChannelConfig:
         with pytest.raises(ValueError, match="static"):
             ChannelConfig(n_t=2, n_r=1, T=1, snr_db_grid=(0,), trials=1, seed=0)
 
+    def test_rejects_no_receive_antenna(self):
+        with pytest.raises(ValueError, match="receive antenna"):
+            ChannelConfig(n_t=2, n_r=0, T=2, snr_db_grid=(0,), trials=1, seed=0)
+
     def test_rejects_negative_trials(self):
         with pytest.raises(ValueError, match="negative"):
             ChannelConfig(n_t=2, n_r=1, T=2, snr_db_grid=(0,), trials=-1, seed=0)
