@@ -104,8 +104,7 @@ class WeightBasis:
             raise ValueError("weight matrices are linearly dependent over the reals")
 
     def combination(self, coeffs) -> np.ndarray:
-        """Return sum_i coeffs[i] * B_i as a complex matrix: the one-row
-        product of _codewords."""
+        """Return sum_i coeffs[i] * B_i as a complex matrix (one _codewords row)."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.k,):
             raise ValueError(f"expected {self.k} coefficients")
@@ -269,7 +268,7 @@ def _coefficient_box(k: int, bound: int):
 
 def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
     """Fold min(best, reduce(codewords)) over blocks of coefficient rows z,
-    each turned into the codewords sum_i z_i B_i; returns early at stop.
+    each turned into its codewords by _codewords; returns early at stop.
 
     Each chunk is cut into blocks of about _BLOCK_BYTES of codewords, at
     least one row, and every block is formed, reduced and checked against
@@ -295,11 +294,9 @@ def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
 
 
 def _codewords(basis: WeightBasis, z: np.ndarray) -> np.ndarray:
-    """The codewords sum_i z_i B_i of the coefficient rows z (n x k), as an
-    n x n_t x T stack: z, converted to float here, times the stack's float
-    view, viewed back as complex.  Every codeword is formed here.  A row's
-    bits can depend on the rows multiplied with it, so a caller whose bits
-    are pinned keeps its blocks of rows."""
+    """The codewords sum_i z_i B_i of the rows z, the one builder: z as float
+    times the stack's float view, viewed back as complex, (n, n_t, T).  A
+    row's bits can depend on the rows multiplied with it."""
     flat = basis._stack.view(float).reshape(basis.k, -1)
     return (z.astype(float, copy=False) @ flat).view(complex).reshape(-1, basis.n_t, basis.T)
 
@@ -459,10 +456,8 @@ def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
 
 
 def _min_rank_sweep(basis: WeightBasis, chunks) -> int:
-    """The least rank over the chunks' codewords.  The sweep ends at the
-    first block that reaches the least possible rank: 1 for independent
-    weights, 0 for a dependent basis, where a nonzero z can give the zero
-    codeword."""
+    """The least rank over the chunks' codewords, ending at the least one
+    possible: 0 if the weights are dependent, else 1."""
     stop = 1 if basis.rank == basis.k else 0
     return _sweep(basis, chunks, _min_rank_of_chunk, min(basis.n_t, basis.T), stop)
 

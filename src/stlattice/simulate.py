@@ -14,12 +14,10 @@ blocks, equivalent channels, overflow and finiteness checks, QR factors,
 R thresholds and plan checks are formed in stacked calls, through the same
 stages that ml_exhaustive and sphere_decode run on one trial; only the
 searches run trial by trial.  Each codeword is its own trial's one-row
-product (basis.combination, through lattice._codewords, the one codeword
-builder): a block's rows stacked into one product could get other bits.
-The other stacked BLAS and LAPACK calls give every trial the bits of its
-own call.  The tests check that, and CI runs
-them under OpenBLAS's Prescott and SandyBridge kernels too; another BLAS
-could differ in the last bits.
+lattice._codewords product: stacked, its bits could differ.  The other
+stacked BLAS and LAPACK calls give every trial the bits of its own call.
+The tests check that, and CI runs them under OpenBLAS's Prescott and
+SandyBridge kernels too; another BLAS could differ in the last bits.
 """
 
 from __future__ import annotations
@@ -199,10 +197,9 @@ def _chunk_power(basis: WeightBasis, values, cfg: ChannelConfig, rng, n: int) ->
     channels.  The symbols are kept as alphabet indices in the smallest
     unsigned dtype, drawn _BLOCK rows a call: rng.choice(values) is values
     at rng.integers(0, L), and a split draw continues the same stream.  The
-    channels' real parts are drawn whole, then each block's imaginary parts.
-    Block by block, the codewords come from lattice._codewords, one product
-    of _BLOCK rows, and |HX|^2 is formed in place.  The chunk's arrays are
-    freed on return, before the next chunk is drawn."""
+    channels' real parts are drawn whole, then each block's imaginary parts;
+    per block, X is one _codewords product and |HX|^2 is formed in place.
+    The chunk's arrays are freed on return, before the next is drawn."""
     L, k = len(values), basis.k
     digits = np.empty((n, k), dtype=np.min_scalar_type(L))
     for lo in range(0, n, _BLOCK):
