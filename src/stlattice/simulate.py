@@ -171,9 +171,7 @@ def _mean_signal_power(
     estimate that is not above 0 (no signal power) raises.
 
     The stream is seeded by cfg.seed alone, so the estimate does not depend
-    on the SNR it is used for.  Each chunk of 20,000 samples draws symbols,
-    then channels, and sums |HX|^2 over the chunk (_chunk_power); one chunk
-    is held at a time.
+    on the SNR; one chunk of 20,000 samples is summed at a time (_chunk_power).
     """
     if (cfg.n_t, cfg.T) != (basis.n_t, basis.T):
         raise ValueError(
@@ -193,25 +191,27 @@ def _mean_signal_power(
 
 
 def _chunk_power(basis: WeightBasis, values, cfg: ChannelConfig, rng, n: int) -> float:
-    """The sum of |HX|^2 over one chunk of n samples, symbols drawn before
-    channels.  The symbols are kept as alphabet indices in the smallest
-    unsigned dtype, drawn _BLOCK rows a call: rng.choice(values) is values
-    at rng.integers(0, L), and a split draw continues the same stream.  The
-    channels' real parts are drawn whole, then each block's imaginary parts;
-    per block, X is one _codewords product and |HX|^2 is formed in place.
-    The chunk's arrays are freed on return, before the next is drawn."""
+    """The sum of ||HX||_F^2 over n samples, symbols drawn before channels.
+    The symbols are alphabet indices in the smallest unsigned dtype, drawn
+    _BLOCK rows a call: rng.choice(values) is values at rng.integers(0, L),
+    and a split draw continues the stream.  The channels' real parts are
+    drawn whole, then each block's imaginary parts.  Per block, X is one
+    _codewords product, and each receive antenna's row of HX, vector-matrix
+    products rather than a zgemm per sample, is summed by one dot."""
     L, k = len(values), basis.k
     digits = np.empty((n, k), dtype=np.min_scalar_type(L))
     for lo in range(0, n, _BLOCK):
         digits[lo : lo + _BLOCK] = rng.integers(0, L, size=(min(_BLOCK, n - lo), k))
     real = rng.normal(size=(n, cfg.n_r, cfg.n_t))
-    power = np.empty((n, cfg.n_r, basis.T))
+    total = 0.0
     for lo in range(0, n, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         H = _rayleigh(real[rows].shape, rng, SIGMA_H, real[rows])
         X = _codewords(basis, values[digits[rows]])
-        np.square(np.abs(H @ X, out=power[rows]), out=power[rows])
-    return float(np.sum(power))
+        for i in range(cfg.n_r):
+            HX = H[:, i : i + 1] @ X
+            total += np.vdot(HX, HX).real
+    return float(total)
 
 
 def calibrate_noise(

@@ -253,6 +253,18 @@ class TestCalibration:
         want = _whole_draw_signal_power(basis, pam(4), cfg, 45_001)
         assert got.hex() == want.hex()
 
+    @pytest.mark.parametrize("alphabet", [pam(2), pam(4)], ids=["2", "4"])
+    @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    def test_dots_match_the_whole_chunk_sum(self, name, alphabet):
+        # The per-antenna dots sum in another order than one np.sum over the
+        # chunk's |HX|^2, so only the last bits may differ.
+        basis = code(name)
+        for seed in (0, 3):
+            cfg = default_config(basis, (0.0,), 1, seed)
+            got = simulate._mean_signal_power(basis, alphabet, cfg, 20_513)
+            want = _whole_draw_signal_power(basis, alphabet, cfg, 20_513, _whole_chunk_sum)
+            assert got == pytest.approx(want, rel=1e-14, abs=0), seed
+
     @staticmethod
     def traced_peak(name):
         basis = code(name)
@@ -267,26 +279,46 @@ class TestCalibration:
     def test_mimo_relay_calibration_memory(self):
         # The dense einsum held two 20,000 x 288 codeword chunks at once, a
         # traced peak of 95.9 MiB.  Whole-chunk float symbols (3.7 MiB) and
-        # complex channels (3.7 MiB) took it to 11.9 MiB.  A chunk holds its
-        # symbols as uint8 indices (0.5 MiB), the channels' real parts
-        # (1.8 MiB) and the powers (1.8 MiB).  With one block's codewords
-        # (1.1 MiB) the peak is 6.6 MiB (7.3 MiB when the call also loads
-        # numpy.random, as a fresh process's first does); a fold over the
-        # nonzero weights, with its buffer and temporaries, took 7.0 MiB.
-        assert self.traced_peak("mimo_relay") <= 8 * 2**20
+        # complex channels (3.7 MiB) took it to 11.9 MiB, and a chunk-sized
+        # array of |HX|^2 (1.8 MiB) to 6.6 MiB.  A chunk holds its symbols as
+        # uint8 indices (0.5 MiB) and the channels' real parts (1.8 MiB).
+        # With one block's codewords (1.1 MiB), summed by one dot per receive
+        # antenna, the peak is 4.8 MiB (5.5 MiB when the call also loads
+        # numpy.random, as a fresh process's first does).
+        assert self.traced_peak("mimo_relay") <= 6 * 2**20
 
     def test_srinath_rajan_calibration_memory(self):
         # A search-workload code: 6.8 MiB with whole-chunk float symbols and
         # complex channels, 3.6 MiB drawn block by block, 3.1 MiB with each
-        # block's codewords one product.
-        assert self.traced_peak("srinath_rajan") <= 4.5 * 2**20
+        # block's codewords one product, 1.9 MiB (2.7 MiB in a fresh process)
+        # with no chunk-sized |HX|^2 array.
+        assert self.traced_peak("srinath_rajan") <= 3 * 2**20
 
 
-def _whole_draw_signal_power(basis, alphabet, cfg, samples):
+def _antenna_dots(H, X):
+    """_chunk_power's reduction of a chunk's channels and codewords: each
+    _BLOCK block's HX formed one receive antenna at a time and summed by one
+    np.vdot into the chunk's subtotal."""
+    total = 0.0
+    for lo in range(0, len(X), simulate._BLOCK):
+        rows = slice(lo, lo + simulate._BLOCK)
+        for i in range(H.shape[1]):
+            HX = H[rows, i : i + 1] @ X[rows]
+            total += np.vdot(HX, HX).real
+    return total
+
+
+def _whole_chunk_sum(H, X):
+    """The chunk's |HX|^2 formed whole and summed by one np.sum, as the
+    calibration did before its per-antenna dots."""
+    return float(np.sum(np.abs(H @ X) ** 2))
+
+
+def _whole_draw_signal_power(basis, alphabet, cfg, samples, reduce=_antenna_dots):
     """_mean_signal_power with each chunk's symbols and channels drawn
-    whole, as it was, and |HX|^2 formed out of place.  The codewords come
-    from lattice._codewords over the same _BLOCK rows, whose bits can depend
-    on the rows multiplied together."""
+    whole, as it was, and reduced by reduce(H, X).  The codewords come from
+    lattice._codewords over the same _BLOCK rows, whose bits can depend on
+    the rows multiplied together."""
     values = np.array(sorted(alphabet.values), dtype=float)
     rng = np.random.default_rng([cfg.seed, simulate._CALIBRATION_STREAM])
     total = 0.0
@@ -297,7 +329,7 @@ def _whole_draw_signal_power(basis, alphabet, cfg, samples):
         X = np.concatenate([lattice._codewords(basis, s[lo : lo + simulate._BLOCK]) for lo in blocks])
         shape = (n, cfg.n_r, cfg.n_t)
         H = SIGMA_H * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-        total += float(np.sum(np.abs(H @ X) ** 2))
+        total += reduce(H, X)
     return total / samples
 
 
