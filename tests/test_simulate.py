@@ -282,7 +282,7 @@ class TestCalibration:
         # complex channels (3.7 MiB) took it to 11.9 MiB, and a chunk-sized
         # array of |HX|^2 (1.8 MiB) to 6.6 MiB.  A chunk holds its symbols as
         # uint8 indices (0.5 MiB) and the channels' real parts (1.8 MiB).
-        # With one block's codewords (1.1 MiB), summed by one dot per receive
+        # With one block's codewords (1.1 MiB) and one dot per receive
         # antenna, the peak is 4.8 MiB (5.5 MiB when the call also loads
         # numpy.random, as a fresh process's first does).
         assert self.traced_peak("mimo_relay") <= 6 * 2**20
