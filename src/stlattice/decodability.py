@@ -213,36 +213,44 @@ def _check_ordering(ordering, k: int) -> tuple:
     return ordering
 
 
-def _thresholded_r(R: np.ndarray):
-    """R, a QR factor of some B or a stack of them (..., rows, k),
-    zero-padded to k x k, with the mask of entries at most TOL times the
-    largest |r| of their own factor and whether a diagonal entry is masked,
-    per factor.  The cutoff has no absolute floor, so scaling B keeps the
-    mask and an all-zero R is deficient.  Every numpy QR mode gives the
-    same R bit for bit."""
+def _factor(B: np.ndarray, y=None):
+    """The one R stage: R, Q^T y (None without y), the zero mask and the
+    deficiency flag of B or of a stack of them (..., rows, k), from one QR.
+    Where R[l, l] < 0, row l of R and entry l of Q^T y are negated (exactly),
+    so R has a nonnegative diagonal; R is zero-padded to k x k.  The mask
+    holds the entries at most TOL times the largest |r| of their own factor,
+    with no absolute floor, and a factor with a masked diagonal entry is
+    deficient.  A stacked call gives each factor the bits of its own call."""
+    Q, R = np.linalg.qr(B, mode="reduced")
+    sign = np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+    R *= sign[..., None]
+    z = None if y is None else (np.swapaxes(Q, -1, -2) @ y[..., None])[..., 0] * sign
     k = R.shape[-1]
     if R.shape[-2] < k:
         R = np.concatenate([R, np.zeros((*R.shape[:-2], k - R.shape[-2], k))], axis=-2)
     mag = np.abs(R)
     zero_mask = mag <= TOL * mag.max(axis=(-2, -1), keepdims=True)
-    return R, zero_mask, np.diagonal(zero_mask, axis1=-2, axis2=-1).any(axis=-1)
+    return R, z, zero_mask, np.diagonal(zero_mask, axis1=-2, axis2=-1).any(axis=-1)
 
 
 def r_matrix(basis: WeightBasis, H, ordering=None) -> RMatrixProfile:
     """QR structure of B_H = [vec(H B_1) ... vec(H B_k)] under an ordering.
 
-    The R factor is sign-normalized to a nonnegative diagonal; zero_mask
-    marks entries at most TOL times the largest |r|.  rank_deficient is
-    set when some diagonal entry vanishes at that tolerance (for a basis
-    whose real span is deficient this happens for every channel).
+    The R factor has a nonnegative diagonal (_factor); zero_mask marks
+    entries at most TOL times the largest |r|.  rank_deficient is set when
+    some diagonal entry vanishes at that tolerance (for a basis whose real
+    span is deficient this happens for every channel).
     """
     order = _check_ordering(ordering, basis.k)
-    B = _equivalent_channel(basis, H, order)
-    R, zero_mask, rank_deficient = _thresholded_r(np.linalg.qr(B, mode="r"))
-    signs = np.sign(np.diag(R).copy())
-    signs[signs == 0] = 1.0
-    R = signs[:, None] * R
-    return RMatrixProfile(R=R, zero_mask=zero_mask, rank_deficient=bool(rank_deficient))
+    R, _, zero_mask, deficient = _factor(_equivalent_channel(basis, H, order))
+    return RMatrixProfile(R=R, zero_mask=zero_mask, rank_deficient=bool(deficient))
+
+
+def _check_samples(trials: int, seed: int) -> None:
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError("seed cannot be negative")
 
 
 def _default_n_r(basis: WeightBasis) -> int:
@@ -274,23 +282,16 @@ def sample_r_matrix(
     trials: int = 20,
     seed: int = 0,
 ) -> RMatrixProfile:
-    """Average |R| over random channels at the default receive count;
-    zero_mask is ANDed across trials."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    n_r = _default_n_r(basis)
-    order = _check_ordering(ordering, basis.k)
-    acc = None
-    mask = None
-    deficient = False
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        H = _rayleigh((n_r, basis.n_t), rng, SIGMA_H)
-        prof = r_matrix(basis, H, order)
-        acc = np.abs(prof.R) if acc is None else acc + np.abs(prof.R)
-        mask = prof.zero_mask if mask is None else (mask & prof.zero_mask)
-        deficient = deficient or prof.rank_deficient
-    return RMatrixProfile(R=acc / trials, zero_mask=mask, rank_deficient=deficient)
+    """Average |R| over random channels at the default receive count, the
+    channel of trial t drawn from the stream [seed, t] and all factored in
+    one _factor call; zero_mask is ANDed across trials."""
+    _check_samples(trials, seed)
+    shape = (_default_n_r(basis), basis.n_t)
+    rngs = (np.random.default_rng([seed, t]) for t in range(trials))
+    H = np.stack([_rayleigh(shape, rng, SIGMA_H) for rng in rngs])
+    B = _equivalent_channel(basis, H, _check_ordering(ordering, basis.k))
+    R, _, zero_mask, deficient = _factor(B)
+    return RMatrixProfile(np.abs(R).sum(axis=0) / trials, zero_mask.all(0), bool(deficient.any()))
 
 
 # ----------------------------------------------------------------------
@@ -414,10 +415,10 @@ def classify(basis: WeightBasis, trials: int = 20, seed: int = 0) -> Decodabilit
     coefficients gets the exact separator search and the block-orthogonal
     confirmation against R factors sampled at trials channels from seed; a
     larger one, or one that no separator splits, is family none with
-    k' = k.  trials must be at least 1.
+    k' = k.  trials must be at least 1 and seed nonnegative, whether or not
+    R is sampled.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_samples(trials, seed)
     k = basis.k
     bits, comps = _graph(basis)
     if len(comps) >= 2:

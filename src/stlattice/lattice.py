@@ -314,15 +314,16 @@ def _det(mats: np.ndarray) -> np.ndarray:
     side = mats.shape[-1]
     if not 2 <= side <= 4:
         return np.linalg.det(mats)
-    a = np.moveaxis(mats, 0, -1)  # a[i, j] holds entry (i, j) of every matrix
+    # a[i][j] is the view mats[:, i, j]: entry (i, j) of every matrix
+    a = [[mats[:, i, j] for j in range(side)] for i in range(side)]
 
     def minor(r, i, j):  # rows r and r + 1, columns i and j
-        return a[r, i] * a[r + 1, j] - a[r, j] * a[r + 1, i]
+        return a[r][i] * a[r + 1][j] - a[r][j] * a[r + 1][i]
 
     if side == 2:
         return minor(0, 0, 1)
     if side == 3:
-        return a[0, 0] * minor(1, 1, 2) - a[0, 1] * minor(1, 0, 2) + a[0, 2] * minor(1, 0, 1)
+        return a[0][0] * minor(1, 1, 2) - a[0][1] * minor(1, 0, 2) + a[0][2] * minor(1, 0, 1)
     return (
         minor(0, 0, 1) * minor(2, 2, 3)
         - minor(0, 0, 2) * minor(2, 1, 3)

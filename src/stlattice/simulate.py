@@ -33,10 +33,10 @@ from .decodability import (
     SIGMA_H,
     _check_ordering,
     _default_n_r,
+    _factor,
     _graph,
     _mask_to_indices,
     _rayleigh,
-    _thresholded_r,
     classify,
 )
 from .lattice import (
@@ -118,6 +118,8 @@ class ChannelConfig:
             raise ValueError("need at least one receive antenna")
         if self.trials < 0:
             raise ValueError("trials cannot be negative")
+        if self.seed < 0:
+            raise ValueError("seed cannot be negative")
         object.__setattr__(
             self, "snr_db_grid", tuple(_check_snr(x) for x in self.snr_db_grid)
         )
@@ -369,39 +371,38 @@ def _sphere_block(R, z, values, lex_perm):
     children, at each expanded node.
 
     Children are generated on demand: a child's distance is computed when
-    the walk reaches it, and most expansions stop after one or two.  A level
-    with R[l, l] < 0 is searched mirrored, on -t and the centres
-    |R[l, l]| v; negation is exact, so every distance (c - t)^2 keeps its
-    bits, and every level's centres ascend in alphabet order.  Rounding is
-    monotone, so the distances are weakly valley-shaped: they fall weakly up
-    to t and rise weakly after it.  A walk outward from t, with a pointer on
-    each side taking the nearer head and the left one on a tie (the lower
-    alphabet index), gives the stable sort's order, unless two children on
-    one side tie: the stable sort takes the lower index first, a walk going
-    left the higher.  Such a tie needs the rounding to merge two distances.
-    With a = |R[l, l]|, g the alphabet's smallest gap and V its largest
+    the walk reaches it, and most expansions stop after one or two.  R has
+    a nonnegative diagonal (decodability._factor), so every level's centres
+    R[l, l] v ascend in alphabet order.  Rounding is monotone, so the
+    distances are weakly valley-shaped: they fall weakly up to t and rise
+    weakly after it.  A walk outward from t, with a pointer on each side
+    taking the nearer head and the left one on a tie (the lower alphabet
+    index), gives the stable sort's order, unless two children on one side
+    tie: the stable sort takes the lower index first, a walk going left the
+    higher.  Such a tie needs the rounding to merge two distances.  With
+    a = R[l, l], g the alphabet's smallest gap and V its largest
     |value|, it cannot while |t| <= far = a (2^47 g - V) and a g >= 2^-500:
     each centre and each difference from t is then rounded by under a g / 30,
     so the differences on one side stay over a g / 2 apart and about
     2^47 a g at most, and their squares stay normal and apart by far more
-    than a rounding.  An expansion beyond far sorts its distances, as
-    before, and walks them in that order.  R and z are finite, with finite
-    partial distances, as _real_model guarantees.
+    than a rounding.  An expansion beyond far, or at a level with a < 0,
+    sorts its distances and walks them in that order, which stays exact.
+    R and z are finite, with finite partial distances, as _real_model
+    guarantees.
     """
     kc, L = R.shape[0], len(values)
     inf = float("inf")
     vals = values.tolist()
     diag = R.diagonal().tolist()
-    flip = [a < 0 for a in diag]
-    # The centres |R[l, l]| * v, between infinite sentinels.  No walk takes
+    # The centres R[l, l] * v, between infinite sentinels.  No walk takes
     # one: the radius is finite from the first leaf on, before any level can
     # run out of children.
-    walks = [[-inf, *[abs(a) * v for v in vals], inf] for a in diag]
+    walks = [[-inf, *[a * v for v in vals], inf] for a in diag]
     walk_vals = [0.0, *vals, 0.0]
     gap = min(map(sub, vals[1:], vals), default=inf)
     reach = gap * 2.0**47 - max(map(abs, vals))
     # Within far no two children on one side of t tie; -1 sorts every time.
-    far = [abs(a) * reach if abs(a) * gap >= 2.0**-500 else -1.0 for a in diag]
+    far = [a * reach if a * gap >= 2.0**-500 else -1.0 for a in diag]
     s = np.zeros(kc)
     # R[l, l+1:] @ s[l+1:] stays a numpy dot, bound to views made once.  A
     # Python sum could round differently: numpy's 1-D dot is itself
@@ -418,8 +419,6 @@ def _sphere_block(R, z, values, lex_perm):
         # Expand the node fixed one level up, at partial distance `partial`:
         # the walk's heads are the centres either side of t.
         t = z[level] - float(interference[level](above[level]))
-        if flip[level]:
-            t = -t
         nodes += L
         if abs(t) <= far[level]:
             cl, vl = walks[level], walk_vals
@@ -512,22 +511,20 @@ def _build_plan(components, order: tuple) -> _Plan:
 
 def _sphere_stages(Y, H, basis: WeightBasis, alphabet: Alphabet, plan: _Plan):
     """The sorted alphabet, B_H, iota(Y), and per block its R and its rows of
-    Q^T y (as lists), for one trial or a stack of them, from one QR of each
-    B_H.
+    Q^T y (as lists), for one trial or a stack of them, from one
+    decodability._factor call: R has a nonnegative diagonal.
 
     R, thresholded at decodability.TOL, only rejects a rank-deficient
     channel and checks the plan: an entry that couples two blocks raises
     ValueError.  In a stack, the first trial that fails raises.
     """
     values, B, y = _real_model(Y, H, basis, alphabet, plan.order)
-    Q, R = np.linalg.qr(B, mode="reduced")
-    _, zero_mask, deficient = _thresholded_r(R)
+    R, z, zero_mask, deficient = _factor(B, y)
     failed = deficient | (~zero_mask & plan.coupling).any(axis=(-2, -1))
     if failed.any():
         if deficient.flat[failed.argmax()]:
             raise ValueError("rank-deficient equivalent channel")
         raise ValueError("the R factor couples symbols that the orthogonality graph separates")
-    z = (np.swapaxes(Q, -1, -2) @ y[..., None])[..., 0]
     if len(plan.blocks) == 1:
         return values, B, y, [R], [z.tolist()]
     R_blocks = [np.ascontiguousarray(R[..., b[:, None], b]) for b, _ in plan.blocks]
@@ -652,9 +649,7 @@ def run_campaign(
                 H[i] = draw_channel(cfg, rng)
                 S[i] = rng.choice(values, size=k)
                 X[i] = basis.combination(S[i])
-                noise[i] = sigma_n * (
-                    rng.normal(size=(cfg.n_r, T)) + 1j * rng.normal(size=(cfg.n_r, T))
-                )
+                noise[i] = _rayleigh((cfg.n_r, T), rng, sigma_n)
             Y = H @ X + noise
             truths = [tuple(s) for s in S.tolist()]
             if want_ml:

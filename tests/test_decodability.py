@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stlattice import codebook, decodability, simulate
 from stlattice.decodability import (
@@ -27,7 +29,7 @@ from stlattice.decodability import (
     r_matrix,
     sample_r_matrix,
 )
-from stlattice.lattice import WeightBasis
+from stlattice.lattice import WeightBasis, _equivalent_channel
 from stlattice.simulate import default_config, draw_channel, pam
 
 I2 = np.eye(2, dtype=complex)
@@ -197,6 +199,21 @@ class TestClassifyValidation:
         monkeypatch.setattr(decodability, "hurwitz_radon", no_work)
         with pytest.raises(ValueError, match="trial"):
             classify(basis, trials=0)
+
+    @pytest.mark.parametrize("name", ["alamouti", "golden"])
+    def test_rejects_a_negative_seed_before_any_work(self, name, monkeypatch):
+        # alamouti samples no R, so it took seed=-1; golden failed in the
+        # sampler with numpy's "expected non-negative integer".
+        basis = codebook.build(name)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("classify did work before checking the seed")
+
+        monkeypatch.setattr(decodability, "hurwitz_radon", no_work)
+        with pytest.raises(ValueError, match="seed cannot be negative"):
+            classify(basis, seed=-1)
+        with pytest.raises(ValueError, match="seed cannot be negative"):
+            sample_r_matrix(basis, seed=-1)
 
 
 def plain_components(adjacency, vertices):
@@ -512,7 +529,86 @@ class TestRMatrix:
         assert mask[np.tril_indices(16, k=-1)].all()
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def sign_pass_r_matrix(basis, H, ordering):
+    """r_matrix as it was before the one R stage: LAPACK's R, zero-padded to
+    k x k, with the mask and the deficiency flag read off it, and then each
+    row multiplied by the sign of its diagonal entry (+1 for a zero)."""
+    k = basis.k
+    R = np.linalg.qr(_equivalent_channel(basis, H, ordering), mode="r")
+    R = np.concatenate([R, np.zeros((k - len(R), k))]) if len(R) < k else R
+    mag = np.abs(R)
+    zero_mask = mag <= decodability.TOL * mag.max()
+    signs = np.sign(np.diag(R).copy())
+    signs[signs == 0] = 1.0
+    return signs[:, None] * R, zero_mask, bool(np.diag(zero_mask).any())
+
+
+@st.composite
+def channel_stacks(draw):
+    """A registry basis, an ordering of its coefficients, and a stack of 1
+    to 5 Rayleigh channels with 1 to 3 receive antennas: too few rows pad R
+    and flag it deficient."""
+    basis, _ = zoo(draw(st.sampled_from(sorted(codebook.REGISTRY))))
+    ordering = tuple(draw(st.permutations(range(basis.k))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 3)), basis.n_t)
+    return basis, ordering, decodability._rayleigh(shape, rng, SIGMA_H)
+
+
+class TestFactor:
+    """One stage factors every R: the stacked call gives each channel
+    r_matrix's R, mask and flag, and those keep the bits of the sign pass
+    r_matrix made on LAPACK's R."""
+
+    @given(channel_stacks())
+    def test_stacked_r_is_r_matrix(self, case):
+        basis, ordering, H = case
+        R, z, zero_mask, deficient = decodability._factor(
+            _equivalent_channel(basis, H, ordering)
+        )
+        assert z is None
+        assert R.shape == (len(H), basis.k, basis.k)
+        assert (np.diagonal(R, axis1=-2, axis2=-1) >= 0).all()
+        for t in range(len(H)):
+            prof = r_matrix(basis, H[t], ordering)
+            ref_R, ref_mask, ref_deficient = sign_pass_r_matrix(basis, H[t], ordering)
+            assert same_bits(R[t], prof.R) and same_bits(prof.R, ref_R)
+            assert same_bits(zero_mask[t], prof.zero_mask)
+            assert same_bits(prof.zero_mask, ref_mask)
+            assert deficient[t] == prof.rank_deficient == ref_deficient
+
+
 class TestSampleRMatrix:
+    @given(
+        st.sampled_from(sorted(codebook.REGISTRY)),
+        st.randoms(use_true_random=False),
+        st.integers(1, 25),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_channel_loop(self, name, random, trials, seed):
+        # The definition before the channels were stacked: one r_matrix, as
+        # it then was, per channel, summed in trial order.
+        basis, _ = zoo(name)
+        ordering = random.sample(range(basis.k), basis.k)
+        shape = (_default_n_r(basis), basis.n_t)
+        acc = mask = None
+        deficient = False
+        for trial in range(trials):
+            H = decodability._rayleigh(shape, np.random.default_rng([seed, trial]), SIGMA_H)
+            R, zero_mask, rank_deficient = sign_pass_r_matrix(basis, H, ordering)
+            acc = np.abs(R) if acc is None else acc + np.abs(R)
+            mask = zero_mask if mask is None else (mask & zero_mask)
+            deficient = deficient or rank_deficient
+        sampled = sample_r_matrix(basis, ordering, trials=trials, seed=seed)
+        assert same_bits(sampled.R, acc / trials)
+        assert same_bits(sampled.zero_mask, mask)
+        assert sampled.rank_deficient == deficient
+
     def test_deterministic(self):
         basis, _ = zoo("golden")
         a = sample_r_matrix(basis, trials=5, seed=11)

@@ -20,8 +20,8 @@ from stlattice.decodability import (
     SIGMA_H,
     _check_ordering,
     _mask_to_indices,
+    _factor,
     _r_blocks,
-    _thresholded_r,
     classify,
     r_matrix,
 )
@@ -115,6 +115,14 @@ class TestChannelConfig:
     def test_rejects_negative_trials(self):
         with pytest.raises(ValueError, match="negative"):
             ChannelConfig(n_t=2, n_r=1, T=2, snr_db_grid=(0,), trials=-1, seed=0)
+
+    def test_rejects_negative_seed(self):
+        # It used to pass, and the campaign's stream then failed with numpy's
+        # "expected non-negative integer", which names no argument.
+        with pytest.raises(ValueError, match="seed cannot be negative"):
+            ChannelConfig(n_t=2, n_r=1, T=2, snr_db_grid=(0,), trials=1, seed=-1)
+        with pytest.raises(ValueError, match="seed cannot be negative"):
+            default_config(code("alamouti"), (0,), 1, -1)
 
     @pytest.mark.parametrize("grid", [(-np.inf,), (np.nan,), (0.0, np.nan)])
     def test_rejects_nan_and_minus_inf_snr(self, grid):
@@ -753,9 +761,9 @@ WALK_ALPHABETS = ((-1, 1), (-3, -1, 1, 3), (-2, 0, 2), (-5, -1, 1, 5))
 
 @st.composite
 def search_blocks(draw):
-    """One block's R (upper triangular, k <= 5, diagonal entries of both
-    signs), Q^T y, sorted alphabet and lexicographic order, R and Q^T y
-    scaled by 2^e with |e| <= 40.  Gaussian R with noisy, zero or far
+    """One block's R (upper triangular, k <= 5, positive diagonal, as
+    decodability._factor gives it), Q^T y, sorted alphabet and
+    lexicographic order, R and Q^T y scaled by 2^e with |e| <= 40.  Gaussian R with noisy, zero or far
     (|z_l| from 2^45 to 2^60 |R_ll|; past about 2^50 the rounding merges
     distances) Q^T y;
     or integer R with Q^T y at exact midpoints of the lattice, where the
@@ -764,14 +772,13 @@ def search_blocks(draw):
     kc = draw(st.integers(1, 5))
     kind = draw(st.sampled_from(("noisy", "zero", "far", "integer_midpoint")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    signs = rng.choice([-1.0, 1.0], kc)
     if kind == "integer_midpoint":
         R = np.triu(rng.integers(-2, 3, (kc, kc))).astype(float)
-        R[np.diag_indices(kc)] = signs * rng.integers(1, 3, kc)
+        R[np.diag_indices(kc)] = rng.integers(1, 3, kc)
         z = R @ (rng.choice(values, kc) + rng.choice(values, kc)) / 2
     else:
         R = np.triu(rng.normal(size=(kc, kc)))
-        R[np.diag_indices(kc)] = signs * (0.1 + np.abs(rng.normal(size=kc)))
+        R[np.diag_indices(kc)] = 0.1 + np.abs(rng.normal(size=kc))
         if kind == "noisy":
             z = R @ rng.choice(values, kc) + rng.choice([0.1, 1.0, 3.0]) * rng.normal(size=kc)
         elif kind == "zero":
@@ -830,6 +837,21 @@ class TestSphereWalk:
         assert nodes == nodes_ref
         assert walked == sorted_
 
+    @given(search_blocks(), st.integers(1, 2**5 - 1))
+    def test_a_negative_level_is_sorted_exactly(self, block, flipped):
+        # No stage hands the walk a negative diagonal, but one still gives
+        # the sorted loop's nodes: it takes the sort path every time.  A
+        # negated row of R with its entry of Q^T y is the same search.
+        R, z, values, lex_perm = block
+        sign = np.where([flipped >> l & 1 for l in range(len(z))], -1.0, 1.0)
+        mirrored = (sign[:, None] * R, (sign * z).tolist(), values, lex_perm)
+        assume(sign.min() < 0)
+        (s, nodes), walked = expansions(simulate._sphere_block, *mirrored)
+        (s_ref, nodes_ref), sorted_ = expansions(reference_sphere_block, *block)
+        assert s.tobytes() == s_ref.tobytes()
+        assert nodes == nodes_ref
+        assert walked == sorted_
+
     @pytest.mark.parametrize("r", [0.75, -0.75, 2.0**-30, -4.0])
     def test_a_cross_side_tie_takes_the_lower_index(self, r):
         # t = 0 lies exactly between the centres of -1 and 1, and of -3 and
@@ -861,8 +883,7 @@ def per_block_qr_decode(Y, H, basis, alphabet, ordering=None):
     k = basis.k
     order = _check_ordering(ordering, k)
     values, B, y = simulate._real_model(Y, H, basis, alphabet, order)
-    Q, R = np.linalg.qr(B, mode="reduced")
-    _, zero_mask, rank_deficient = _thresholded_r(R)
+    R, z, zero_mask, rank_deficient = _factor(B, y)
     if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
     blocks = _r_blocks(zero_mask)
@@ -871,9 +892,9 @@ def per_block_qr_decode(Y, H, basis, alphabet, ordering=None):
     for comp in blocks:
         block = list(_mask_to_indices(comp))
         if len(blocks) > 1:
-            Q, R = np.linalg.qr(B[:, block], mode="reduced")
+            R, z, _, _ = _factor(B[:, block], y)
         lex_perm = np.argsort([order[p] for p in block])
-        s_hat[block], nodes = simulate._sphere_block(R, (Q.T @ y).tolist(), values, lex_perm)
+        s_hat[block], nodes = simulate._sphere_block(R, z.tolist(), values, lex_perm)
         total_nodes += nodes
     resid = y - B @ s_hat
     return DecodeResult(
@@ -934,20 +955,22 @@ def same_bits(a, b) -> bool:
 
 
 def one_trial_stages(Y, H, basis, order):
-    """B_H, iota(Y), Q, R and Q^T y of one trial as sphere_decode formed them
+    """B_H, iota(Y), R and Q^T y of one trial as sphere_decode formed them
     before a campaign stacked its stages: B_H from one vectorize of the
-    products H B_i side by side."""
+    products H B_i side by side, and one raw QR whose rows with a negative
+    diagonal entry are negated in R and in Q^T y."""
     HB = H @ basis._stack[list(order)]
     side_by_side = HB.transpose(1, 0, 2).reshape(HB.shape[1], -1)
     B = np.ascontiguousarray(vectorize(side_by_side).reshape(len(HB), -1).T)
     y = vectorize(Y)
     Q, R = np.linalg.qr(B, mode="reduced")
-    return B, y, Q, R, Q.T @ y
+    sign = np.where(np.diag(R) < 0, -1.0, 1.0)
+    return B, y, sign[:, None] * R, sign * (Q.T @ y)
 
 
 def one_trial_decode(Y, H, basis, alphabet, order):
     """sphere_decode on one_trial_stages, each block cut out of R with np.ix_."""
-    B, y, _, R, z = one_trial_stages(Y, H, basis, order)
+    B, y, R, z = one_trial_stages(Y, H, basis, order)
     comps = decodability._graph(basis)[1]
     comp_at = np.array([next(c for c, m in enumerate(comps) if m >> s & 1) for s in order])
     blocks = [np.flatnonzero(comp_at == c) for c in dict.fromkeys(comp_at.tolist())]
@@ -981,18 +1004,17 @@ class TestStackedStages:
         H = np.stack([h for h, _, _ in draws])
         Y = np.stack([y for _, _, y in draws])
         values, B, y = simulate._real_model(Y, H, basis, alphabet, plan.order)
-        Q, R = np.linalg.qr(B, mode="reduced")
-        _, zero_mask, deficient = _thresholded_r(R)
+        R, z, zero_mask, deficient = _factor(B, y)
         assert B.flags.c_contiguous
         for t in range(len(draws)):
             _, B1, y1 = simulate._real_model(Y[t], H[t], basis, alphabet, plan.order)
-            Q1, R1 = np.linalg.qr(B1, mode="reduced")
-            _, zero_mask1, deficient1 = _thresholded_r(R1)
-            ref_B, ref_y, _, _, ref_z = one_trial_stages(Y[t], H[t], basis, plan.order)
+            R1, z1, zero_mask1, deficient1 = _factor(B1, y1)
+            ref_B, ref_y, ref_R, ref_z = one_trial_stages(Y[t], H[t], basis, plan.order)
             assert B1.flags.c_contiguous
             assert same_bits(B[t], B1) and same_bits(B1, ref_B)
             assert same_bits(y[t], y1) and same_bits(y1, ref_y)
-            assert same_bits(Q[t], Q1) and same_bits(R[t], R1)
+            assert same_bits(R[t], R1) and same_bits(R1, ref_R)
+            assert same_bits(z[t], z1) and same_bits(z1, ref_z)
             assert same_bits(zero_mask[t], zero_mask1) and deficient[t] == deficient1
         if name == "iterated":  # its real span is deficient: so is every channel
             assert deficient.all()
@@ -1006,7 +1028,7 @@ class TestStackedStages:
             _, B1, y1, R1_blocks, z1_blocks = simulate._sphere_stages(
                 Y[t], H[t], basis, alphabet, plan
             )
-            _, _, _, ref_R, ref_z = one_trial_stages(Y[t], H[t], basis, plan.order)
+            _, _, ref_R, ref_z = one_trial_stages(Y[t], H[t], basis, plan.order)
             for (block, _), R_b, z_b, R1_b, z1_b in zip(
                 plan.blocks, R_blocks, z_blocks, R1_blocks, z1_blocks
             ):
