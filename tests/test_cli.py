@@ -181,23 +181,6 @@ class TestAnalyze:
             assert out == ""
             assert "trial" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("analyze", "alamouti"),
-            ("analyze", "golden"),
-            ("zoo",),
-            ("simulate", "alamouti", "--trials", "1"),
-        ],
-    )
-    def test_rejects_a_negative_seed(self, capsys, argv):
-        # simulate and analyze golden printed numpy's "expected non-negative
-        # integer", and analyze alamouti, which samples no R, took the seed.
-        code, out, err = run(capsys, *argv, "--seed", "-1")
-        assert code == 1
-        assert out == ""
-        assert err == "error: seed cannot be negative\n"
-
     def test_family_name_is_not_shadowed_by_a_file(self, capsys, tmp_path, monkeypatch):
         (tmp_path / "golden").write_text("not a basis\n")
         (tmp_path / "basis.json").write_text(codebook.build("alamouti").to_json())
@@ -321,6 +304,24 @@ class TestVerbs:
         }
         assert flags == self.FLAGS
         assert sum(map(len, flags.values())) == 19
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "alamouti"),
+            ("analyze", "golden"),
+            ("zoo",),
+            ("simulate", "alamouti", "--trials", "1"),
+        ],
+    )
+    def test_rejects_a_negative_seed(self, capsys, argv):
+        # simulate, zoo and analyze golden printed numpy's "expected
+        # non-negative integer"; analyze alamouti, which samples no R, took
+        # the seed.
+        code, out, err = run(capsys, *argv, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: seed cannot be negative\n"
 
     @pytest.mark.parametrize(
         "argv",
