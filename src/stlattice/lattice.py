@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -181,36 +182,43 @@ class LatticeProfile:
     eta: float | None = None
 
 
-#: Chunk size for vectorized sweeps over coefficient boxes.
-_CHUNK = 65536
-
 #: Bytes of codewords that a sweep forms and reduces at a time, so that a
 #: block and the temporaries of its reduction stay in cache.
 _BLOCK_BYTES = 1 << 19
 
 
-def _mixed_radix(values, k: int, start: int, stop: int, chunk: int):
+def _block_rows(basis: WeightBasis) -> int:
+    """Rows of a box-sweep block: about _BLOCK_BYTES of codewords, at least
+    one.  Every box producer yields blocks of at most this many rows."""
+    return max(1, _BLOCK_BYTES // basis._stack[0].nbytes)
+
+
+def _mixed_radix(values, k: int, start: int, stop: int, rows: int):
     """Yield the rows (values[d_1], ..., values[d_k]) of the k base-len(values)
     digits, most significant first, of every index in [start, stop), in
-    blocks of at most chunk rows.
+    blocks of rows rows, the last one shorter.
 
     Each block is built digit-major, as a k x n array whose transpose is
     yielded, so every pass runs along the block's rows.  Digit j runs
     through values with each value repeated r = base^(k-1-j) times.  A
     column whose run is at least the longest block holds at most two runs
-    and is filled with them.  Any other column is periodic: one period of
-    its cycle, tabulated once per call, is copied in from the block's
-    offset, and the filled prefix is doubled until the column is full.
+    and is filled with them.  Any other column is periodic: its cycle,
+    tabulated once per call for one period plus the longest block, is
+    copied in by one slice from the block's offset in the period.
 
     One block is held at a time: each is built in _radix_block, so the
     generator keeps no name bound to a block it has yielded.
     """
     base = len(values)
     runs = [base ** (k - 1 - j) for j in range(k)]
-    longest = min(chunk, stop - start)
-    cycles = {run: np.repeat(values, run) for run in runs if run < longest}
-    for lo in range(start, stop, chunk):
-        yield _radix_block(values, runs, cycles, lo, min(chunk, stop - lo))
+    longest = min(rows, stop - start)
+    cycles = {
+        run: np.resize(np.repeat(values, run), base * run + longest - 1)
+        for run in runs
+        if run < longest
+    }
+    for lo in range(start, stop, rows):
+        yield _radix_block(values, runs, cycles, lo, min(rows, stop - lo))
 
 
 def _radix_block(values, runs, cycles, lo: int, n: int) -> np.ndarray:
@@ -219,75 +227,59 @@ def _radix_block(values, runs, cycles, lo: int, n: int) -> np.ndarray:
     base = len(values)
     block = np.empty((len(runs), n), dtype=values.dtype)
     for col, run in zip(block, runs):
-        digit, into = divmod(lo % (base * run), run)
-        if run not in cycles:
-            head = min(run - into, n)
-            col[:head] = values[digit]
-            col[head:] = values[(digit + 1) % base]
+        at = lo % (base * run)
+        if run in cycles:
+            col[:] = cycles[run][at : at + n]
             continue
-        cycle = cycles[run]
-        at = digit * run + into
-        head = min(len(cycle) - at, n)
-        col[:head] = cycle[at : at + head]
-        filled = min(len(cycle), n)
-        col[head:filled] = cycle[: filled - head]
-        while filled < n:
-            step = min(filled, n - filled)
-            col[filled : filled + step] = col[:step]
-            filled += step
+        digit, into = divmod(at, run)
+        head = min(run - into, n)
+        col[:head] = values[digit]
+        col[head:] = values[(digit + 1) % base]
     return block.T
 
 
-def _check_bound(bound: int) -> None:
-    if bound < 0:
-        raise ValueError("search bound must be nonnegative")
+def _check_nonnegative(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative")
 
 
-def _coefficient_box(k: int, bound: int):
-    """Yield integer coefficient chunks covering the box ||z||_inf <= bound.
+def _check_cap(search: str, vectors: int, cap: int, lower: str) -> None:
+    if vectors > cap:
+        msg = f"{search} holds {vectors} vectors which exceeds the cap of {cap}; lower {lower}"
+        raise ValueError(msg)
+
+
+def _coefficient_box(k: int, bound: int, rows: int):
+    """Yield blocks of at most rows coefficient rows covering ||z||_inf <= bound.
 
     Only one representative of each antipodal pair {z, -z} is produced (the
     determinant modulus and the rank are symmetric under negation), realized
     by enumerating the lexicographic first half of the box.  The box may
-    hold at most 2 * MAX_CANDIDATES nonzero vectors.  One chunk is held at
+    hold at most 2 * MAX_CANDIDATES nonzero vectors.  One block is held at
     a time, as _mixed_radix yields them.
     """
-    _check_bound(bound)
+    _check_nonnegative("search bound", bound)
     base = 2 * bound + 1
     total = base**k - 1
-    if total > 2 * MAX_CANDIDATES:
-        raise ValueError(
-            f"coefficient box holds {total} vectors which exceeds the cap of "
-            f"{2 * MAX_CANDIDATES}; lower the bound"
-        )
+    _check_cap("coefficient box", total, 2 * MAX_CANDIDATES, "the bound")
     # Vectors whose mixed-radix index lies in the upper half have a positive
     # leading nonzero entry; the zero vector sits exactly at the midpoint.
     mid = total // 2  # index of the zero vector
-    yield from _mixed_radix(np.arange(base, dtype=float) - bound, k, mid + 1, total + 1, _CHUNK)
+    yield from _mixed_radix(np.arange(base, dtype=float) - bound, k, mid + 1, total + 1, rows)
 
 
-def _sweep(basis: WeightBasis, chunks, reduce, best, stop=None):
-    """Fold min(best, reduce(codewords)) over blocks of coefficient rows z,
-    each turned into its codewords by _codewords; returns early at stop.
-
-    Each chunk is cut into blocks of about _BLOCK_BYTES of codewords, at
-    least one row, and every block is formed, reduced and checked against
-    stop before the next, so no reduction streams a whole chunk through
-    memory.  A chunk of integers is converted to float one block at a time,
-    so its float form is never built whole (for a float chunk the
-    conversion is a no-op).  The sweep drops a finished chunk before it
-    asks for the next, so with a producer that keeps none, one chunk is
-    held at a time.
-    """
-    rows = max(1, _BLOCK_BYTES // basis._stack[0].nbytes)
+def _sweep(basis: WeightBasis, blocks, reduce, best, stop=None):
+    """Fold min(best, reduce(codewords)) over the blocks of coefficient rows
+    z that a producer yields, _block_rows(basis) rows at most; returns early
+    at stop.  Each block's codewords are formed by _codewords (which turns
+    integer rows to float), reduced and checked before the next is asked
+    for, so no reduction streams more than one block through memory."""
     empty = True
-    for chunk in chunks:
+    for z in blocks:
         empty = False
-        for lo in range(0, len(chunk), rows):
-            best = min(best, reduce(_codewords(basis, chunk[lo : lo + rows])))
-            if stop is not None and best <= stop:
-                return best
-        del chunk
+        best = min(best, reduce(_codewords(basis, z)))
+        if stop is not None and best <= stop:
+            return best
     if empty:
         raise ValueError("no coefficient vector to search: the bound is 0 or none was requested")
     return best
@@ -340,7 +332,7 @@ def _fro_sq(mats: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _min_abs_det_sq_of_chunk(mats: np.ndarray, slack: float) -> float:
+def _min_abs_det_sq_of_block(mats: np.ndarray, slack: float) -> float:
     """min |det X|^2 over a stack, as LAPACK's det gives it.
 
     The closed form ranks the stack; LAPACK then runs only on the rows
@@ -371,9 +363,9 @@ def _min_abs_det_sq(basis: WeightBasis, bound: int) -> float:
     LAPACK's values over every codeword, at the cost of the closed form plus
     LAPACK on the few rows near each block's minimum; those rows never
     outlive their block."""
-    chunks = _coefficient_box(basis.k, bound)
+    blocks = _coefficient_box(basis.k, bound, _block_rows(basis))
     slack = _det_slack(basis, bound)
-    return _sweep(basis, chunks, lambda mats: _min_abs_det_sq_of_chunk(mats, slack), np.inf)
+    return _sweep(basis, blocks, lambda mats: _min_abs_det_sq_of_block(mats, slack), np.inf)
 
 
 def lattice_profile(basis: WeightBasis, det_search_bound: int = 2) -> LatticeProfile:
@@ -385,7 +377,7 @@ def lattice_profile(basis: WeightBasis, det_search_bound: int = 2) -> LatticePro
     eta = min_det_est^(2n) / volume with n = n_t.  A det_search_bound of 0
     skips the determinant fields; a negative one is refused for every shape.
     """
-    _check_bound(det_search_bound)
+    _check_nonnegative("search bound", det_search_bound)
     prof = profile_from_generator(generator_matrix(basis))
     if basis.n_t != basis.T or det_search_bound == 0:
         return prof
@@ -429,7 +421,7 @@ def _ranks(mats: np.ndarray) -> np.ndarray:
     return (svals > cutoff).sum(axis=1)
 
 
-def _min_rank_of_chunk(mats: np.ndarray) -> int:
+def _min_rank_of_block(mats: np.ndarray) -> int:
     """Minimum rank across a stack of matrices.
 
     Fast path for square stacks: a clearly nonzero determinant certifies
@@ -453,31 +445,30 @@ def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
     Exact over the enumerated box.  A result equal to min(n_t, T) certifies
     full diversity within the box.
     """
-    return _min_rank_sweep(basis, _coefficient_box(basis.k, search_bound))
+    return _min_rank_sweep(basis, _coefficient_box(basis.k, search_bound, _block_rows(basis)))
 
 
-def _min_rank_sweep(basis: WeightBasis, chunks) -> int:
-    """The least rank over the chunks' codewords, ending at the least one
+def _min_rank_sweep(basis: WeightBasis, blocks) -> int:
+    """The least rank over the blocks' codewords, ending at the least one
     possible: 0 if the weights are dependent, else 1."""
     stop = 1 if basis.rank == basis.k else 0
-    return _sweep(basis, chunks, _min_rank_of_chunk, min(basis.n_t, basis.T), stop)
+    return _sweep(basis, blocks, _min_rank_of_block, min(basis.n_t, basis.T), stop)
 
 
-def _sparse_box(k: int, bound: int, max_nonzeros: int):
-    """Yield chunks of the vectors with 1..max_nonzeros nonzero entries in
-    [-bound, bound], one of each antipodal pair (positive first nonzero).
-    One chunk is held at a time: each is built in _scatter, so the
-    generator keeps no name bound to a chunk it has yielded."""
+def _sparse_box(k: int, bound: int, max_nonzeros: int, rows: int):
+    """Yield blocks of at most rows of the vectors with 1..max_nonzeros <= k
+    nonzero entries in [-bound, bound], one of each antipodal pair (positive
+    first nonzero): one block of values at as many supports as fit.  Each
+    block is built in _scatter, so the generator holds none it has yielded."""
     base = 2 * bound
     vals = np.delete(np.arange(-bound, bound + 1.0), bound)
     for nnz in range(1, max_nonzeros + 1):
         # digits in the upper half of the base^nnz range pick a positive
         # first value; every nonzero pattern comes once per support
-        for values in _mixed_radix(vals, nnz, base**nnz // 2, base**nnz, _CHUNK):
+        for values in _mixed_radix(vals, nnz, base**nnz // 2, base**nnz, rows):
             supports = itertools.combinations(range(k), nnz)
-            per_chunk = _CHUNK // len(values)  # >= 1: values has at most _CHUNK rows
-            while block := list(itertools.islice(supports, per_chunk)):
-                yield _scatter(k, block, values)
+            while group := list(itertools.islice(supports, rows // len(values))):
+                yield _scatter(k, group, values)
 
 
 def _scatter(k: int, supports: list, values: np.ndarray) -> np.ndarray:
@@ -489,23 +480,19 @@ def _scatter(k: int, supports: list, values: np.ndarray) -> np.ndarray:
     return z
 
 
-def _random_box(k: int, bound: int, n_random: int, seed: int):
-    """Yield seeded uniform draws from the box as int64 rows, zero vectors
-    dropped; _sweep converts them to float block by block.  Each call draws
-    about _BLOCK_BYTES of rows, and a split draw continues the same stream.
-    One chunk is held at a time: the generator drops each chunk it has
-    yielded before it draws the next."""
+def _random_box(k: int, bound: int, n_random: int, seed: int, rows: int):
+    """Yield seeded uniform draws from the box as int64 rows, one draw of
+    rows rows a block with its zero vectors dropped; _codewords converts
+    them to float.  A split draw continues the same stream, so the blocks
+    hold the rows of one whole draw."""
     rng = np.random.default_rng(seed)
-    per_call = max(1, _BLOCK_BYTES // (8 * k))
-    for lo in range(0, n_random, per_call):
-        size = min(per_call, n_random - lo)
-        chunk = rng.integers(-bound, bound + 1, size=(size, k))
-        nonzero = np.any(chunk, axis=1)
+    for lo in range(0, n_random, rows):
+        z = rng.integers(-bound, bound + 1, size=(min(rows, n_random - lo), k))
+        nonzero = np.any(z, axis=1)
         if not nonzero.all():
-            chunk = chunk[nonzero]
-        if len(chunk):
-            yield chunk
-        del chunk
+            z = z[nonzero]
+        if len(z):
+            yield z
 
 
 def min_rank_sampled(
@@ -520,11 +507,19 @@ def min_rank_sampled(
     Exhausts all coefficient vectors with at most ``max_nonzeros`` nonzero
     entries and adds ``n_random`` seeded dense random vectors.  The result is
     an upper bound on the true minimum rank over the box; it is exact on the
-    sparse subset.
+    sparse subset.  The two together may hold at most MAX_CANDIDATES vectors.
     """
-    _check_bound(search_bound)
-    chunks = itertools.chain(
-        _sparse_box(basis.k, search_bound, max_nonzeros),
-        _random_box(basis.k, search_bound, n_random, seed),
+    _check_nonnegative("search bound", search_bound)
+    _check_nonnegative("max_nonzeros", max_nonzeros)
+    _check_nonnegative("n_random", n_random)
+    k, max_nonzeros = basis.k, min(max_nonzeros, basis.k)
+    sparse = sum(math.comb(k, m) * (2 * search_bound) ** m // 2 for m in range(1, max_nonzeros + 1))
+    _check_cap(
+        "sampled search", sparse + n_random, MAX_CANDIDATES, "the bound, max_nonzeros or n_random"
     )
-    return _min_rank_sweep(basis, chunks)
+    rows = _block_rows(basis)
+    blocks = itertools.chain(
+        _sparse_box(k, search_bound, max_nonzeros, rows),
+        _random_box(k, search_bound, n_random, seed, rows),
+    )
+    return _min_rank_sweep(basis, blocks)

@@ -385,8 +385,8 @@ def _sphere_block(R, z, values, lex_perm):
     each centre and each difference from t is then rounded by under a g / 30,
     so the differences on one side stay over a g / 2 apart and about
     2^47 a g at most, and their squares stay normal and apart by far more
-    than a rounding.  An expansion beyond far, or at a level with a < 0,
-    sorts its distances and walks them in that order, which stays exact.
+    than a rounding.  An expansion beyond far sorts its distances and walks
+    them in that order, which stays exact.
     R and z are finite, with finite partial distances, as _real_model
     guarantees.
     """

@@ -312,6 +312,29 @@ class TestMinRank:
         with pytest.raises(ValueError, match="nonnegative"):
             min_rank_sampled(alamouti_basis(), search_bound=-1)
 
+    def test_sampled_refuses_negative_counts(self):
+        # Each used to be swept as 0.
+        for kwargs in ({"max_nonzeros": -1}, {"n_random": -1}):
+            name = next(iter(kwargs))
+            with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+                min_rank_sampled(alamouti_basis(), 1, **kwargs)
+
+    def test_sampled_sweeps_at_most_k_nonzeros(self):
+        # A vector of k = 4 entries has at most 4 nonzeros; the sweep of
+        # every value row up to 30 nonzeros, with no support, never ended.
+        assert min_rank_sampled(build("alamouti"), 1, max_nonzeros=30, n_random=0) == 2
+
+    def test_sampled_refuses_a_search_over_the_cap(self, monkeypatch):
+        # 7^16 / 2 sparse vectors: min_rank_difference refuses that box too.
+        with pytest.raises(ValueError, match="exceeds the cap of 25000000"):
+            min_rank_sampled(build("srinath_rajan"), 3, max_nonzeros=16, n_random=0)
+        # 4 sparse vectors plus the random ones, against a cap of 10
+        monkeypatch.setattr(lattice, "MAX_CANDIDATES", 10)
+        assert min_rank_sampled(alamouti_basis(), 1, 1, n_random=6) == 2
+        msg = "^sampled search holds 11 vectors which exceeds the cap of 10; lower the bound, "
+        with pytest.raises(ValueError, match=msg):
+            min_rank_sampled(alamouti_basis(), 1, 1, n_random=7)
+
 
 def _small_integer_basis(rng, n_t, T, k):
     """Random independent basis with sparse Gaussian-integer entries, so
@@ -359,19 +382,20 @@ class TestCoefficientEngine:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("bound", [1, 2])
     def test_box_holds_one_of_each_antipodal_pair(self, k, bound):
-        rows = np.concatenate(list(lattice._coefficient_box(k, bound)))
+        blocks = list(lattice._coefficient_box(k, bound, 7))
+        assert all(len(c) == 7 for c in blocks[:-1]) and 0 < len(blocks[-1]) <= 7
+        rows = np.concatenate(blocks)
         got = {tuple(int(v) for v in z) for z in rows}
         assert len(got) == len(rows) == ((2 * bound + 1) ** k - 1) // 2
         full = set(itertools.product(range(-bound, bound + 1), repeat=k)) - {(0,) * k}
         assert got | {tuple(-v for v in z) for z in got} == full
 
     @pytest.mark.parametrize("k,bound,max_nonzeros", [(4, 1, 4), (5, 2, 3), (3, 3, 2)])
-    def test_sparse_box_holds_one_of_each_antipodal_pair(self, monkeypatch, k, bound, max_nonzeros):
-        # a tiny chunk exercises both the value split and the support split
-        monkeypatch.setattr(lattice, "_CHUNK", 7)
-        chunks = list(lattice._sparse_box(k, bound, max_nonzeros))
-        assert all(0 < len(c) <= 7 for c in chunks)
-        rows = np.concatenate(chunks)
+    def test_sparse_box_holds_one_of_each_antipodal_pair(self, k, bound, max_nonzeros):
+        # a tiny block exercises both the value split and the support split
+        blocks = list(lattice._sparse_box(k, bound, max_nonzeros, 7))
+        assert all(0 < len(c) <= 7 for c in blocks)
+        rows = np.concatenate(blocks)
         got = {tuple(int(v) for v in z) for z in rows}
         expected = sum(
             math.comb(k, m) * (2 * bound) ** m // 2 for m in range(1, max_nonzeros + 1)
@@ -415,50 +439,47 @@ class TestMixedRadix:
             assert g.dtype == values.dtype and np.array_equal(g, w)
 
 
-def sweep_products(basis, chunk):
-    """The codewords _sweep forms from one chunk of coefficient rows, every
-    block of them in order."""
+def sweep_products(basis, block):
+    """The codewords _sweep forms from one block of coefficient rows."""
     seen = []
-    lattice._sweep(basis, [chunk], lambda mats: seen.append(mats.copy()) or 0.0, np.inf)
+    lattice._sweep(basis, [block], lambda mats: seen.append(mats.copy()) or 0.0, np.inf)
     return np.concatenate(seen)
 
 
 class TestSweepLayout:
     @pytest.mark.parametrize("name", list(REGISTRY))
-    def test_digit_major_chunk_gives_the_c_ordered_products(self, monkeypatch, name):
+    def test_digit_major_block_gives_the_c_ordered_products(self, monkeypatch, name):
         # The enumerator yields the transpose of a digit-major block; the
-        # product must not depend on the layout, bit for bit.  Blocks of
-        # 4096 rows keep mimo_relay's codewords to a few MB.
-        monkeypatch.setattr(lattice, "_CHUNK", 4096)
-        # Only the first chunks are taken, so the cap may exceed any box.
+        # product must not depend on the layout, bit for bit.
+        # Only the first blocks are taken, so the cap may exceed any box.
         monkeypatch.setattr(lattice, "MAX_CANDIDATES", 10**30)
         basis = build(name)
-        chunks = [
-            *itertools.islice(lattice._coefficient_box(basis.k, 1), 2),
-            next(lattice._coefficient_box(basis.k, 2)),
+        rows = lattice._block_rows(basis)
+        blocks = [
+            *itertools.islice(lattice._coefficient_box(basis.k, 1, rows), 2),
+            next(lattice._coefficient_box(basis.k, 2, rows)),
         ]
-        for chunk in chunks:
-            assert chunk.flags.f_contiguous and not chunk.flags.c_contiguous
-            got = sweep_products(basis, chunk)
-            want = sweep_products(basis, np.ascontiguousarray(chunk))
+        for block in blocks:
+            assert block.flags.f_contiguous and not block.flags.c_contiguous
+            got = sweep_products(basis, block)
+            want = sweep_products(basis, np.ascontiguousarray(block))
             assert got.tobytes() == want.tobytes()
 
 
 class TestSweepBlocks:
-    """Blocks of one row, of 7 rows in 30-row chunks (so the last block of
-    every chunk is short) and of the default size give the same bits."""
+    """Blocks of one row, of 7 rows (so the last block of a box is short)
+    and of the default size give the same bits."""
 
-    SETTINGS = [(1, 30), (7, 30), (None, None)]
+    SETTINGS = [1, 7, None]
 
     def _each_setting(self, monkeypatch, basis):
-        """Patch in each setting in turn; yield the patch context and the
-        block and chunk sizes in rows."""
-        for rows, chunk in self.SETTINGS:
+        """Patch in each block size in turn; yield the patch context and the
+        block size in rows."""
+        for rows in self.SETTINGS:
             with monkeypatch.context() as m:
                 if rows is not None:
                     m.setattr(lattice, "_BLOCK_BYTES", rows * 16 * basis.n_t * basis.T)
-                    m.setattr(lattice, "_CHUNK", chunk)
-                yield m, lattice._BLOCK_BYTES // (16 * basis.n_t * basis.T), lattice._CHUNK
+                yield m, lattice._block_rows(basis)
 
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (2, 3)])
     def test_same_bits_at_every_block_size(self, monkeypatch, shape):
@@ -481,29 +502,29 @@ class TestSweepBlocks:
         for _ in self._each_setting(monkeypatch, b):
             assert lattice._min_abs_det_sq(b, 1).hex() == want
 
-    def test_stops_at_the_block_of_a_mid_chunk_rank_one_codeword(self, monkeypatch):
+    def test_stops_at_the_block_of_the_first_rank_one_codeword(self, monkeypatch):
         # B_4 = 2i B_1.  Of the 40 rows of the unit box, row 5, z = (0, 1,
         # -1, 0) with codeword diag(0, 2), is the first of rank 1.  The
         # weights are independent, so no codeword is zero and rank 1 ends
         # the sweep.
         J = np.array([[0, -1], [1, 0]], dtype=complex)
         b = WeightBasis("rank-one", [J, I2, np.diag([1.0, -1.0]), 2j * J])
-        rows_z = np.concatenate(list(lattice._coefficient_box(4, 1)))
+        rows_z = np.concatenate(list(lattice._coefficient_box(4, 1, 40)))
         ranks = np.linalg.matrix_rank(np.tensordot(rows_z, b._stack, axes=1))
         first = int(np.argmax(ranks < 2))
         assert (len(rows_z), first, ranks[first], ranks.min()) == (40, 5, 1, 1)
-        reduce = lattice._min_rank_of_chunk
-        for m, rows, chunk in self._each_setting(monkeypatch, b):
+        reduce = lattice._min_rank_of_block
+        for m, rows in self._each_setting(monkeypatch, b):
             seen = []
 
             def counted(mats):
                 seen.append(len(mats))
                 return reduce(mats)
 
-            m.setattr(lattice, "_min_rank_of_chunk", counted)
+            m.setattr(lattice, "_min_rank_of_block", counted)
             assert min_rank_difference(b, search_bound=1) == 1
             # the sweep returns at the end of the block that holds row 5
-            assert sum(seen) == min(-(-(first + 1) // rows) * rows, chunk, 40)
+            assert sum(seen) == min(-(-(first + 1) // rows) * rows, 40)
 
 
 class TestClosedFormDet:
@@ -522,9 +543,9 @@ class TestClosedFormDet:
 
 def _lapack_min_abs_det_sq(basis, bound):
     """The sweep _min_abs_det_sq replaced: LAPACK's det of every codeword,
-    each built by tensordot."""
+    each built by tensordot in blocks of 65,536 rows, not the sweep's."""
     best = np.inf
-    for z in lattice._coefficient_box(basis.k, bound):
+    for z in lattice._coefficient_box(basis.k, bound, 1 << 16):
         mats = np.tensordot(z, basis._stack, axes=1)
         best = min(best, float((np.abs(np.linalg.det(mats)) ** 2).min()))
     return best
@@ -588,38 +609,34 @@ class TestDetSlack:
         kept = ~(est - slack > np.min(est) + slack)
         assert np.all(kept[kept_per_row])
         lapack = float((np.abs(np.linalg.det(X)) ** 2).min())
-        assert lattice._min_abs_det_sq_of_chunk(X, slack).hex() == lapack.hex()
+        assert lattice._min_abs_det_sq_of_block(X, slack).hex() == lapack.hex()
 
 
 class TestBoxProducers:
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize("k", [3, 16])
-    def test_random_box_rows_are_the_filtered_draws(self, k, seed):
-        # k = 3 draws zero rows in every call, k = 16 (3^-16 a row) none.
-        # The rows are the int64 draws, about _BLOCK_BYTES a call; _sweep
-        # converts them block by block.  Concatenated, they are the rows of
-        # one whole draw.
-        per_call = lattice._BLOCK_BYTES // (8 * k)
-        n_random = 2 * lattice._CHUNK + 5
+    @pytest.mark.parametrize("k,rows", [(3, 227), (16, 2048)])
+    def test_random_box_rows_are_the_filtered_draws(self, k, rows, seed):
+        # k = 3 draws zero rows in every block, k = 16 (3^-16 a row) none.
+        # Each block is one draw of rows int64 rows (mimo_relay's block and
+        # a 4x4 code's), zero rows dropped; _codewords converts them to
+        # float.  Concatenated, they are the rows of one whole draw.
+        n_random = 3 * rows + 5
         whole = np.random.default_rng(seed).integers(-1, 2, size=(n_random, k))
         want = whole[np.any(whole, axis=1)]
-        got = list(lattice._random_box(k, 1, n_random, seed))
-        assert len(got) == -(-n_random // per_call)
+        got = list(lattice._random_box(k, 1, n_random, seed, rows))
+        assert len(got) == -(-n_random // rows)
         assert all(c.dtype == np.int64 for c in got)
         assert np.concatenate(got).tobytes() == want.tobytes()
-        assert all(len(c) < per_call for c in got[:2]) == (k == 3)
+        assert all(len(c) < rows for c in got[:2]) == (k == 3)
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
-    def test_integer_rows_give_the_float_rows_codewords(self, monkeypatch, name):
-        # _sweep converts each block of int64 draws to float; every block
-        # must reach the reduction with the bits of the float chunk's block.
+    def test_integer_rows_give_the_float_rows_codewords(self, name):
+        # _codewords converts each block of int64 draws to float; every block
+        # must reach the reduction with the bits of its float rows.
         basis = build(name)
-        per_call = lattice._BLOCK_BYTES // (8 * basis.k)
-        draws = list(lattice._random_box(basis.k, 2, 2 * per_call + 300, 5))
+        rows = lattice._block_rows(basis)
+        draws = list(lattice._random_box(basis.k, 2, 5 * rows // 2, 5, rows))
         assert len(draws) == 3 and all(c.dtype == np.int64 for c in draws)
-        # Sweep blocks of at most 128 rows, so that each draw spans several.
-        rows = lattice._BLOCK_BYTES // (16 * basis.n_t * basis.T)
-        monkeypatch.setattr(lattice, "_BLOCK_BYTES", min(rows, 128) * 16 * basis.n_t * basis.T)
 
         def blocks(chunks):
             seen = []
@@ -633,19 +650,21 @@ class TestBoxProducers:
 
         got = blocks(iter(draws))
         assert got == blocks(c.astype(float) for c in draws)
-        assert len(got) == sum(-(-len(c) // min(rows, 128)) for c in draws)
+        assert len(got) == 3
 
     def test_default_cap_covers_the_k16_unit_box(self):
-        chunk = next(lattice._coefficient_box(16, 1))
-        assert chunk.shape == (lattice._CHUNK, 16)
+        rows = lattice._block_rows(build("srinath_rajan"))
+        block = next(lattice._coefficient_box(16, 1, rows))
+        assert block.shape == (rows, 16) == (2048, 16)
         with pytest.raises(ValueError, match="exceeds the cap"):
-            next(lattice._coefficient_box(24, 1))
+            next(lattice._coefficient_box(24, 1, rows))
 
 
-class TestOneChunkInFlight:
-    """Traced peaks of the box sweeps: a producer that held its last chunk
-    while it built the next, or a float copy of a whole chunk of integer
-    draws, would take each past its bound."""
+class TestOneBlockInFlight:
+    """Traced peaks of the box sweeps: a producer that held its last block
+    while it built the next, a float copy of more than a block of integer
+    draws, or a sweep that took more than a block's rows at a time, would
+    take each past its bound."""
 
     @staticmethod
     def traced_peak(fn, *args):
@@ -657,14 +676,16 @@ class TestOneChunkInFlight:
             tracemalloc.stop()
 
     def test_min_rank_sampled(self):
-        # 500,000 random draws of k = 16: one 65,536-row chunk was 8 MiB and
-        # a traced peak of 8.9 MiB; one call's 4,096 rows are 0.5 MiB, and
-        # the peak is 1.3 MiB.
+        # 500,000 random draws of k = 16 in blocks of 2,048 rows (0.25 MiB):
+        # a traced peak of 1.0 MiB.  Draws of 4,096 rows cut into blocks
+        # peaked at 2.0 MiB, and draws of 65,536 rows at 8.9 MiB.
         basis = build("srinath_rajan")
         peak = self.traced_peak(min_rank_sampled, basis, 1, 3, 500_000)
-        assert peak <= 3 * 2**20
+        assert peak <= 1.5 * 2**20
 
     def test_lattice_profile(self):
-        # golden's bound-3 box: one 65,536-row float chunk is 4 MiB.
+        # golden's bound-3 box in blocks of 8,192 rows (0.5 MiB of floats):
+        # a traced peak of 1.5 MiB.  65,536-row chunks (4 MiB) cut into
+        # blocks peaked at 5.9 MiB.
         basis = build("golden")
-        assert self.traced_peak(lattice_profile, basis, 3) <= 8 * 2**20
+        assert self.traced_peak(lattice_profile, basis, 3) <= 3 * 2**20
