@@ -196,7 +196,7 @@ def _block_rows(basis: WeightBasis) -> int:
 def _mixed_radix(values, k: int, start: int, stop: int, rows: int):
     """Yield the rows (values[d_1], ..., values[d_k]) of the k base-len(values)
     digits, most significant first, of every index in [start, stop), in
-    blocks of rows rows, the last one shorter.
+    blocks of rows rows (the last may be shorter).
 
     Each block is built digit-major, as a k x n array whose transpose is
     yielded, so every pass runs along the block's rows.  Digit j runs
