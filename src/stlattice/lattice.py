@@ -456,10 +456,11 @@ def _min_rank_sweep(basis: WeightBasis, blocks) -> int:
 
 
 def _sparse_box(k: int, bound: int, max_nonzeros: int, rows: int):
-    """Yield blocks of at most rows of the vectors with 1..max_nonzeros <= k
-    nonzero entries in [-bound, bound], one of each antipodal pair (positive
-    first nonzero): one block of values at as many supports as fit.  Each
-    block is built in _scatter, so the generator holds none it has yielded."""
+    """Yield the vectors with 1..max_nonzeros <= k nonzero entries in
+    [-bound, bound], one of each antipodal pair (positive first nonzero), in
+    blocks of at most rows rows: one block of values at as many supports as
+    fit.  Each block is built in _scatter, so the generator holds none it
+    has yielded."""
     base = 2 * bound
     vals = np.delete(np.arange(-bound, bound + 1.0), bound)
     for nnz in range(1, max_nonzeros + 1):
