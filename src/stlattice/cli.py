@@ -122,8 +122,8 @@ def _cmd_lattice(args) -> int:
     return 0
 
 
-def _profile_json(basis: WeightBasis, trials: int, seed: int) -> dict:
-    prof = classify(basis, trials=trials, seed=seed)
+def _profile_json(basis: WeightBasis, seed: int) -> dict:
+    prof = classify(basis, seed=seed)
     full_rate = basis.n_t == basis.T and basis.rank == 2 * basis.n_t * basis.T
     data = prof.to_json_dict()
     data["bounds_violations"] = bounds_check(prof, basis.n_t, full_rate=full_rate)
@@ -132,7 +132,7 @@ def _profile_json(basis: WeightBasis, trials: int, seed: int) -> dict:
 
 def _cmd_analyze(args) -> int:
     basis = _load_basis(args.source)
-    data = _profile_json(basis, args.trials, args.seed)
+    data = _profile_json(basis, args.seed)
     _write_output(json.dumps(data, indent=2) + "\n", args.output)
     return 0
 
@@ -173,7 +173,7 @@ def _cmd_zoo(args) -> int:
     lines = []
     for name in REGISTRY:
         basis = build(name)
-        data = _profile_json(basis, args.trials, args.seed)
+        data = _profile_json(basis, args.seed)
         lines.append(
             "{:<14} k={:<3} k'={:<3} {:<24} reduction={:.1f}%".format(
                 name,
@@ -192,8 +192,7 @@ def _add_common(sub):
 
 
 def _add_classify(sub):
-    """classify's arguments, read by analyze and zoo."""
-    sub.add_argument("--trials", type=int, default=20, help="channel samples for R structure")
+    """classify's argument, read by analyze and zoo."""
     sub.add_argument("--seed", type=int, default=0, help="random seed of the channel samples")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import WeightBasis, _equivalent_channel
+from .lattice import WeightBasis, _equivalent_channel, _fro_sq
 
 __all__ = [
     "DecodabilityProfile",
@@ -64,7 +64,7 @@ def hurwitz_radon(basis: WeightBasis) -> HurwitzRadonProfile:
         for j in range(i, k):
             M = mats[i] @ mats[j].conj().T + mats[j] @ mats[i].conj().T
             delta[i, j] = delta[j, i] = np.linalg.norm(M) ** 2
-    energy = np.linalg.norm(basis._stack, axis=(1, 2)) ** 2
+    energy = _fro_sq(mats)
     adjacency = delta > TOL * TOL * np.outer(energy, energy)
     np.fill_diagonal(adjacency, False)
     return HurwitzRadonProfile(delta=delta, adjacency=adjacency)

@@ -59,17 +59,18 @@ def _vectorize_stack(U: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightBasis:
-    """Ordered list of k complex n_t x T weight matrices defining a code."""
+    """The k complex n_t x T weight matrices defining a code, held as one
+    read-only (k, n_t, T) array mats: mats[i] is B_i."""
 
     name: str
-    mats: tuple
+    mats: np.ndarray
     n_t: int = field(init=False)
     T: int = field(init=False)
     k: int = field(init=False)
     rank: int = field(init=False)
 
     def __init__(self, name: str, mats, allow_dependent: bool = False):
-        arrs = tuple(np.array(m, dtype=complex) for m in mats)
+        arrs = [np.asarray(m, dtype=complex) for m in mats]
         if not arrs:
             raise ValueError("a weight basis needs at least one matrix")
         shape = arrs[0].shape
@@ -77,8 +78,7 @@ class WeightBasis:
             raise ValueError("weight matrices must be 2-D")
         if any(m.shape != shape for m in arrs):
             raise ValueError("all weight matrices must share one shape")
-        # One read-only (k, n_t, T) stack; mats are its per-matrix views.
-        stack = np.stack(arrs)
+        stack = np.stack(arrs)  # a copy: the caller's matrices stay apart
         # The largest |real part| or |imaginary part|: NaN or inf if any
         # entry is not finite.
         peak = float(np.abs(stack.view(float)).max())
@@ -86,8 +86,7 @@ class WeightBasis:
             raise ValueError("weight matrix entries must be finite")
         stack.setflags(write=False)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "mats", tuple(stack))
-        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "mats", stack)
         object.__setattr__(self, "_peak", peak)
         object.__setattr__(self, "n_t", shape[0])
         object.__setattr__(self, "T", shape[1])
@@ -118,10 +117,7 @@ class WeightBasis:
             "nt": self.n_t,
             "T": self.T,
             "k": self.k,
-            "mats": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in m]
-                for m in self.mats
-            ],
+            "mats": self.mats.view(float).reshape(self.k, self.n_t, self.T, 2).tolist(),
         }
 
     def to_json(self, **kwargs) -> str:
@@ -147,7 +143,7 @@ class WeightBasis:
 
 def generator_matrix(basis: WeightBasis) -> np.ndarray:
     """Stack the vectorized weight matrices as columns: 2*n_t*T by k."""
-    return np.column_stack([vectorize(m) for m in basis.mats])
+    return np.ascontiguousarray(_vectorize_stack(basis.mats).T)
 
 
 def _equivalent_channel(basis: WeightBasis, H, order) -> np.ndarray:
@@ -160,7 +156,7 @@ def _equivalent_channel(basis: WeightBasis, H, order) -> np.ndarray:
         raise ValueError(f"channel has {H.shape[-1]} columns, expected {basis.n_t}")
     if not np.isfinite(H).all():
         raise ValueError("channel entries must be finite")
-    columns = _vectorize_stack(H[..., None, :, :] @ basis._stack[list(order)])
+    columns = _vectorize_stack(H[..., None, :, :] @ basis.mats[list(order)])
     if not np.isfinite(columns).all():
         raise ValueError("matrix entries must be finite")
     return np.ascontiguousarray(np.swapaxes(columns, -1, -2))
@@ -188,9 +184,10 @@ _BLOCK_BYTES = 1 << 19
 
 
 def _block_rows(basis: WeightBasis) -> int:
-    """Rows of a box-sweep block: about _BLOCK_BYTES of codewords, at least
-    one.  Every box producer yields blocks of at most this many rows."""
-    return max(1, _BLOCK_BYTES // basis._stack[0].nbytes)
+    """Rows of every box-sweep block: the largest power of two whose
+    codewords fit in _BLOCK_BYTES, at least one.  A codeword's last bits can
+    depend on its product's row count; power-of-two counts have kept them."""
+    return 1 << (max(1, _BLOCK_BYTES // basis.mats[0].nbytes).bit_length() - 1)
 
 
 def _mixed_radix(values, k: int, start: int, stop: int, rows: int):
@@ -287,9 +284,9 @@ def _sweep(basis: WeightBasis, blocks, reduce, best, stop=None):
 
 def _codewords(basis: WeightBasis, z: np.ndarray) -> np.ndarray:
     """The codewords sum_i z_i B_i of the rows z, the one builder: z as float
-    times the stack's float view, viewed back as complex, (n, n_t, T).  A
+    times the weights' float view, viewed back as complex, (n, n_t, T).  A
     row's bits can depend on the rows multiplied with it."""
-    flat = basis._stack.view(float).reshape(basis.k, -1)
+    flat = basis.mats.view(float).reshape(basis.k, -1)
     return (z.astype(float, copy=False) @ flat).view(complex).reshape(-1, basis.n_t, basis.T)
 
 
@@ -354,7 +351,7 @@ def _det_slack(basis: WeightBasis, bound: int) -> float:
     has ||sum z_i B_i||_F <= bound * sum_i ||B_i||_F, so this bounds every
     row's slack.  The factor 1 + 1e-9 covers the rounding of the computed
     norms and codewords, some 10^-13 relative."""
-    norms = np.sqrt(_fro_sq(basis._stack))
+    norms = np.sqrt(_fro_sq(basis.mats))
     return _DET_SLACK * (bound * float(norms.sum()) * (1 + 1e-9)) ** (2 * basis.n_t)
 
 

@@ -73,14 +73,15 @@ _TIE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Finite signalling set for the real coefficients, symmetric about 0."""
+    """Finite signalling set for the real coefficients, symmetric about 0
+    and held in ascending order, the order every decoder and draw reads."""
 
     values: tuple
 
     def __post_init__(self):
         if not all(float(v).is_integer() for v in self.values):
             raise ValueError("alphabet values must be integers")
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(sorted(int(v) for v in self.values))
         if len(vals) == 0 or len(set(vals)) != len(vals):
             raise ValueError("alphabet needs distinct values")
         if any(-v not in vals for v in vals):
@@ -182,7 +183,7 @@ def _mean_signal_power(
         )
     if samples < 10_000:
         raise ValueError("calibration needs at least 10^4 samples")
-    values = np.array(sorted(alphabet.values), dtype=float)
+    values = np.array(alphabet.values, dtype=float)
     rng = np.random.default_rng([cfg.seed, _CALIBRATION_STREAM])
     total = 0.0
     for done in range(0, samples, 20_000):
@@ -241,8 +242,8 @@ def _noise_scale(mean_sig: float, cfg: ChannelConfig, snr_db: float) -> float:
 
 
 def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
-    """The sorted alphabet, B_H with its columns in order, and iota(Y), for
-    one trial or a stack of trials (leading axes shared by Y and H).
+    """B_H with its columns in order, and iota(Y), for one trial or a stack
+    of trials (leading axes shared by Y and H).
 
     A finite Y or H so large that a metric could overflow is rejected
     before any product is formed.  Every entry of y - B_H s is at most
@@ -256,7 +257,6 @@ def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
         raise ValueError(
             f"received block has shape {Y.shape}, expected {(*H.shape[:-1], basis.T)}"
         )
-    values = np.array(sorted(alphabet.values), dtype=float)
     # The largest |real part| or |imaginary part| of each trial's Y and H;
     # the B_i's is basis._peak.
     peak_y, peak_h = (
@@ -274,7 +274,7 @@ def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
     B = _equivalent_channel(basis, H, order)
     if not np.isfinite(Y).all():
         raise ValueError("matrix entries must be finite")
-    return values, B, _vectorize_stack(Y)
+    return B, _vectorize_stack(Y)
 
 
 def _ml_table(values: np.ndarray, k: int):
@@ -308,7 +308,8 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     such rows are kept, each while it stays in the window: memory does not
     grow with the number of tied rows.
     """
-    values, B, y = _real_model(Y, H, basis, alphabet, range(basis.k))
+    values = np.array(alphabet.values, dtype=float)
+    B, y = _real_model(Y, H, basis, alphabet, range(basis.k))
     return _ml_search(B, y, values, _ml_table(values, basis.k))
 
 
@@ -510,15 +511,15 @@ def _build_plan(components, order: tuple) -> _Plan:
 
 
 def _sphere_stages(Y, H, basis: WeightBasis, alphabet: Alphabet, plan: _Plan):
-    """The sorted alphabet, B_H, iota(Y), and per block its R and its rows of
-    Q^T y (as lists), for one trial or a stack of them, from one
-    decodability._factor call: R has a nonnegative diagonal.
+    """B_H, iota(Y), and per block its R and its rows of Q^T y (as lists),
+    for one trial or a stack of them, from one decodability._factor call:
+    R has a nonnegative diagonal.
 
     R, thresholded at decodability.TOL, only rejects a rank-deficient
     channel and checks the plan: an entry that couples two blocks raises
     ValueError.  In a stack, the first trial that fails raises.
     """
-    values, B, y = _real_model(Y, H, basis, alphabet, plan.order)
+    B, y = _real_model(Y, H, basis, alphabet, plan.order)
     R, z, zero_mask, deficient = _factor(B, y)
     failed = deficient | (~zero_mask & plan.coupling).any(axis=(-2, -1))
     if failed.any():
@@ -526,9 +527,9 @@ def _sphere_stages(Y, H, basis: WeightBasis, alphabet: Alphabet, plan: _Plan):
             raise ValueError("rank-deficient equivalent channel")
         raise ValueError("the R factor couples symbols that the orthogonality graph separates")
     if len(plan.blocks) == 1:
-        return values, B, y, [R], [z.tolist()]
+        return B, y, [R], [z.tolist()]
     R_blocks = [np.ascontiguousarray(R[..., b[:, None], b]) for b, _ in plan.blocks]
-    return values, B, y, R_blocks, [z[..., b].tolist() for b, _ in plan.blocks]
+    return B, y, R_blocks, [z[..., b].tolist() for b, _ in plan.blocks]
 
 
 def _sphere_search(R_blocks, z_blocks, values, plan: _Plan):
@@ -553,7 +554,8 @@ def sphere_decode(Y, H, basis: WeightBasis, alphabet: Alphabet, ordering=None) -
     plan: an entry that couples two blocks raises ValueError.
     """
     plan = _plan(basis, ordering)
-    values, B, y, R_blocks, z_blocks = _sphere_stages(Y, H, basis, alphabet, plan)
+    B, y, R_blocks, z_blocks = _sphere_stages(Y, H, basis, alphabet, plan)
+    values = np.array(alphabet.values, dtype=float)
     s_hat, coeffs, nodes = _sphere_search(R_blocks, z_blocks, values, plan)
     resid = y - B @ s_hat
     return DecodeResult(coeffs=coeffs, metric=float(resid @ resid), nodes_visited=nodes)
@@ -624,9 +626,9 @@ def run_campaign(
     if cfg.trials == 0 or not cfg.snr_db_grid:
         return SimCampaign(rows=())
     k, T = basis.k, basis.T
-    values = np.array(sorted(alphabet.values), dtype=int)
+    values = np.array(alphabet.values, dtype=float)
     if want_ml:
-        table = _ml_table(values.astype(float), k)
+        table = _ml_table(values, k)
     if want_sp:
         plan = _plan(basis, classify(basis).ordering)
     dim = 2 * cfg.n_r * T
@@ -653,17 +655,17 @@ def run_campaign(
             Y = H @ X + noise
             truths = [tuple(s) for s in S.tolist()]
             if want_ml:
-                ml_values, B, y = _real_model(Y, H, basis, alphabet, range(k))
+                B, y = _real_model(Y, H, basis, alphabet, range(k))
                 for i, truth in enumerate(truths):
-                    res = _ml_search(B[i], y[i], ml_values, table)
+                    res = _ml_search(B[i], y[i], values, table)
                     err_ml += res.coeffs != truth
                     if not want_sp:
                         node_counts.append(res.nodes_visited)
             if want_sp:
-                sp_values, _, _, R_blocks, z_blocks = _sphere_stages(Y, H, basis, alphabet, plan)
+                _, _, R_blocks, z_blocks = _sphere_stages(Y, H, basis, alphabet, plan)
                 for i, truth in enumerate(truths):
                     _, coeffs, nodes = _sphere_search(
-                        [R_b[i] for R_b in R_blocks], [z_b[i] for z_b in z_blocks], sp_values, plan
+                        [R_b[i] for R_b in R_blocks], [z_b[i] for z_b in z_blocks], values, plan
                     )
                     err_sp += coeffs != truth
                     node_counts.append(nodes)

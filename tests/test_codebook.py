@@ -282,7 +282,7 @@ class TestRelayFormulas:
             a, c = 2 * j, 2 * j + 1
             want[:d, a, a], want[:d, c, c] = v, sv
             want[d:, a, c], want[d:, c, a] = -t * sv, t * v
-        assert np.array_equal(codebook.simo_relay()._stack, want)
+        assert np.array_equal(codebook.simo_relay().mats, want)
 
     @pytest.mark.parametrize("M", [3, 5])
     def test_mimo_relay(self, M):
@@ -305,7 +305,7 @@ class TestRelayFormulas:
             Y0[:, o2, o0], Y0[:, o3, o1] = s * v, s * sv
             Y1[:, o0, o3], Y1[:, o1, o2] = -s * (-t * v), -s * (t * sv)
             Y1[:, o2, o1], Y1[:, o3, o0] = s * (-t * sv), s * (t * v)
-        assert np.array_equal(codebook.mimo_relay(M=M)._stack, want)
+        assert np.array_equal(codebook.mimo_relay(M=M).mats, want)
 
     def test_iterated(self):
         # [[X1, tau(X1)], [X2, tau(X2)]]: X at row 0, tau(X) at row tau(0)
@@ -320,7 +320,7 @@ class TestRelayFormulas:
                 v, sv = field.full_emb[r], field.full_emb[field.autos["sigma"][r]]
                 first[:, a, col], first[:, c, col + 1] = v, sv
                 second[:, a, col + 1], second[:, c, col] = -t * sv, t * v
-        assert np.array_equal(codebook.iterated()._stack, want)
+        assert np.array_equal(codebook.iterated().mats, want)
 
 
 class TestIterateMap:
@@ -459,5 +459,5 @@ PINNED_SETTINGS = {
 
 @pytest.mark.parametrize("setting", list(STACK_SHA256))
 def test_weight_stack_bytes_are_pinned(setting):
-    stack = build(PINNED_SETTINGS[setting])._stack
+    stack = build(PINNED_SETTINGS[setting]).mats
     assert hashlib.sha256(stack.tobytes()).hexdigest() == STACK_SHA256[setting]

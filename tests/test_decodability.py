@@ -565,6 +565,7 @@ class TestFactor:
     r_matrix's R, mask and flag, and those keep the bits of the sign pass
     r_matrix made on LAPACK's R."""
 
+    @pytest.mark.blas_bits
     @given(channel_stacks())
     def test_stacked_r_is_r_matrix(self, case):
         basis, ordering, H = case
@@ -584,6 +585,7 @@ class TestFactor:
 
 
 class TestSampleRMatrix:
+    @pytest.mark.blas_bits
     @given(
         st.sampled_from(sorted(codebook.REGISTRY)),
         st.randoms(use_true_random=False),
@@ -653,6 +655,7 @@ def old_rayleigh(shape, rng, sigma_h):
     return sigma_h * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
+@pytest.mark.blas_bits
 class TestRayleigh:
     """_rayleigh fills one complex array in place; it must keep the bits of
     the complex expression and leave the stream where that left it."""

@@ -123,6 +123,7 @@ class TestWeightBasis:
             alamouti_basis().combination([1, 2, 3])
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
+    @pytest.mark.blas_bits
     def test_combination_is_the_one_row_codeword(self, name):
         # One codeword builder: combination is _codewords on one row, bit
         # for bit, under any kernel.
@@ -158,7 +159,38 @@ class TestWeightBasis:
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_json_round_trip_keeps_every_bit(self, name):
         b = build(name)
-        assert WeightBasis.from_json(b.to_json())._stack.tobytes() == b._stack.tobytes()
+        assert WeightBasis.from_json(b.to_json()).mats.tobytes() == b.mats.tobytes()
+
+    @pytest.mark.parametrize("name", [*sorted(REGISTRY), "signed-zeros"])
+    def test_json_is_the_per_entry_serialization(self, name):
+        if name in REGISTRY:
+            b = build(name)
+        else:
+            # i, -0 - 0i / 2 - 0i, -0 - 0i: every zero's sign must survive
+            parts = np.array([[-0.0, 1.0, -0.0, -0.0], [2.0, -0.0, -0.0, -0.0]])
+            b = WeightBasis(name, [parts.view(complex), I2])
+            assert "-0.0" in b.to_json()
+        per_entry = {
+            "name": b.name,
+            "nt": b.n_t,
+            "T": b.T,
+            "k": b.k,
+            "mats": [
+                [[[float(z.real), float(z.imag)] for z in row] for row in m] for m in b.mats
+            ],
+        }
+        assert b.to_json() == json.dumps(per_entry)
+
+    def test_mats_is_one_read_only_array(self):
+        given = [m.copy() for m in ALAMOUTI_MATS]
+        b = WeightBasis("alamouti", given)
+        assert b.mats.shape == (4, 2, 2) and b.mats.dtype == complex
+        assert not b.mats.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            b.mats[0, 0, 0] = 5
+        given[0][0, 0] = 5  # a copy: the caller's matrices do not reach it
+        for i, m in enumerate(ALAMOUTI_MATS):
+            assert np.array_equal(b.mats[i], m)
 
     def test_json_rejects_mismatched_counts(self):
         data = alamouti_basis().to_json_dict()
@@ -172,6 +204,14 @@ class TestLatticeProfile:
         prof = lattice_profile(alamouti_basis(), det_search_bound=0)
         assert np.allclose(prof.gram, 2 * np.eye(4), atol=1e-12)
         assert prof.volume == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_generator_is_the_per_weight_vectorize(self, name):
+        b = build(name)
+        want = np.column_stack([vectorize(m) for m in b.mats])
+        got = generator_matrix(b)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_alamouti_generator_columns(self):
         gen = generator_matrix(alamouti_basis())
@@ -474,14 +514,31 @@ class TestSweepBlocks:
 
     def _each_setting(self, monkeypatch, basis):
         """Patch in each block size in turn; yield the patch context and the
-        block size in rows."""
+        block size in rows.  The default is a power of two, so 7 rows are
+        set by patching _block_rows itself."""
         for rows in self.SETTINGS:
             with monkeypatch.context() as m:
                 if rows is not None:
-                    m.setattr(lattice, "_BLOCK_BYTES", rows * 16 * basis.n_t * basis.T)
+                    m.setattr(lattice, "_block_rows", lambda basis: rows)
                 yield m, lattice._block_rows(basis)
 
+    def test_block_is_a_power_of_two(self):
+        # A codeword's last bits can depend on the row count of its product:
+        # silver's unit box formed in 227-row blocks moved some under the
+        # Haswell and Prescott kernels, where blocks of 2, 4, 8, 16, 2,048
+        # and 8,192 rows kept every bit.
+        bases = [build(name) for name in REGISTRY]
+        bases.append(_small_integer_basis(np.random.default_rng(3), 3, 3, 4))
+        got = {}
+        for b in bases:
+            rows, size = lattice._block_rows(b), b.mats[0].nbytes
+            assert rows & (rows - 1) == 0, b.name
+            assert rows * size <= lattice._BLOCK_BYTES < 2 * rows * size, b.name
+            got[b.n_t] = rows
+        assert got == {2: 8192, 3: 2048, 4: 2048, 12: 128}
+
     @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (2, 3)])
+    @pytest.mark.blas_bits
     def test_same_bits_at_every_block_size(self, monkeypatch, shape):
         rng = np.random.default_rng(sum(shape))
         b = _small_integer_basis(rng, *shape, 4)
@@ -502,6 +559,7 @@ class TestSweepBlocks:
         for _ in self._each_setting(monkeypatch, b):
             assert lattice._min_abs_det_sq(b, 1).hex() == want
 
+    @pytest.mark.blas_bits
     def test_stops_at_the_block_of_a_mid_chunk_rank_one_codeword(self, monkeypatch):
         # B_4 = 2i B_1.  Of the 40 rows of the unit box, row 5, z = (0, 1,
         # -1, 0) with codeword diag(0, 2), is the first of rank 1.  The
@@ -510,7 +568,7 @@ class TestSweepBlocks:
         J = np.array([[0, -1], [1, 0]], dtype=complex)
         b = WeightBasis("rank-one", [J, I2, np.diag([1.0, -1.0]), 2j * J])
         rows_z = np.concatenate(list(lattice._coefficient_box(4, 1, 40)))
-        ranks = np.linalg.matrix_rank(np.tensordot(rows_z, b._stack, axes=1))
+        ranks = np.linalg.matrix_rank(np.tensordot(rows_z, b.mats, axes=1))
         first = int(np.argmax(ranks < 2))
         assert (len(rows_z), first, ranks[first], ranks.min()) == (40, 5, 1, 1)
         reduce = lattice._min_rank_of_block
@@ -546,7 +604,7 @@ def _lapack_min_abs_det_sq(basis, bound):
     each built by tensordot in blocks of 65,536 rows, not the sweep's."""
     best = np.inf
     for z in lattice._coefficient_box(basis.k, bound, 1 << 16):
-        mats = np.tensordot(z, basis._stack, axes=1)
+        mats = np.tensordot(z, basis.mats, axes=1)
         best = min(best, float((np.abs(np.linalg.det(mats)) ** 2).min()))
     return best
 
@@ -570,11 +628,11 @@ class TestMinAbsDetSq:
         ]
         # scaling by a power of two is exact; the per-sweep slack scales too
         bases += [
-            WeightBasis(f"{b.name}*2^{e}", list(np.ldexp(1.0, e) * b._stack), allow_dependent=True)
+            WeightBasis(f"{b.name}*2^{e}", list(np.ldexp(1.0, e) * b.mats), allow_dependent=True)
             for b in (bases[1], bases[4], bases[-1])
             for e in (-20, 20)
         ]
-        bases.append(WeightBasis("golden*2^-20", list(np.ldexp(1.0, -20) * build("golden")._stack)))
+        bases.append(WeightBasis("golden*2^-20", list(np.ldexp(1.0, -20) * build("golden").mats)))
         for b in bases:
             for bound in (1, 2):
                 got = lattice._min_abs_det_sq(b, bound)
@@ -612,6 +670,7 @@ class TestDetSlack:
         assert lattice._min_abs_det_sq_of_block(X, slack).hex() == lapack.hex()
 
 
+@pytest.mark.blas_bits
 class TestBoxProducers:
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize("k", [3, 16])
@@ -621,7 +680,7 @@ class TestBoxProducers:
         # k = 3, a 4x4 code's at k = 16), zero rows dropped; _codewords
         # converts them to float.  Concatenated, they are the rows of one
         # whole draw.
-        rows = {3: 227, 16: 2048}[k]
+        rows = {3: 128, 16: 2048}[k]
         n_random = 3 * rows + 5
         whole = np.random.default_rng(seed).integers(-1, 2, size=(n_random, k))
         want = whole[np.any(whole, axis=1)]

@@ -94,7 +94,32 @@ class TestAlphabet:
             Alphabet(values)
 
     def test_integral_floats_are_kept(self):
-        assert Alphabet((2.0, -2.0)).values == (2, -2)
+        assert Alphabet((2.0, -2.0)).values == (-2, 2)
+
+    def test_values_are_held_ascending(self):
+        assert Alphabet((3, -1, 1, -3)).values == pam(4).values
+        assert Alphabet((0, 7, -1, 1, -7)).values == (-7, -1, 0, 1, 7)
+
+    def test_a_shuffled_set_decodes_as_pam(self):
+        # Every consumer reads the values in ascending order: the walk's
+        # centres, the grid's lexicographic tie-break, the campaign's draws.
+        basis, shuffled = code("alamouti"), Alphabet((3, -1, -3, 1))
+        cfg = default_config(basis, (0, 10), trials=20, seed=4)
+        for key in range(20):
+            H, _, Y = noisy_trial(basis, pam(4), cfg, 0.8, [9, key])
+            for decode in (ml_exhaustive, sphere_decode):
+                assert decode(Y, H, basis, shuffled) == decode(Y, H, basis, pam(4))
+        campaigns = [
+            run_campaign(basis, a, cfg, calibration_samples=10_000).to_csv()
+            for a in (shuffled, pam(4))
+        ]
+        assert campaigns[0] == campaigns[1]
+        # A tie goes to the vector that is least in ascending value order.
+        three = WeightBasis("three", [np.eye(2), 1j * np.eye(2), np.diag([1.0, -1.0])])
+        zero = np.zeros((1, 2))
+        assert ml_exhaustive(zero, zero, three, shuffled).coeffs == (-3, -3, -3)
+        single = WeightBasis("single", [np.diag([1.0, 0.0])])
+        assert sphere_decode(np.zeros((2, 2)), np.eye(2), single, shuffled).coeffs == (-1,)
 
     def test_pam_size_follows_the_same_rule(self):
         # the CLI parses the size with float(), so pam sees 4.0 or 2.5
@@ -243,6 +268,7 @@ class TestCalibration:
         ids=["2", "4", "8", "five_point"],
     )
     @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    @pytest.mark.blas_bits
     def test_blocks_keep_the_bits_of_the_dense_einsum(self, name, alphabet):
         # 20,513 samples end in a second chunk of 513: one full block of
         # symbols and channels, then a block of one row.
@@ -254,6 +280,7 @@ class TestCalibration:
             assert got.hex() == want.hex(), (seed, samples)
 
     @pytest.mark.parametrize("name", ["golden", "mimo_relay"])
+    @pytest.mark.blas_bits
     def test_blocks_keep_the_bits_over_several_chunks(self, name):
         basis = code(name)
         cfg = default_config(basis, (0.0,), 1, 2)
@@ -263,6 +290,7 @@ class TestCalibration:
 
     @pytest.mark.parametrize("alphabet", [pam(2), pam(4)], ids=["2", "4"])
     @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    @pytest.mark.blas_bits
     def test_dots_match_the_whole_chunk_sum(self, name, alphabet):
         # The per-antenna dots sum in another order than one np.sum over the
         # chunk's |HX|^2, so only the last bits may differ.
@@ -437,7 +465,8 @@ class TestMLExhaustive:
 def grid_ml_exhaustive(Y, H, basis, alphabet):
     """The chunked grid that ml_exhaustive replaced: each block of at most
     2^14 grid rows takes its metrics from the direct product S B^T."""
-    values, B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
+    values = np.array(alphabet.values, dtype=float)
+    B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
     L, k = len(values), basis.k
     powers = L ** np.arange(k - 1, -1, -1)
     best_metric, near = np.inf, []
@@ -497,7 +526,8 @@ def left_to_right_metric(Y, H, basis, alphabet, coeffs):
     """The metric of one grid row, summed in Python one real dimension at a
     time, from residuals and lo products formed as ml_exhaustive forms them:
     the hi rows' block through the enumerator, and the whole lo table."""
-    values, B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
+    values = np.array(alphabet.values, dtype=float)
+    B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
     L, k = len(values), basis.k
     m = simulate._table_width(L, k, simulate._CHUNK)
     per_block = simulate._CHUNK // L**m
@@ -825,6 +855,7 @@ def stable_sort_order(r, t, values):
     return [vals[i] for i in sorted(range(len(vals)), key=d.__getitem__)]
 
 
+@pytest.mark.blas_bits
 class TestSphereWalk:
     """_sphere_block walks each level's children outward from t instead of
     sorting their distances; it visits the same nodes in the same order."""
@@ -882,7 +913,8 @@ def per_block_qr_decode(Y, H, basis, alphabet, ordering=None):
     again from its own columns of B_H."""
     k = basis.k
     order = _check_ordering(ordering, k)
-    values, B, y = simulate._real_model(Y, H, basis, alphabet, order)
+    values = np.array(alphabet.values, dtype=float)
+    B, y = simulate._real_model(Y, H, basis, alphabet, order)
     R, z, zero_mask, rank_deficient = _factor(B, y)
     if rank_deficient:
         raise ValueError("rank-deficient equivalent channel")
@@ -959,7 +991,7 @@ def one_trial_stages(Y, H, basis, order):
     before a campaign stacked its stages: B_H from one vectorize of the
     products H B_i side by side, and one raw QR whose rows with a negative
     diagonal entry are negated in R and in Q^T y."""
-    HB = H @ basis._stack[list(order)]
+    HB = H @ basis.mats[list(order)]
     side_by_side = HB.transpose(1, 0, 2).reshape(HB.shape[1], -1)
     B = np.ascontiguousarray(vectorize(side_by_side).reshape(len(HB), -1).T)
     y = vectorize(Y)
@@ -990,6 +1022,7 @@ def one_trial_decode(Y, H, basis, alphabet, order):
     )
 
 
+@pytest.mark.blas_bits
 class TestStackedStages:
     """A campaign forms the stages of a block of trials in stacked calls;
     every trial gets the bits of the one-trial stages, and the same
@@ -1003,11 +1036,11 @@ class TestStackedStages:
         draws = [noisy_trial(basis, alphabet, cfg, 0.3, [17, t]) for t in range(200)]
         H = np.stack([h for h, _, _ in draws])
         Y = np.stack([y for _, _, y in draws])
-        values, B, y = simulate._real_model(Y, H, basis, alphabet, plan.order)
+        B, y = simulate._real_model(Y, H, basis, alphabet, plan.order)
         R, z, zero_mask, deficient = _factor(B, y)
         assert B.flags.c_contiguous
         for t in range(len(draws)):
-            _, B1, y1 = simulate._real_model(Y[t], H[t], basis, alphabet, plan.order)
+            B1, y1 = simulate._real_model(Y[t], H[t], basis, alphabet, plan.order)
             R1, z1, zero_mask1, deficient1 = _factor(B1, y1)
             ref_B, ref_y, ref_R, ref_z = one_trial_stages(Y[t], H[t], basis, plan.order)
             assert B1.flags.c_contiguous
@@ -1023,9 +1056,10 @@ class TestStackedStages:
             with pytest.raises(ValueError, match="rank-deficient"):
                 sphere_decode(Y[0], H[0], basis, alphabet, plan.order)
             return
-        _, _, _, R_blocks, z_blocks = simulate._sphere_stages(Y, H, basis, alphabet, plan)
+        _, _, R_blocks, z_blocks = simulate._sphere_stages(Y, H, basis, alphabet, plan)
+        values = np.array(alphabet.values, dtype=float)
         for t in range(len(draws)):
-            _, B1, y1, R1_blocks, z1_blocks = simulate._sphere_stages(
+            B1, y1, R1_blocks, z1_blocks = simulate._sphere_stages(
                 Y[t], H[t], basis, alphabet, plan
             )
             _, _, ref_R, ref_z = one_trial_stages(Y[t], H[t], basis, plan.order)
@@ -1255,6 +1289,7 @@ class TestCampaign:
             ),
         ],
     )
+    @pytest.mark.blas_bits
     def test_pins_the_search_tree(self, name, decoder, snr_db, trials, csv):
         # Node counts are part of the CSV: a faster search must visit the
         # same tree.  Seed 0 and the default 100k calibration samples.
@@ -1327,6 +1362,7 @@ class TestCampaign:
             ),
         ],
     )
+    @pytest.mark.blas_bits
     def test_pins_the_campaign_bytes(self, name, alphabet, decoder, snrs, seed, digest):
         # The campaign table in CHANGES.md: 30 trials a point and the
         # default 100k calibration samples.
@@ -1375,6 +1411,7 @@ class TestCampaign:
     }
 
     @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))
+    @pytest.mark.blas_bits
     def test_pins_the_codeword_bits(self, name, monkeypatch):
         # Decisions and node counts can hide a codeword's last bits: one
         # stacked product of a block's rows moves X on silver, mido_a4,
