@@ -166,7 +166,7 @@ class TestWeightBasis:
         if name in REGISTRY:
             b = build(name)
         else:
-            # i, -0 - 0i / 2 - 0i, -0 - 0i: every zero's sign must survive
+            # rows (-0 + i, -0 - 0i) and (2 - 0i, -0 - 0i): every zero keeps its sign
             parts = np.array([[-0.0, 1.0, -0.0, -0.0], [2.0, -0.0, -0.0, -0.0]])
             b = WeightBasis(name, [parts.view(complex), I2])
             assert "-0.0" in b.to_json()
