@@ -51,8 +51,8 @@ print(f"sphere work fraction: {nodes_sphere / nodes_ml:.3f}")
 print()
 
 # A reproducible campaign over three SNR points.
-campaign = run_campaign(basis, alphabet, cfg, calibration_samples=20_000)
+campaign = run_campaign(basis, alphabet, cfg)
 print(campaign.to_csv())
 
-again = run_campaign(basis, alphabet, cfg, calibration_samples=20_000)
+again = run_campaign(basis, alphabet, cfg)
 print("same seed reproduces the CSV:", campaign.to_csv() == again.to_csv())

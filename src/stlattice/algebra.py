@@ -47,7 +47,7 @@ def _perm_power(perm, j):
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NumberField:
     """A field L given by the values of its Q-basis under a full embedding
     set, plus the index permutations of the automorphisms used by the code
@@ -94,7 +94,7 @@ class NumberField:
         return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicAlgebra:
     """Cyclic algebra (L/K, sigma, gamma) of degree n over the field L.
 

@@ -85,7 +85,7 @@ def _load_basis(source: str) -> WeightBasis:
             f"'{source}' is neither a basis JSON file nor a known family; "
             f"known families: {sorted(REGISTRY)}"
         ) from None
-    except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"cannot read basis from '{source}': {exc}") from None
 
 
@@ -147,13 +147,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         n_r=args.n_r,
     )
-    campaign = run_campaign(
-        basis,
-        alphabet,
-        cfg,
-        decoder=args.decoder,
-        calibration_samples=args.cal_samples,
-    )
+    campaign = run_campaign(basis, alphabet, cfg, decoder=args.decoder)
     _write_output(campaign.to_csv(), args.output)
     return 0
 
@@ -226,8 +220,6 @@ def build_parser() -> _Parser:
     sub.add_argument("--alphabet", default="4", help="PAM size or comma-separated values")
     sub.add_argument("--decoder", default="both", choices=("ml", "sphere", "both"))
     sub.add_argument("--n-r", type=int, default=None, help="receive antenna count")
-    sub.add_argument("--cal-samples", type=int, default=100_000,
-                     help="Monte Carlo samples for noise calibration")
     sub.add_argument("--seed", type=int, default=0, help="random seed of the campaign")
     _add_common(sub)
     sub.set_defaults(func=_cmd_simulate)

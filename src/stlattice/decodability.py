@@ -40,7 +40,7 @@ EXACT_SEPARATOR_LIMIT = 16
 # Hurwitz-Radon quadratic form and its graph.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HurwitzRadonProfile:
     """delta matrix and the thresholded orthogonality graph."""
 
@@ -58,12 +58,12 @@ def hurwitz_radon(basis: WeightBasis) -> HurwitzRadonProfile:
     root exceeds TOL * ||B_i||_F * ||B_j||_F, so rescaling a weight keeps the
     graph and the cutoff is on the scale of the R factors' threshold."""
     mats = basis.mats
-    k = basis.k
-    delta = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            M = mats[i] @ mats[j].conj().T + mats[j] @ mats[i].conj().T
-            delta[i, j] = delta[j, i] = np.linalg.norm(M) ** 2
+    herm = np.swapaxes(mats.conj(), -1, -2)
+    delta = np.empty((basis.k, basis.k))
+    # One row of pairs (i, j >= i) at a time, so only k - i products are held.
+    for i in range(basis.k):
+        M = mats[i] @ herm[i:] + mats[i:] @ herm[i]
+        delta[i, i:] = delta[i:, i] = _fro_sq(M)
     energy = _fro_sq(mats)
     adjacency = delta > TOL * TOL * np.outer(energy, energy)
     np.fill_diagonal(adjacency, False)
@@ -191,7 +191,7 @@ def _grow(comp: np.ndarray, avail: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 # R-matrix structure.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RMatrixProfile:
     """Upper-triangular factor pattern of the equivalent channel matrix."""
 

@@ -57,7 +57,7 @@ def _vectorize_stack(U: np.ndarray) -> np.ndarray:
     return np.swapaxes(U, -1, -2).copy().view(float).reshape(*U.shape[:-2], -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightBasis:
     """The k complex n_t x T weight matrices defining a code, held as one
     read-only (k, n_t, T) array mats: mats[i] is B_i."""
@@ -120,8 +120,8 @@ class WeightBasis:
             "mats": self.mats.view(float).reshape(self.k, self.n_t, self.T, 2).tolist(),
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_json_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightBasis":
@@ -162,7 +162,7 @@ def _equivalent_channel(basis: WeightBasis, H, order) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(columns, -1, -2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeProfile:
     """Generator/Gram data and figures of merit for a code lattice.
 
@@ -299,9 +299,9 @@ _DET_SLACK = 1e-12
 
 def _det(mats: np.ndarray) -> np.ndarray:
     """Determinants of a stack of square matrices: closed forms for sides
-    2 to 4 (side 4 by a Laplace expansion in 2x2 minors), LAPACK otherwise."""
+    2 and 4 (side 4 by a Laplace expansion in 2x2 minors), LAPACK otherwise."""
     side = mats.shape[-1]
-    if not 2 <= side <= 4:
+    if side not in (2, 4):
         return np.linalg.det(mats)
     # a[i][j] is the view mats[:, i, j]: entry (i, j) of every matrix
     a = [[mats[:, i, j] for j in range(side)] for i in range(side)]
@@ -311,8 +311,6 @@ def _det(mats: np.ndarray) -> np.ndarray:
 
     if side == 2:
         return minor(0, 0, 1)
-    if side == 3:
-        return a[0][0] * minor(1, 1, 2) - a[0][1] * minor(1, 0, 2) + a[0][2] * minor(1, 0, 1)
     return (
         minor(0, 0, 1) * minor(2, 2, 3)
         - minor(0, 0, 2) * minor(2, 1, 3)

@@ -63,6 +63,8 @@ __all__ = [
 ]
 
 ML_SPACE_LIMIT = 2**24
+#: Monte Carlo samples behind every campaign's noise calibration.
+CALIBRATION_SAMPLES = 100_000
 _CALIBRATION_STREAM = 0x5EED
 _CHUNK = 1 << 14
 _BLOCK = 512  # calibration samples per codeword block
@@ -222,7 +224,7 @@ def calibrate_noise(
     alphabet: Alphabet,
     cfg: ChannelConfig,
     snr_db: float,
-    samples: int = 100_000,
+    samples: int = CALIBRATION_SAMPLES,
 ) -> float:
     """Noise scale sigma_n with E||HX||^2 / E||N||^2 equal to the target.
 
@@ -278,12 +280,15 @@ def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
 
 
 def _ml_table(values: np.ndarray, k: int):
-    """The grid's trailing-digit count m and its lo rows S_lo, which depend
-    on the alphabet and k alone; a grid past the 2^24 guard raises."""
+    """The grid's trailing-digit count m, the largest m <= k with
+    L^m <= _CHUNK, and its lo rows S_lo, which depend on the alphabet and k
+    alone; a grid past the 2^24 guard raises."""
     L = len(values)
     if L**k > ML_SPACE_LIMIT:
         raise ValueError(f"exhaustive search space {L}^{k} exceeds the 2^24 guard")
-    m = _table_width(L, k, _CHUNK)
+    m = 0
+    while m < k and L ** (m + 1) <= _CHUNK:
+        m += 1
     return m, next(_mixed_radix(values, m, 0, L**m, L**m))
 
 
@@ -348,15 +353,6 @@ def _ml_search(B, y, values, table) -> DecodeResult:
                 kept.append((dist, np.concatenate([S_hi[h], S_lo[l]])))
     metric, row = kept[0]
     return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=L**k)
-
-
-def _table_width(base: int, k: int, chunk: int) -> int:
-    """The largest m <= k with base^m <= chunk: how many low digits fit in
-    one table."""
-    m = 0
-    while m < k and base ** (m + 1) <= chunk:
-        m += 1
-    return m
 
 
 def _sphere_block(R, z, values, lex_perm):
@@ -471,7 +467,7 @@ def _sphere_block(R, z, values, lex_perm):
         partial = nd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """The column order, its inverse, the R entries that would couple two
     blocks, and per block its columns and its symbols' lexicographic order."""
@@ -603,13 +599,13 @@ def run_campaign(
     alphabet: Alphabet,
     cfg: ChannelConfig,
     decoder: str = "both",
-    calibration_samples: int = 100_000,
 ) -> SimCampaign:
     """Monte Carlo error-rate sweep over the SNR grid.
 
     Each trial draws its channel, coefficients, and noise from the stream
     seeded by (seed, snr index, trial index), in that order, so results are
-    independent of execution schedule.  The sphere decoder runs with the
+    independent of execution schedule.  The noise is calibrated once, from
+    CALIBRATION_SAMPLES samples.  The sphere decoder runs with the
     classified profile's ordering (groups, then conditioned).
 
     The trials of an SNR point are decoded in blocks of about _BLOCK_BYTES
@@ -633,7 +629,7 @@ def run_campaign(
         plan = _plan(basis, classify(basis).ordering)
     dim = 2 * cfg.n_r * T
     per_block = max(1, _BLOCK_BYTES // (8 * k * (2 * dim + k)))
-    mean_sig = _mean_signal_power(basis, alphabet, cfg, calibration_samples)
+    mean_sig = _mean_signal_power(basis, alphabet, cfg, CALIBRATION_SAMPLES)
     rows = []
     for si, snr_db in enumerate(cfg.snr_db_grid):
         sigma_n = _noise_scale(mean_sig, cfg, snr_db)

@@ -318,7 +318,7 @@ def test_12_campaigns_reproduce_bit_identical_csv():
     for _ in range(2):
         basis = build("alamouti")
         cfg = default_config(basis, snr_db_grid=(0.0, 6.0, 12.0), trials=40, seed=11)
-        campaign = run_campaign(basis, pam(4), cfg, calibration_samples=20_000)
+        campaign = run_campaign(basis, pam(4), cfg)
         outputs.append(campaign.to_csv())
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == 4

@@ -134,6 +134,24 @@ class TestLattice:
         code, _, err = run(capsys, "lattice", str(bad))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"mats": [[[["1", 0]]]]}',
+            '{"mats": [[[[null, 0]]]]}',
+            '{"mats": 5}',
+        ],
+        ids=["top-level list", "string entry", "null entry", "mats not a list"],
+    )
+    def test_malformed_basis_file_fails_validation(self, capsys, tmp_path, text):
+        # Each raised a TypeError: "internal error", exit 2.
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "analyze", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read basis from '{bad}': ")
+
     def test_box_over_the_cap_is_a_clean_error(self, capsys):
         # 3^24 - 1 vectors: the unit box of a k = 24 code is past the cap
         code, out, err = run(capsys, "lattice", "mimo_relay", "--bound", "1")
@@ -197,7 +215,7 @@ class TestSimulate:
     def test_csv_shape_and_determinism(self, capsys):
         argv = (
             "simulate", "alamouti", "--snr", "0,20", "--trials", "10",
-            "--alphabet", "2", "--cal-samples", "10000", "--seed", "3",
+            "--alphabet", "2", "--seed", "3",
         )
         code, out1, _ = run(capsys, *argv)
         assert code == 0
@@ -210,7 +228,7 @@ class TestSimulate:
     def test_explicit_alphabet_values(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "alamouti", "--snr", "10", "--trials", "5",
-            "--alphabet=-1,1", "--cal-samples", "10000",
+            "--alphabet=-1,1",
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 2
@@ -223,13 +241,12 @@ class TestSimulate:
         # int() used to fail first, with "invalid literal for int()"
         code, out, err = run(
             capsys, "simulate", "alamouti", f"--alphabet={alphabet}", "--trials", "1",
-            "--cal-samples", "10000",
         )
         assert code == 1 and out == ""
         assert message in err
 
     def test_integral_float_pam_size_is_kept(self, capsys):
-        argv = ("simulate", "alamouti", "--snr", "10", "--trials", "5", "--cal-samples", "10000")
+        argv = ("simulate", "alamouti", "--snr", "10", "--trials", "5")
         _, out4, _ = run(capsys, *argv, "--alphabet", "4")
         code, out, _ = run(capsys, *argv, "--alphabet", "4.0")
         assert code == 0 and out == out4
@@ -244,7 +261,6 @@ class TestSimulate:
     def test_rejects_nan_and_minus_inf_snr(self, capsys, snr):
         code, out, err = run(
             capsys, "simulate", "alamouti", f"--snr={snr}", "--trials", "1",
-            "--cal-samples", "10000",
         )
         assert code == 1 and out == ""
         assert "SNR values must be" in err
@@ -252,7 +268,6 @@ class TestSimulate:
     def test_plus_inf_snr_is_the_noiseless_point(self, capsys):
         code, out, _ = run(
             capsys, "simulate", "alamouti", "--snr=inf", "--trials", "2",
-            "--cal-samples", "10000",
         )
         assert code == 0
         assert out.splitlines()[1].startswith("inf,2,0.000000,0.000000,")
@@ -283,8 +298,7 @@ class TestVerbs:
         "lattice": {"--bound", "--output"},
         "analyze": {"--seed", "--output"},
         "simulate": {
-            "--snr", "--trials", "--alphabet", "--decoder", "--n-r",
-            "--cal-samples", "--seed", "--output",
+            "--snr", "--trials", "--alphabet", "--decoder", "--n-r", "--seed", "--output",
         },
         "zoo": {"--seed", "--output"},
     }
@@ -296,7 +310,7 @@ class TestVerbs:
             for verb, sub in subs.items()
         }
         assert flags == self.FLAGS
-        assert sum(map(len, flags.values())) == 17
+        assert sum(map(len, flags.values())) == 16
 
     @pytest.mark.parametrize(
         "argv",
@@ -330,6 +344,7 @@ class TestVerbs:
             ("zoo", "--tol", "1e-9"),
             ("analyze", "golden", "--trials", "5"),
             ("zoo", "--trials", "5"),
+            ("simulate", "alamouti", "--cal-samples", "10000"),
         ],
     )
     def test_flag_the_verb_does_not_read_is_rejected(self, capsys, argv):

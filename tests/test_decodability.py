@@ -8,11 +8,12 @@ before being frozen here.
 """
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stlattice import codebook, decodability, simulate
@@ -104,7 +105,54 @@ class TestAdjacencyBits:
             assert _adjacency_bits(adjacency) == expected
 
 
+def pair_loop_delta(basis):
+    """The pair loop that hurwitz_radon's row form replaced: one
+    anticommutator and one np.linalg.norm per pair i <= j."""
+    mats, k = basis.mats, basis.k
+    delta = np.zeros((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            M = mats[i] @ mats[j].conj().T + mats[j] @ mats[i].conj().T
+            delta[i, j] = delta[j, i] = np.linalg.norm(M) ** 2
+    return delta
+
+
+def random_bases():
+    rng = np.random.default_rng(28)
+    for n_t, T in ((3, 3), (2, 4)):
+        for k in (1, 5, 9):
+            re, im = rng.normal(size=(2, k, n_t, T))
+            yield WeightBasis(f"random-{n_t}x{T}-{k}", list(re + 1j * im))
+
+
 class TestHurwitzRadon:
+    @pytest.mark.parametrize(
+        "basis",
+        [codebook.build(name) for name in codebook.REGISTRY] + list(random_bases()),
+        ids=lambda b: b.name,
+    )
+    def test_matches_the_pair_loop(self, basis):
+        hr, reference = hurwitz_radon(basis), pair_loop_delta(basis)
+        # each entry within 1e-15 of its own value: a zero stays zero
+        assert np.all(np.abs(hr.delta - reference) <= 1e-15 * reference)
+        assert np.array_equal(hr.delta, hr.delta.T)
+        energy = np.array([np.linalg.norm(m) ** 2 for m in basis.mats])
+        adjacency = reference > decodability.TOL**2 * np.outer(energy, energy)
+        np.fill_diagonal(adjacency, False)
+        assert np.array_equal(hr.adjacency, adjacency)
+
+    def test_one_row_of_pairs_in_flight(self):
+        # A stack of all k^2 anticommutators of mimo_relay alone is 1.27 MiB.
+        basis = codebook.build("mimo_relay")
+        hurwitz_radon(basis)
+        tracemalloc.start()
+        try:
+            hurwitz_radon(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_alamouti_mutually_orthogonal(self):
         basis, _ = zoo("alamouti")
         hr = hurwitz_radon(basis)
@@ -774,6 +822,32 @@ class TestInvariances:
         for perm in itertools.permutations(range(star.k)):
             other = classify(WeightBasis("star-perm", [star.mats[i] for i in perm]))
             assert (other.family, other.k_prime) == ("multi_group", 3), perm
+
+    @settings(max_examples=48)
+    @given(st.sampled_from(sorted(FROZEN)), st.data())
+    def test_relabelling_keeps_the_verdict(self, name, data):
+        basis, prof = zoo(name)
+        perm = data.draw(st.permutations(range(basis.k)))
+        relabelled = WeightBasis(
+            name, basis.mats[perm], allow_dependent=basis.rank < basis.k
+        )
+        other = classify(relabelled)
+        assert (other.family, other.k_prime, other.bo_params) == (
+            prof.family, prof.k_prime, prof.bo_params,
+        )
+        # weight j of the relabelled basis is weight perm[j] of the original
+        groups = {frozenset(perm[j] for j in g) for g in other.groups}
+        if prof.family == "multi_group":
+            assert groups == set(map(frozenset, prof.groups))
+        if prof.family == "conditional_multi_group":
+            # The tie-break picks the least separator in the new labels,
+            # which may be another one of the same size: it must still
+            # split the original graph into the groups, at the same k'.
+            gamma = sum(1 << perm[j] for j in other.conditioned)
+            bits, _ = decodability._graph(basis)
+            rest = decodability._components_of_mask(((1 << basis.k) - 1) & ~gamma, bits)
+            assert component_sets(rest) == groups
+            assert len(other.conditioned) == len(prof.conditioned)
 
     def test_small_weights_keep_their_family(self):
         basis, prof = zoo("golden")

@@ -110,7 +110,7 @@ class TestAlphabet:
             for decode in (ml_exhaustive, sphere_decode):
                 assert decode(Y, H, basis, shuffled) == decode(Y, H, basis, pam(4))
         campaigns = [
-            run_campaign(basis, a, cfg, calibration_samples=10_000).to_csv()
+            run_campaign(basis, a, cfg).to_csv()
             for a in (shuffled, pam(4))
         ]
         assert campaigns[0] == campaigns[1]
@@ -230,8 +230,6 @@ class TestCalibration:
         cfg = default_config(basis, (0.0,), 1, 9)
         with pytest.raises(ValueError, match="10"):
             calibrate_noise(basis, pam(2), cfg, 0.0, samples=100)
-        with pytest.raises(ValueError, match="10"):
-            run_campaign(basis, pam(2), cfg, calibration_samples=100)
 
     @pytest.mark.parametrize("n_t, T", [(2, 4), (3, 3)])
     def test_rejects_a_config_shaped_unlike_the_basis(self, n_t, T):
@@ -243,7 +241,7 @@ class TestCalibration:
         with pytest.raises(ValueError, match=shapes):
             calibrate_noise(basis, pam(4), cfg, 10.0, samples=20_000)
         with pytest.raises(ValueError, match=shapes):
-            run_campaign(basis, pam(4), cfg, calibration_samples=20_000)
+            run_campaign(basis, pam(4), cfg)
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize(
@@ -529,7 +527,7 @@ def left_to_right_metric(Y, H, basis, alphabet, coeffs):
     values = np.array(alphabet.values, dtype=float)
     B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
     L, k = len(values), basis.k
-    m = simulate._table_width(L, k, simulate._CHUNK)
+    m = simulate._ml_table(values, k)[0]
     per_block = simulate._CHUNK // L**m
     index = 0
     for c in coeffs:
@@ -1125,7 +1123,7 @@ class TestOneOrthogonalityVerdict:
 
         monkeypatch.setattr(decodability, "hurwitz_radon", spy)
         cfg = default_config(basis, (0.0, 10.0), trials=5, seed=1)
-        run_campaign(basis, pam(2), cfg, decoder="sphere", calibration_samples=10_000)
+        run_campaign(basis, pam(2), cfg, decoder="sphere")
         assert calls == [True]
 
 
@@ -1207,14 +1205,14 @@ class TestCampaign:
     def test_identical_seeds_identical_csv(self):
         basis = code("alamouti")
         cfg = default_config(basis, (0.0, 20.0), trials=60, seed=5)
-        a = run_campaign(basis, pam(2), cfg, calibration_samples=10_000)
-        b = run_campaign(basis, pam(2), cfg, calibration_samples=10_000)
+        a = run_campaign(basis, pam(2), cfg)
+        b = run_campaign(basis, pam(2), cfg)
         assert a.to_csv() == b.to_csv()
 
     def test_error_rate_falls_with_snr(self):
         basis = code("alamouti")
         cfg = default_config(basis, (0.0, 20.0), trials=300, seed=8)
-        camp = run_campaign(basis, pam(2), cfg, calibration_samples=10_000)
+        camp = run_campaign(basis, pam(2), cfg)
         low, high = camp.rows[0], camp.rows[1]
         assert high[2] < low[2]
         assert high[2] <= 0.02
@@ -1222,7 +1220,7 @@ class TestCampaign:
     def test_single_decoder_leaves_other_column_empty(self):
         basis = code("alamouti")
         cfg = default_config(basis, (10.0,), trials=5, seed=2)
-        camp = run_campaign(basis, pam(2), cfg, decoder="ml", calibration_samples=10_000)
+        camp = run_campaign(basis, pam(2), cfg, decoder="ml")
         line = camp.to_csv().splitlines()[1]
         fields = line.split(",")
         assert fields[3] == ""
@@ -1241,12 +1239,12 @@ class TestCampaign:
             return estimate(*args)
 
         monkeypatch.setattr(simulate, "_mean_signal_power", counted)
-        camp = run_campaign(basis, alphabet, cfg, calibration_samples=10_000)
+        camp = run_campaign(basis, alphabet, cfg)
         assert len(calls) == 1
         ordering = classify(basis).ordering
         rows = []
         for si, snr_db in enumerate(cfg.snr_db_grid):
-            sigma_n = calibrate_noise(basis, alphabet, cfg, snr_db, samples=10_000)
+            sigma_n = calibrate_noise(basis, alphabet, cfg, snr_db)
             err_ml = err_sp = 0
             nodes = []
             for t in range(cfg.trials):
@@ -1438,7 +1436,7 @@ class TestCampaign:
 
         monkeypatch.setattr(simulate, "_real_model", capture)
         with pytest.raises(_FirstBlockSeen):
-            run_campaign(basis, pam(4), cfg, decoder="sphere", calibration_samples=10_000)
+            run_campaign(basis, pam(4), cfg, decoder="sphere")
         (Y,) = received
         n = len(Y)
         assert same_bits(Y, np.stack(H[:n]) @ np.stack(X[:n]))
@@ -1456,7 +1454,7 @@ class TestCampaign:
 
         monkeypatch.setattr(simulate, "_mean_signal_power", counted)
         with pytest.raises(ValueError, match="2\\^24 guard"):
-            run_campaign(basis, pam(4), cfg, decoder=decoder, calibration_samples=10_000)
+            run_campaign(basis, pam(4), cfg, decoder=decoder)
         assert calls == []
 
     def test_one_qr_per_block_of_trials(self, monkeypatch):
@@ -1470,7 +1468,7 @@ class TestCampaign:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", spy)
-        run_campaign(basis, pam(2), cfg, decoder="sphere", calibration_samples=10_000)
+        run_campaign(basis, pam(2), cfg, decoder="sphere")
         # A block holds about _BLOCK_BYTES of B_H, Q and R: 8 k (2 dim + k)
         # bytes a trial, 37 trials for mimo_relay.
         dim = 2 * cfg.n_r * basis.T
