@@ -9,6 +9,7 @@ lattice, its volume, and the determinant-based figures of merit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -108,7 +109,7 @@ class WeightBasis:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.k,):
             raise ValueError(f"expected {self.k} coefficients")
-        return _codewords(self, coeffs[None])[0]
+        return _codewords(self.mats, coeffs[None])[0]
 
     # JSON schema: {name, nt, T, k, mats: [[[re, im], ...], ...]}, row-major.
     def to_json_dict(self) -> dict:
@@ -199,9 +200,9 @@ def _mixed_radix(values, k: int, start: int, stop: int, rows: int):
     yielded, so every pass runs along the block's rows.  Digit j runs
     through values with each value repeated r = base^(k-1-j) times.  A
     column whose run is at least the longest block holds at most two runs
-    and is filled with them.  Any other column is periodic: its cycle,
-    tabulated once per call for one period plus the longest block, is
-    copied in by one slice from the block's offset in the period.
+    and is filled with them.  Any other column is periodic: its period,
+    tabulated once per call, is copied in from the block's offset in it,
+    then as whole periods by one broadcast, then as the start of one more.
 
     One block is held at a time: each is built in _radix_block, so the
     generator keeps no name bound to a block it has yielded.
@@ -209,24 +210,25 @@ def _mixed_radix(values, k: int, start: int, stop: int, rows: int):
     base = len(values)
     runs = [base ** (k - 1 - j) for j in range(k)]
     longest = min(rows, stop - start)
-    cycles = {
-        run: np.resize(np.repeat(values, run), base * run + longest - 1)
-        for run in runs
-        if run < longest
-    }
+    periods = {run: np.repeat(values, run) for run in runs if run < longest}
     for lo in range(start, stop, rows):
-        yield _radix_block(values, runs, cycles, lo, min(rows, stop - lo))
+        yield _radix_block(values, runs, periods, lo, min(rows, stop - lo))
 
 
-def _radix_block(values, runs, cycles, lo: int, n: int) -> np.ndarray:
+def _radix_block(values, runs, periods, lo: int, n: int) -> np.ndarray:
     """The n rows of _mixed_radix from index lo, as the transpose of a
     digit-major block."""
     base = len(values)
     block = np.empty((len(runs), n), dtype=values.dtype)
     for col, run in zip(block, runs):
         at = lo % (base * run)
-        if run in cycles:
-            col[:] = cycles[run][at : at + n]
+        if run in periods:
+            period = periods[run]
+            head = min(len(period) - at, n)
+            whole = head + (n - head) // len(period) * len(period)
+            col[:head] = period[at : at + head]
+            col[head:whole].reshape(-1, len(period))[:] = period
+            col[whole:] = period[: n - whole]
             continue
         digit, into = divmod(at, run)
         head = min(run - into, n)
@@ -246,6 +248,16 @@ def _check_cap(search: str, vectors: int, cap: int, lower: str) -> None:
         raise ValueError(msg)
 
 
+def _box_base(k: int, bound: int) -> int:
+    """The digit base 2 * bound + 1 of the box ||z||_inf <= bound, once the
+    bound is checked to be nonnegative and the box's 2 * MAX_CANDIDATES
+    cap on nonzero vectors is checked."""
+    _check_nonnegative("search bound", bound)
+    base = 2 * bound + 1
+    _check_cap("coefficient box", base**k - 1, 2 * MAX_CANDIDATES, "the bound")
+    return base
+
+
 def _coefficient_box(k: int, bound: int, rows: int):
     """Yield blocks of at most rows coefficient rows covering ||z||_inf <= bound.
 
@@ -255,14 +267,15 @@ def _coefficient_box(k: int, bound: int, rows: int):
     hold at most 2 * MAX_CANDIDATES nonzero vectors.  One block is held at
     a time, as _mixed_radix yields them.
     """
-    _check_nonnegative("search bound", bound)
-    base = 2 * bound + 1
+    base = _box_base(k, bound)
     total = base**k - 1
-    _check_cap("coefficient box", total, 2 * MAX_CANDIDATES, "the bound")
     # Vectors whose mixed-radix index lies in the upper half have a positive
     # leading nonzero entry; the zero vector sits exactly at the midpoint.
     mid = total // 2  # index of the zero vector
     yield from _mixed_radix(np.arange(base, dtype=float) - bound, k, mid + 1, total + 1, rows)
+
+
+_EMPTY_BOX = "no coefficient vector to search: the bound is 0 or none was requested"
 
 
 def _sweep(basis: WeightBasis, blocks, reduce, best, stop=None):
@@ -274,27 +287,22 @@ def _sweep(basis: WeightBasis, blocks, reduce, best, stop=None):
     empty = True
     for z in blocks:
         empty = False
-        best = min(best, reduce(_codewords(basis, z)))
+        best = min(best, reduce(_codewords(basis.mats, z)))
         if stop is not None and best <= stop:
             return best
     if empty:
-        raise ValueError("no coefficient vector to search: the bound is 0 or none was requested")
+        raise ValueError(_EMPTY_BOX)
     return best
 
 
-def _codewords(basis: WeightBasis, z: np.ndarray) -> np.ndarray:
-    """The codewords sum_i z_i B_i of the rows z, the one builder: z as float
-    times the weights' float view, viewed back as complex, (n, n_t, T).  A
-    row's bits can depend on the rows multiplied with it."""
-    flat = basis.mats.view(float).reshape(basis.k, -1)
-    return (z.astype(float, copy=False) @ flat).view(complex).reshape(-1, basis.n_t, basis.T)
-
-
-#: Bound, relative to ||X||_F^(2n), on how far the closed form and LAPACK
-#: can each put |det X|^2 from its exact value on sides up to 4: about 4500
-#: ulps, several times the worst case of LU with partial pivoting (growth at
-#: most 8) and of the expansion, whose terms sum to at most ||X||_F^n.
-_DET_SLACK = 1e-12
+def _codewords(mats: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The codewords sum_i z_i B_i of the rows z over the weights mats
+    (k, n_t, T), the one builder: z as float times the weights' float view,
+    viewed back as complex, (n, n_t, T).  A row's bits can depend on the
+    rows multiplied with it."""
+    # sized, not -1: the stack may be empty (a split with no hi digit)
+    flat = mats.reshape(len(mats), mats.shape[1] * mats.shape[2]).view(float)
+    return (z.astype(float, copy=False) @ flat).view(complex).reshape(-1, *mats.shape[1:])
 
 
 def _det(mats: np.ndarray) -> np.ndarray:
@@ -327,40 +335,242 @@ def _fro_sq(mats: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _min_abs_det_sq_of_block(mats: np.ndarray, slack: float) -> float:
-    """min |det X|^2 over a stack, as LAPACK's det gives it.
+#: Square sides up to which the box sweeps of min_det_est and
+#: min_rank_difference take their determinants by split minors
+#: (_split_box); larger sides and non-square codes form every codeword.
+_SPLIT_SIDES = 4
 
-    The closed form ranks the stack; LAPACK then runs only on the rows
-    whose closed-form value, within slack of rounding, could still be the
-    least.  slack must be at least every row's _DET_SLACK * ||X||_F^(2n).
-    A row is kept unless est - slack > min(est) + slack; the rule with each
-    row's own slack keeps a row unless est - own > min(est + own), and
-    since est - slack <= est - own and min(est + own) <= min(est) + slack,
-    every row that rule keeps is kept here, the row of LAPACK's least value
-    among them.  A row whose values are not finite is kept.
+#: Bound, relative to N^n, on how far the split's determinant of a box
+#: codeword lies from LAPACK's det of its _codewords product X, for sides n
+#: up to 4; N = _box_norm(basis, bound) bounds ||X||_F over the box.
+#: Derivation, to first order in u = 2^-53, with W = bound * sum_i |B_i|
+#: entrywise (so ||W||_F <= N) and per(|M|) <= the product of M's row
+#: 1-norms <= ||M||_F^n, at n = 4:
+#:  - inputs: the hi part A, the lo part B and X are products of at most
+#:    k <= 16 terms (the cap allows no larger box), each within k u W of
+#:    its exact value, so |det(A + B) - det X| <= 2 n k u per(W) <= 128 u N^n;
+#:  - the split: its terms are the Leibniz products of A + B, whose moduli
+#:    sum to at most per(W) <= N^n.  Each passes through at most n - 1
+#:    rounded complex products (sqrt(5) u each) and 6 additions in the two
+#:    cofactor expansions, then the real product: one rounded product and
+#:    139 additions, in any order, for each of Re and Im, sqrt(2) times
+#:    that together.  So 7 + 6 + 198 < 211 u N^n;
+#:  - LAPACK: LU with partial pivoting (growth at most 8) is the exact LU
+#:    of X + E with ||E||_F <= 4 u * 4 * 4 * 8 ||X||_F, which moves det X by
+#:    at most ||adj X||_F ||E||_F <= 512 u N^n, plus 4 u for the pivots'
+#:    product.
+#: So the two lie within (128 + 211 + 516) u N^n < 9.5e-14 N^n of each
+#: other, half this bound.
+_SPLIT_ERR = 2e-13
+
+#: Bound, relative to N^(2n), on how far the split's |det X|^2 lies from
+#: LAPACK's: | |d|^2 - |d'|^2 | <= |d - d'| (|d| + |d'|) with |d - d'| <=
+#: _SPLIT_ERR N^n and |d'| <= N^n, so at most 4.01e-13 N^(2n) with a few
+#: ulps for the squares, 2.5 times below this.
+_DET_SLACK = 1e-12
+
+
+def _box_norm(basis: WeightBasis, bound: int) -> float:
+    """N = bound * sum_i ||B_i||_F: every codeword of the box has ||X||_F
+    <= N.  The factor 1 + 1e-9 covers the rounding of the computed norms
+    and codewords, some 10^-13 relative."""
+    return bound * float(np.sqrt(_fro_sq(basis.mats)).sum()) * (1 + 1e-9)
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace(n: int):
+    """Index tables of the Laplace expansion of a side-n determinant,
+
+        det(A + B) = sum over I, J with |I| = |J| of
+                     (-1)^(sum I + sum J) det A[I, J] det B[I', J'],
+
+    I' and J' the complements: C(2n, n) terms.  The pairs (I, J) run by
+    size, then I, then J, each in itertools.combinations order, so the
+    empty pair comes first.  Returns (steps, sign, complement).  Each step
+    (start, stop, entries, minors) fills the columns of one size r >= 1 by
+    the cofactor expansion along I's first row: the sum over c of (-1)^c
+    times entry entries[p, c] of the flattened matrix times the column
+    minors[p, c] of size r - 1.  sign is each pair's (-1)^(sum I + sum J),
+    and complement[t] is the column of pair t's complement."""
+    sets = [list(itertools.combinations(range(n), r)) for r in range(n + 1)]
+    pairs = [(I, J) for r in range(n + 1) for I in sets[r] for J in sets[r]]
+    column = {pair: t for t, pair in enumerate(pairs)}
+    steps = []
+    for r in range(1, n + 1):
+        sized = [(I, J) for I, J in pairs if len(I) == r]
+        entries = [[I[0] * n + j for j in J] for I, J in sized]
+        minors = [[column[I[1:], J[:c] + J[c + 1 :]] for c in range(r)] for I, J in sized]
+        start = column[sized[0]]
+        steps.append((start, start + len(sized), np.array(entries), np.array(minors)))
+    sign = np.array([(-1.0) ** (sum(I) + sum(J)) for I, J in pairs])
+    rest = set(range(n))
+    complement = [
+        column[tuple(sorted(rest - set(I))), tuple(sorted(rest - set(J)))] for I, J in pairs
+    ]
+    return steps, sign, np.array(complement)
+
+
+def _minors(mats: np.ndarray) -> np.ndarray:
+    """Every square minor det X[I, J] of each matrix X of a side-n stack,
+    as a (len(mats), C(2n, n)) array in _laplace's column order."""
+    n = mats.shape[-1]
+    steps, sign, _ = _laplace(n)
+    flat = mats.reshape(len(mats), n * n)
+    table = np.empty((len(mats), len(sign)), dtype=complex)
+    table[:, 0] = 1
+    for start, stop, entries, minors in steps:
+        terms = flat[:, entries] * table[:, minors]
+        terms[..., 1::2] *= -1
+        table[:, start:stop] = terms.sum(axis=-1)
+    return table
+
+
+def _trail(lo: np.ndarray) -> np.ndarray:
+    """The lo table of _split_box for a stack of lo codewords B: column j
+    holds sign_t minor_t'(B_j) for each pair t, real parts over imaginary
+    parts, (2 C(2n, n), len(lo))."""
+    _, sign, complement = _laplace(lo.shape[-1])
+    table = (_minors(lo)[:, complement] * sign).T
+    return np.concatenate([table.real, table.imag])
+
+
+def _split_det(hi: np.ndarray, trail: np.ndarray) -> np.ndarray:
+    """det(A + B) for each hi codeword A and each lo codeword B of the lo
+    table trail, by one real product: row 2i holds Re and row 2i + 1 Im of
+    the determinants for A = hi[i]."""
+    lead = _minors(hi)
+    lead = np.concatenate([lead.real, -lead.imag, lead.imag, lead.real], axis=1)
+    return lead.reshape(2 * len(hi), -1) @ trail
+
+
+def _abs_sq(det: np.ndarray) -> np.ndarray:
+    """|det|^2 from _split_det's rows of real and imaginary parts, squared
+    in place."""
+    np.square(det, out=det)
+    return det[0::2] + det[1::2]
+
+
+def _split_box(basis: WeightBasis, bound: int, norms: bool = False):
+    """|det X|^2 of every codeword X of _coefficient_box's half box, one
+    block at a time, for a square basis of side n <= _SPLIT_SIDES.
+
+    The k digits split into h leading (hi) and m trailing (lo) ones, m the
+    most whose lo table of C(2n, n) complex minors fits in _BLOCK_BYTES.  A
+    codeword X = A + B, A from the hi digits and B from the lo ones, has
+    det X = sum_t sign_t minor_t(A) minor_t'(B), t' the complement of t
+    (_laplace).  So one complex product of a block of hi rows' minors with
+    the lo table of signed complementary minors, built once, gives det X
+    for every codeword in the block.  It is taken as one real product, of
+    the minors' real and imaginary parts stacked as [[Re, -Im], [Im, Re]]
+    with the table's real part over its imaginary part.  A block has as
+    many hi rows as keep the product within _BLOCK_BYTES, and its minors
+    are formed when it is asked for.
+
+    The half box is every pair with hi above its midpoint (the zero vector's
+    digits), plus the pairs with hi at it and lo above its midpoint: the
+    latter come first, as one block, then the hi rows in order.  Yields
+    (z_hi, z_lo, est), est[i, j] = |det X|^2 for the codeword of z_hi[i]
+    followed by z_lo[j], and with norms also ||X||_F^2, as
+    ||A||_F^2 + ||B||_F^2 + 2 <A, B> by one real product.  The bound is
+    checked as _coefficient_box checks it, and a bound of 0 raises.
     """
-    est = np.abs(_det(mats)) ** 2
-    keep = ~(est - slack > np.min(est) + slack)
-    return float((np.abs(np.linalg.det(mats[keep])) ** 2).min())
+    base = _box_base(basis.k, bound)
+    if base == 1:
+        raise ValueError(_EMPTY_BOX)
+    m, terms = 0, math.comb(2 * basis.n_t, basis.n_t)
+    while m < basis.k and base ** (m + 1) * 16 * terms <= _BLOCK_BYTES:
+        m += 1
+    h, lo_count = basis.k - m, base**m
+    values = np.arange(base, dtype=float) - bound
+    z_lo = next(_mixed_radix(values, m, 0, lo_count, lo_count))
+    lo = _codewords(basis.mats[h:], z_lo)
+    trail = _trail(lo)
+    if norms:
+        lo_fro, lo_flat = _fro_sq(lo), lo.reshape(lo_count, -1).view(float)
+    del lo
+    hi_rows = max(1, _BLOCK_BYTES // (16 * lo_count))
+    hi_blocks = _mixed_radix(values, h, base**h // 2 + 1, base**h, hi_rows)
+    first = [(np.zeros((1, h)), slice(lo_count // 2 + 1, None))] if m else []
+    for z_hi, cols in itertools.chain(first, ((z, slice(None)) for z in hi_blocks)):
+        hi = _codewords(basis.mats[:h], z_hi)
+        est = _abs_sq(_split_det(hi, trail[:, cols]))
+        if not norms:
+            yield z_hi, z_lo[cols], est
+            continue
+        fro = hi.reshape(len(hi), -1).view(float) @ lo_flat[cols].T
+        fro *= 2
+        fro += _fro_sq(hi)[:, None]
+        fro += lo_fro[cols]
+        yield z_hi, z_lo[cols], est, fro
 
 
-def _det_slack(basis: WeightBasis, bound: int) -> float:
-    """_DET_SLACK * (bound * sum_i ||B_i||_F)^(2n): every codeword of the box
-    has ||sum z_i B_i||_F <= bound * sum_i ||B_i||_F, so this bounds every
-    row's slack.  The factor 1 + 1e-9 covers the rounding of the computed
-    norms and codewords, some 10^-13 relative."""
-    norms = np.sqrt(_fro_sq(basis.mats))
-    return _DET_SLACK * (bound * float(norms.sum()) * (1 + 1e-9)) ** (2 * basis.n_t)
+def _recheck(basis: WeightBasis, batches, reduce, best):
+    """Fold min(best, reduce(codewords)) over the codewords of the
+    coefficient rows that batches yields, formed by _codewords in products
+    of _block_rows(basis) rows, the last one zero-padded: the row count of
+    the box sweeps' own products, whose bits the codewords keep.  Rows are
+    gathered across batches, and at most one product's rows are held."""
+    rows = _block_rows(basis)
+    block, held = np.zeros((rows, basis.k)), 0
+    for z in batches:
+        for part in np.array_split(z, range(rows - held, len(z), rows)):
+            block[held : held + len(part)] = part
+            held += len(part)
+            if held == rows:
+                best, held = min(best, reduce(_codewords(basis.mats, block))), 0
+    if held:
+        block[held:] = 0
+        best = min(best, reduce(_codewords(basis.mats, block)[:held]))
+    return best
+
+
+def _pair_rows(z_hi, z_lo, hi, lo) -> np.ndarray:
+    """The coefficient rows of the pairs (z_hi[hi], z_lo[lo])."""
+    return np.concatenate([z_hi[hi], z_lo[lo]], axis=1)
+
+
+def _lapack_min_abs_det_sq(mats: np.ndarray) -> float:
+    """min |det X|^2 over a stack, by LAPACK's det of every matrix."""
+    return float((np.abs(np.linalg.det(mats)) ** 2).min())
 
 
 def _min_abs_det_sq(basis: WeightBasis, bound: int) -> float:
     """min |det(sum z_i B_i)|^2 over the box, bit for bit the least of
-    LAPACK's values over every codeword, at the cost of the closed form plus
-    LAPACK on the few rows near each block's minimum; those rows never
-    outlive their block."""
-    blocks = _coefficient_box(basis.k, bound, _block_rows(basis))
+    LAPACK's values over every codeword.
+
+    Sides above _SPLIT_SIDES take LAPACK's det once per codeword.  Smaller
+    sides take est = |det|^2 of every codeword from _split_box, and LAPACK
+    rechecks the rows that _near_least keeps.
+    """
+    if basis.n_t > _SPLIT_SIDES:
+        blocks = _coefficient_box(basis.k, bound, _block_rows(basis))
+        return _sweep(basis, blocks, _lapack_min_abs_det_sq, np.inf)
+    return _recheck(basis, _near_least(basis, bound), _lapack_min_abs_det_sq, np.inf)
+
+
+def _near_least(basis: WeightBasis, bound: int):
+    """Yield, block by block of _split_box, the coefficient rows whose est =
+    |det|^2 is within 2 slack of least, the smallest est so far: every row
+    but those with est > least + 2 slack.
+
+    slack = _det_slack bounds every row's |est - LAPACK|, so a row dropped
+    against the row r of least est has LAPACK's value above est - slack >
+    est(r) + slack, hence above LAPACK's value at r (the threshold's own
+    rounding is an ulp of it, against a slack 2.5 times the bound).  r was
+    kept in its own block, when least was its est.  So the least LAPACK
+    value is among the kept rows.  A row whose est is not finite is kept.
+    """
     slack = _det_slack(basis, bound)
-    return _sweep(basis, blocks, lambda mats: _min_abs_det_sq_of_block(mats, slack), np.inf)
+    least = np.inf
+    for z_hi, z_lo, est in _split_box(basis, bound):
+        least = min(least, float(est.min()))
+        yield _pair_rows(z_hi, z_lo, *np.nonzero(~(est > least + 2 * slack)))
+
+
+def _det_slack(basis: WeightBasis, bound: int) -> float:
+    """_DET_SLACK * N^(2n), N = _box_norm(basis, bound): the bound on every
+    box codeword's |est - LAPACK| in _min_abs_det_sq."""
+    return _DET_SLACK * _box_norm(basis, bound) ** (2 * basis.n_t)
 
 
 def lattice_profile(basis: WeightBasis, det_search_bound: int = 2) -> LatticeProfile:
@@ -416,6 +626,11 @@ def _ranks(mats: np.ndarray) -> np.ndarray:
     return (svals > cutoff).sum(axis=1)
 
 
+def _least_rank(mats: np.ndarray) -> int:
+    """The least _ranks value over a stack."""
+    return int(_ranks(mats).min())
+
+
 def _min_rank_of_block(mats: np.ndarray) -> int:
     """Minimum rank across a stack of matrices.
 
@@ -424,14 +639,14 @@ def _min_rank_of_block(mats: np.ndarray) -> int:
     """
     side = mats.shape[-1]
     if mats.shape[-2] != side:
-        return int(_ranks(mats).min())
+        return _least_rank(mats)
     dets = np.abs(_det(mats))
     scale = np.sqrt(_fro_sq(mats) / side) + 1e-300
     # <=, not <: for a zero codeword both sides underflow to 0
     suspicious = dets <= 1e-6 * scale**side
     if not suspicious.any():
         return side
-    return int(_ranks(mats[suspicious]).min())
+    return _least_rank(mats[suspicious])
 
 
 def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
@@ -440,14 +655,45 @@ def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
     Exact over the enumerated box.  A result equal to min(n_t, T) certifies
     full diversity within the box.
     """
+    if basis.n_t == basis.T <= _SPLIT_SIDES:
+        return _min_rank_split(basis, search_bound)
     return _min_rank_sweep(basis, _coefficient_box(basis.k, search_bound, _block_rows(basis)))
 
 
+def _rank_floor(basis: WeightBasis) -> int:
+    """The least rank a codeword of nonzero z can have: 0 if the weights are
+    dependent, else 1; a search that reaches it ends."""
+    return 1 if basis.rank == basis.k else 0
+
+
 def _min_rank_sweep(basis: WeightBasis, blocks) -> int:
-    """The least rank over the blocks' codewords, ending at the least one
-    possible: 0 if the weights are dependent, else 1."""
-    stop = 1 if basis.rank == basis.k else 0
-    return _sweep(basis, blocks, _min_rank_of_block, min(basis.n_t, basis.T), stop)
+    """The least rank over the blocks' codewords, ending at _rank_floor."""
+    return _sweep(basis, blocks, _min_rank_of_block, min(basis.n_t, basis.T), _rank_floor(basis))
+
+
+def _min_rank_split(basis: WeightBasis, bound: int) -> int:
+    """min_rank_difference over the box by _split_box, side n <= 4.
+
+    A codeword whose split |det| exceeds 1e-6 scale^n plus _SPLIT_ERR N^n,
+    scale^2 = ||X||_F^2 / n, has LAPACK |det| above _min_rank_of_block's
+    1e-6 scale^n: it has full rank, as there.  The rest go, block by block,
+    to _ranks through _recheck, and the sweep ends at _rank_floor.
+    """
+    n, err = basis.n_t, _SPLIT_ERR * _box_norm(basis, bound) ** basis.n_t
+    floor, best = _rank_floor(basis), n
+    for z_hi, z_lo, est, fro in _split_box(basis, bound, norms=True):
+        # in place, from fro: (1e-6 scale^n + err)^2, scale^2 = fro / n
+        limit = np.maximum(fro, 0, out=fro)
+        limit /= n
+        limit **= n / 2
+        limit *= 1e-6
+        limit += err
+        near = np.nonzero(est <= np.square(limit, out=limit))
+        if len(near[0]):
+            best = _recheck(basis, [_pair_rows(z_hi, z_lo, *near)], _least_rank, best)
+            if best <= floor:
+                return best
+    return best
 
 
 def _sparse_box(k: int, bound: int, max_nonzeros: int, rows: int):

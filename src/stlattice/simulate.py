@@ -212,7 +212,7 @@ def _chunk_power(basis: WeightBasis, values, cfg: ChannelConfig, rng, n: int) ->
     for lo in range(0, n, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
         H = _rayleigh(real[rows].shape, rng, SIGMA_H, real[rows])
-        X = _codewords(basis, values[digits[rows]])
+        X = _codewords(basis.mats, values[digits[rows]])
         for i in range(cfg.n_r):
             HX = H[:, i : i + 1] @ X
             total += np.vdot(HX, HX).real

@@ -132,7 +132,7 @@ class TestWeightBasis:
         b = build(name)
         rng = np.random.default_rng(23)
         for s in rng.choice([-3.0, -1.0, 1.0, 3.0], size=(50, b.k)):
-            want = lattice._codewords(b, s[None])[0]
+            want = lattice._codewords(b.mats, s[None])[0]
             assert b.combination(s).tobytes() == want.tobytes()
             assert b.combination(s.astype(int)).tobytes() == want.tobytes()
 
@@ -505,6 +505,17 @@ class TestMixedRadix:
         for g, w in zip(got, want):
             assert g.dtype == values.dtype and np.array_equal(g, w)
 
+    @pytest.mark.parametrize("size", [2, 3, 4, 8])
+    @pytest.mark.parametrize("k", [1, 5, 8])
+    def test_ml_table_is_the_div_mod_table(self, size, k):
+        # ml_exhaustive's lo rows: one block of the whole range, whose
+        # periodic columns repeat their period many times, byte for byte
+        values = 2.0 * np.arange(size) - (size - 1)
+        m, table = simulate._ml_table(values, k)
+        want = values[next(_div_mod_digits(size, m, 0, size**m, size**m))]
+        assert size**m <= simulate._CHUNK and (m == k or size ** (m + 1) > simulate._CHUNK)
+        assert table.dtype == values.dtype and table.tobytes() == want.tobytes()
+
 
 def sweep_products(basis, block):
     """The codewords _sweep forms from one block of coefficient rows."""
@@ -591,25 +602,31 @@ class TestSweepBlocks:
         # B_4 = 2i B_1.  Of the 40 rows of the unit box, row 5, z = (0, 1,
         # -1, 0) with codeword diag(0, 2), is the first of rank 1.  The
         # weights are independent, so no codeword is zero and rank 1 ends
-        # the sweep.
+        # the sweep.  The split's blocks: by default the whole box is one
+        # block of lo rows; 288 bytes hold a 3-row lo table (blocks of 1,
+        # 18, 18 and 3 rows); 160 bytes hold none, so a block is 10 hi rows.
         J = np.array([[0, -1], [1, 0]], dtype=complex)
         b = WeightBasis("rank-one", [J, I2, np.diag([1.0, -1.0]), 2j * J])
         rows_z = np.concatenate(list(lattice._coefficient_box(4, 1, 40)))
         ranks = np.linalg.matrix_rank(np.tensordot(rows_z, b.mats, axes=1))
         first = int(np.argmax(ranks < 2))
         assert (len(rows_z), first, ranks[first], ranks.min()) == (40, 5, 1, 1)
-        reduce = lattice._min_rank_of_block
-        for m, rows in self._each_setting(monkeypatch, b):
+        split_box = lattice._split_box
+        for block_bytes, blocks in ((None, [40]), (288, [1, 18]), (160, [10])):
             seen = []
 
-            def counted(mats):
-                seen.append(len(mats))
-                return reduce(mats)
+            def counted(*args, **kwargs):
+                for block in split_box(*args, **kwargs):
+                    seen.append(block[2].size)
+                    yield block
 
-            m.setattr(lattice, "_min_rank_of_block", counted)
-            assert min_rank_difference(b, search_bound=1) == 1
+            with monkeypatch.context() as m:
+                if block_bytes is not None:
+                    m.setattr(lattice, "_BLOCK_BYTES", block_bytes)
+                m.setattr(lattice, "_split_box", counted)
+                assert min_rank_difference(b, search_bound=1) == 1
             # the sweep returns at the end of the block that holds row 5
-            assert sum(seen) == min(-(-(first + 1) // rows) * rows, 40)
+            assert seen == blocks and sum(seen[:-1]) <= first < sum(seen)
 
 
 class TestClosedFormDet:
@@ -636,6 +653,7 @@ def _lapack_min_abs_det_sq(basis, bound):
     return best
 
 
+@pytest.mark.blas_bits
 class TestMinAbsDetSq:
     @pytest.mark.parametrize("bound", [1, 2, 3])
     @pytest.mark.parametrize("name", ["alamouti", "golden", "silver"])
@@ -665,36 +683,147 @@ class TestMinAbsDetSq:
                 got = lattice._min_abs_det_sq(b, bound)
                 assert got.hex() == _lapack_min_abs_det_sq(b, bound).hex(), b.name
 
+    def test_side_five_takes_one_lapack_det_per_codeword(self, monkeypatch):
+        # Past side 4 every codeword goes to LAPACK once, and no pre-filter
+        # sends a row a second time.
+        b = _small_integer_basis(np.random.default_rng(5), 5, 5, 4)
+        det, calls = np.linalg.det, []
+
+        def spy(mats):
+            calls.append(len(mats))
+            return det(mats)
+
+        monkeypatch.setattr(np.linalg, "det", spy)
+        lattice._min_abs_det_sq(b, 2)
+        assert sum(calls) == (5**4 - 1) // 2 == 312
+
+
+@st.composite
+def split_pairs(draw):
+    """A random square basis of side 1 to 4 scaled by 2^e, a split of its k
+    digits into h hi and k - h lo ones, a bound, and hi and lo rows of the
+    box.  Drawn with cancellation, lo weight 0 is minus hi weight 0 plus 0
+    (a dependent basis) or 1e-9 times a random weight, and four pairs of
+    rows put equal coefficients on the two, so that A + B is 0 or nearly."""
+    n, h, m = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    bound, e = draw(st.integers(1, 4)), draw(st.integers(-20, 20))
+    cancel = draw(st.sampled_from([None, 0.0, 1e-9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = rng.normal(size=(h + m, n, n)) + 1j * rng.normal(size=(h + m, n, n))
+    z_hi = rng.integers(-bound, bound + 1, size=(8, h)).astype(float)
+    z_lo = rng.integers(-bound, bound + 1, size=(8, m)).astype(float)
+    z_hi[0] = bound  # a corner of the box
+    z_lo[0] = bound
+    if cancel is not None and h:
+        mats[h] = cancel * mats[h] - mats[0]
+        z_hi[4:, 1:], z_lo[4:] = 0, 0
+        z_lo[4:, 0] = z_hi[4:, 0]
+    basis = WeightBasis("random", list(np.ldexp(1.0, e) * mats), allow_dependent=True)
+    return basis, h, bound, z_hi, z_lo
+
+
+def _split_products(basis, h, z_hi, z_lo):
+    """The split's determinant, hi-row-major, with LAPACK's det of the
+    _codewords product of the same coefficient rows."""
+    lead = lattice._codewords(basis.mats[:h], z_hi)
+    det = lattice._split_det(lead, lattice._trail(lattice._codewords(basis.mats[h:], z_lo)))
+    rows = lattice._pair_rows(z_hi, z_lo, *np.indices((len(z_hi), len(z_lo))).reshape(2, -1))
+    lapack = np.linalg.det(lattice._codewords(basis.mats, rows))
+    return (det[0::2] + 1j * det[1::2]).ravel(), rows, lapack
+
+
+@pytest.mark.blas_bits
+class TestSplit:
+    @given(split_pairs())
+    def test_determinant_is_within_its_bound_of_lapack(self, args):
+        basis, h, bound, z_hi, z_lo = args
+        split, _, lapack = _split_products(basis, h, z_hi, z_lo)
+        norm = lattice._box_norm(basis, bound)
+        assert np.all(np.abs(split - lapack) <= lattice._SPLIT_ERR * norm**basis.n_t)
+        # and |det|^2, squared as _split_box squares it, within the slack
+        est = np.square(split.real) + np.square(split.imag)
+        assert np.all(np.abs(est - np.abs(lapack) ** 2) <= lattice._det_slack(basis, bound))
+
+    @pytest.mark.parametrize("block_bytes", [None, 96, 288, 1000])
+    @pytest.mark.parametrize("n, k, bound", [(1, 2, 3), (2, 4, 1), (2, 5, 2), (3, 3, 1), (4, 4, 1)])
+    def test_half_box_is_the_coefficient_box(self, monkeypatch, block_bytes, n, k, bound):
+        # Tables of every size, down to no lo digit (96 bytes): the blocks'
+        # pairs, hi row by hi row, are _coefficient_box's rows in order,
+        # each with the |det|^2 of its codeword.
+        if block_bytes is not None:
+            monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
+        b = _small_integer_basis(np.random.default_rng(n * k), n, n, k)
+        got, est = [], []
+        for z_hi, z_lo, block in lattice._split_box(b, bound):
+            got.append(lattice._pair_rows(z_hi, z_lo, *np.indices(block.shape).reshape(2, -1)))
+            est.append(block.ravel())
+        want = np.concatenate(list(lattice._coefficient_box(k, bound, 7)))
+        assert np.concatenate(got).tobytes() == want.tobytes()
+        lapack = np.abs(np.linalg.det(lattice._codewords(b.mats, want))) ** 2
+        assert np.all(np.abs(np.concatenate(est) - lapack) <= lattice._det_slack(b, bound))
+
+    def test_checks_the_bound_as_the_box_does(self, monkeypatch):
+        b = alamouti_basis()
+        with pytest.raises(ValueError, match="search bound must be nonnegative"):
+            next(lattice._split_box(b, -1))
+        with pytest.raises(ValueError, match="no coefficient vector"):
+            next(lattice._split_box(b, 0))
+        monkeypatch.setattr(lattice, "MAX_CANDIDATES", 10)
+        with pytest.raises(ValueError, match="holds 624 vectors which exceeds the cap of 20"):
+            next(lattice._split_box(b, 2))
+
+    @pytest.mark.parametrize("name, bound", [("golden", 2), ("silver", 2), ("srinath_rajan", 1)])
+    def test_recheck_keeps_the_sweeps_codeword_bits(self, name, bound):
+        # Rows gathered from the box's first three blocks and formed in
+        # zero-padded products of _block_rows rows give the codewords of the
+        # sweep's own blocks, bit for bit.
+        b = build(name)
+        rows = lattice._block_rows(b)
+        blocks = list(itertools.islice(lattice._coefficient_box(b.k, bound, rows), 3))
+        want = np.concatenate([lattice._codewords(b.mats, z) for z in blocks])
+        z = np.concatenate(blocks)
+        pick = np.random.default_rng(1).permutation(len(z))[: rows + rows // 2 + 3]
+        seen = []
+        lattice._recheck(b, np.array_split(z[pick], 5), lambda X: seen.append(X.copy()) or 0, 1)
+        assert [len(X) for X in seen] == [rows, rows // 2 + 3]
+        assert np.concatenate(seen).tobytes() == want[pick].tobytes()
+
 
 @st.composite
 def boxed_codewords(draw):
-    """A random square stack with weights scaled by 2^e, a bound and rows z
-    of its box, the box's corners among them."""
-    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    """A random square stack of side 1 to 4 with weights scaled by 2^e, a
+    bound, a split point h and hi and lo rows of its box, the box's corners
+    among them."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     bound, e = draw(st.integers(1, 4)), draw(st.integers(-20, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     re, im = np.ldexp(rng.normal(size=(2, k, n, n)), e)
     basis = WeightBasis("random", list(re + 1j * im), allow_dependent=True)
-    z = rng.integers(-bound, bound + 1, size=(64, k))
-    z[:16] = bound * rng.choice([-1, 1], size=(16, k))
-    return basis, bound, z.astype(float)
+    z = rng.integers(-bound, bound + 1, size=(16, k))
+    z[:4] = bound * rng.choice([-1, 1], size=(4, k))
+    h = draw(st.integers(0, k - 1))
+    return basis, bound, h, z[:, :h].astype(float), z[:, h:].astype(float)
 
 
 class TestDetSlack:
     @given(boxed_codewords())
     def test_bounds_every_rows_slack_and_keeps_a_superset(self, args):
-        basis, bound, z = args
-        X = sweep_products(basis, z)
-        n = basis.n_t
-        own = lattice._DET_SLACK * lattice._fro_sq(X) ** n
+        # Each row's own slack, _DET_SLACK times its own norm bound
+        # sum_i |z_i| ||B_i||_F to the power 2n, is within the sweep's one
+        # slack, so _near_least's rule keeps every row the per-row rule
+        # keeps, the row of LAPACK's least value among them.
+        basis, bound, h, z_hi, z_lo = args
+        split, rows, lapack = _split_products(basis, h, z_hi, z_lo)
+        est = np.square(split.real) + np.square(split.imag)
+        norms = np.sqrt(lattice._fro_sq(basis.mats))
+        own = lattice._DET_SLACK * (np.abs(rows) @ norms) ** (2 * basis.n_t)
         slack = lattice._det_slack(basis, bound)
         assert np.all(own <= slack)
-        est = np.abs(lattice._det(X)) ** 2
         kept_per_row = ~(est - own > np.min(est + own))
-        kept = ~(est - slack > np.min(est) + slack)
+        kept = ~(est > np.min(est) + 2 * slack)
         assert np.all(kept[kept_per_row])
-        lapack = float((np.abs(np.linalg.det(X)) ** 2).min())
-        assert lattice._min_abs_det_sq_of_block(X, slack).hex() == lapack.hex()
+        lapack_sq = np.abs(lapack) ** 2
+        assert lapack_sq[kept].min().hex() == lapack_sq.min().hex()
 
 
 @pytest.mark.blas_bits
@@ -773,8 +902,27 @@ class TestOneBlockInFlight:
         assert peak <= 3 * 2**20
 
     def test_lattice_profile(self):
-        # golden's bound-3 box in blocks of 8,192 rows (0.5 MiB of floats):
-        # a traced peak of 1.9 MiB.  65,536-row chunks (4 MiB) cut into
-        # blocks peaked at 5.9 MiB.
+        # golden's bound-3 box by split minors: a lo table of 2,401 rows of
+        # 6 minors (0.2 MiB), products of 13 hi rows (0.5 MiB) and a recheck
+        # block of 8,192 rows (0.5 MiB, and 0.5 MiB of codewords): a traced
+        # peak of 1.9 MiB.  65,536-row chunks (4 MiB) cut into blocks
+        # peaked at 5.9 MiB.
         basis = build("golden")
         assert self.traced_peak(lattice_profile, basis, 3) <= 3 * 2**20
+
+    def test_lattice_profile_of_a_k16_unit_box(self):
+        # srinath_rajan's unit box by split minors: a lo table of 243 rows
+        # of 70 minors (0.27 MiB), one block's minors (0.3 MiB), product
+        # (0.5 MiB) and |det|^2 (0.25 MiB), and a recheck block of 2,048
+        # rows (0.25 MiB, and 0.5 MiB of codewords), about 2.1 MiB: a traced
+        # peak of 1.8 MiB.  The whole lo table of the even split, 6,561
+        # rows, would take 7 MiB alone.
+        basis = build("srinath_rajan")
+        assert self.traced_peak(lattice_profile, basis, 1) <= 2.5 * 2**20
+
+    def test_min_rank_difference_of_a_k16_unit_box(self):
+        # As test_lattice_profile_of_a_k16_unit_box, with each block's
+        # ||X||_F^2 (0.25 MiB) beside its |det|^2; no row is near singular,
+        # so no recheck block is made: a traced peak of 1.8 MiB.
+        basis = build("srinath_rajan")
+        assert self.traced_peak(min_rank_difference, basis, 1) <= 2.5 * 2**20

@@ -360,7 +360,7 @@ def _whole_draw_signal_power(basis, alphabet, cfg, samples, reduce=_antenna_dots
         n = min(20_000, samples - done)
         s = rng.choice(values, size=(n, basis.k))
         blocks = range(0, n, simulate._BLOCK)
-        X = np.concatenate([lattice._codewords(basis, s[lo : lo + simulate._BLOCK]) for lo in blocks])
+        X = np.concatenate([lattice._codewords(basis.mats, s[lo : lo + simulate._BLOCK]) for lo in blocks])
         shape = (n, cfg.n_r, cfg.n_t)
         H = SIGMA_H * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
         total += reduce(H, X)
