@@ -445,7 +445,7 @@ def _split_det(hi: np.ndarray, trail: np.ndarray) -> np.ndarray:
 
 def _abs_sq(det: np.ndarray) -> np.ndarray:
     """|det|^2 from _split_det's rows of real and imaginary parts, squared
-    in place."""
+    in place; the product is freed on return, before the next is formed."""
     np.square(det, out=det)
     return det[0::2] + det[1::2]
 
@@ -463,8 +463,9 @@ def _split_box(basis: WeightBasis, bound: int, norms: bool = False):
     for every codeword in the block.  It is taken as one real product, of
     the minors' real and imaginary parts stacked as [[Re, -Im], [Im, Re]]
     with the table's real part over its imaginary part.  A block has as
-    many hi rows as keep the product within _BLOCK_BYTES, and its minors
-    are formed when it is asked for.
+    many hi rows as keep the product within half of _BLOCK_BYTES, so that
+    the product, its |det|^2 and the last block's, which the caller still
+    holds, fit in _BLOCK_BYTES; its minors are formed when it is asked for.
 
     The half box is every pair with hi above its midpoint (the zero vector's
     digits), plus the pairs with hi at it and lo above its midpoint: the
@@ -488,7 +489,7 @@ def _split_box(basis: WeightBasis, bound: int, norms: bool = False):
     if norms:
         lo_fro, lo_flat = _fro_sq(lo), lo.reshape(lo_count, -1).view(float)
     del lo
-    hi_rows = max(1, _BLOCK_BYTES // (16 * lo_count))
+    hi_rows = max(1, _BLOCK_BYTES // (32 * lo_count))
     hi_blocks = _mixed_radix(values, h, base**h // 2 + 1, base**h, hi_rows)
     first = [(np.zeros((1, h)), slice(lo_count // 2 + 1, None))] if m else []
     for z_hi, cols in itertools.chain(first, ((z, slice(None)) for z in hi_blocks)):
@@ -513,7 +514,8 @@ def _recheck(basis: WeightBasis, batches, reduce, best):
     rows = _block_rows(basis)
     block, held = np.zeros((rows, basis.k)), 0
     for z in batches:
-        for part in np.array_split(z, range(rows - held, len(z), rows)):
+        while len(z):
+            part, z = z[: rows - held], z[rows - held :]
             block[held : held + len(part)] = part
             held += len(part)
             if held == rows:

@@ -364,6 +364,18 @@ class TestMinRank:
         assert min_rank_difference(b, search_bound=1) == 0
         assert min_rank_sampled(b, search_bound=1, max_nonzeros=2, n_random=0) == 0
 
+    def test_zero_codeword_across_the_split_has_rank_zero(self, monkeypatch):
+        # With a 3-row lo table (288 bytes), three random weights are hi
+        # digits and the fourth, -B_1, the lo digit: z = (1, 0, 0, 1) has a
+        # zero codeword whose split |det|^2 is rounding of the cancelling
+        # halves (8e-31) and whose ||X||_F^2 is 0, so only the split's error
+        # bound sends it to the SVD.
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", 288)
+        rng = np.random.default_rng(3)
+        mats = list(rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2)))
+        b = WeightBasis("cancel", [*mats, -mats[0]], allow_dependent=True)
+        assert min_rank_difference(b, search_bound=1) == 0
+
     def test_dependent_basis_sweeps_on_past_rank_one(self):
         # z = (1, 0, 0), of rank 1, comes before z = (0, 1, -1), whose
         # codeword is zero; a dependent basis must not stop at rank 1.
@@ -603,8 +615,9 @@ class TestSweepBlocks:
         # -1, 0) with codeword diag(0, 2), is the first of rank 1.  The
         # weights are independent, so no codeword is zero and rank 1 ends
         # the sweep.  The split's blocks: by default the whole box is one
-        # block of lo rows; 288 bytes hold a 3-row lo table (blocks of 1,
-        # 18, 18 and 3 rows); 160 bytes hold none, so a block is 10 hi rows.
+        # block of lo rows; 288 bytes hold a 3-row lo table and 3 hi rows a
+        # block (blocks of 1, then 9 rows); 160 bytes hold no lo table, and
+        # a block is 5 hi rows.
         J = np.array([[0, -1], [1, 0]], dtype=complex)
         b = WeightBasis("rank-one", [J, I2, np.diag([1.0, -1.0]), 2j * J])
         rows_z = np.concatenate(list(lattice._coefficient_box(4, 1, 40)))
@@ -612,7 +625,7 @@ class TestSweepBlocks:
         first = int(np.argmax(ranks < 2))
         assert (len(rows_z), first, ranks[first], ranks.min()) == (40, 5, 1, 1)
         split_box = lattice._split_box
-        for block_bytes, blocks in ((None, [40]), (288, [1, 18]), (160, [10])):
+        for block_bytes, blocks in ((None, [40]), (288, [1, 9]), (160, [5, 5])):
             seen = []
 
             def counted(*args, **kwargs):
@@ -790,40 +803,43 @@ class TestSplit:
 
 
 @st.composite
-def boxed_codewords(draw):
-    """A random square stack of side 1 to 4 with weights scaled by 2^e, a
-    bound, a split point h and hi and lo rows of its box, the box's corners
-    among them."""
-    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    bound, e = draw(st.integers(1, 4)), draw(st.integers(-20, 20))
+def small_boxes(draw):
+    """A random square basis of side 1 to 4, weights scaled by 2^e, and a
+    bound, its box at most 312 rows; one draw in three makes weight 1 the
+    negative of weight 0, so that the box holds zero codewords."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    bound, e = draw(st.integers(1, 2)), draw(st.integers(-20, 20))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     re, im = np.ldexp(rng.normal(size=(2, k, n, n)), e)
-    basis = WeightBasis("random", list(re + 1j * im), allow_dependent=True)
-    z = rng.integers(-bound, bound + 1, size=(16, k))
-    z[:4] = bound * rng.choice([-1, 1], size=(4, k))
-    h = draw(st.integers(0, k - 1))
-    return basis, bound, h, z[:, :h].astype(float), z[:, h:].astype(float)
+    mats = re + 1j * im
+    if k > 1 and draw(st.integers(0, 2)) == 0:
+        mats[1] = -mats[0]
+    return WeightBasis("random", list(mats), allow_dependent=True), bound
 
 
 class TestDetSlack:
-    @given(boxed_codewords())
+    @given(small_boxes())
     def test_bounds_every_rows_slack_and_keeps_a_superset(self, args):
         # Each row's own slack, _DET_SLACK times its own norm bound
         # sum_i |z_i| ||B_i||_F to the power 2n, is within the sweep's one
-        # slack, so _near_least's rule keeps every row the per-row rule
-        # keeps, the row of LAPACK's least value among them.
-        basis, bound, h, z_hi, z_lo = args
-        split, rows, lapack = _split_products(basis, h, z_hi, z_lo)
-        est = np.square(split.real) + np.square(split.imag)
+        # slack.  So _near_least, against its running least, keeps every row
+        # that the per-row rule keeps against the whole box, and with them
+        # the row of LAPACK's least value.
+        basis, bound = args
+        blocks = list(lattice._split_box(basis, bound))
+        rows = np.concatenate(
+            [lattice._pair_rows(z_hi, z_lo, *np.indices(est.shape).reshape(2, -1))
+             for z_hi, z_lo, est in blocks]
+        )
+        est = np.concatenate([est.ravel() for *_, est in blocks])
         norms = np.sqrt(lattice._fro_sq(basis.mats))
         own = lattice._DET_SLACK * (np.abs(rows) @ norms) ** (2 * basis.n_t)
-        slack = lattice._det_slack(basis, bound)
-        assert np.all(own <= slack)
-        kept_per_row = ~(est - own > np.min(est + own))
-        kept = ~(est > np.min(est) + 2 * slack)
-        assert np.all(kept[kept_per_row])
-        lapack_sq = np.abs(lapack) ** 2
-        assert lapack_sq[kept].min().hex() == lapack_sq.min().hex()
+        assert np.all(own <= lattice._det_slack(basis, bound))
+        kept_per_row = {tuple(z) for z in rows[~(est - own > np.min(est + own))]}
+        kept = np.concatenate(list(lattice._near_least(basis, bound)))
+        assert kept_per_row <= {tuple(z) for z in kept}
+        lapack = np.abs(np.linalg.det(lattice._codewords(basis.mats, kept))) ** 2
+        assert lapack.min().hex() == _lapack_min_abs_det_sq(basis, bound).hex()
 
 
 @pytest.mark.blas_bits
@@ -903,26 +919,27 @@ class TestOneBlockInFlight:
 
     def test_lattice_profile(self):
         # golden's bound-3 box by split minors: a lo table of 2,401 rows of
-        # 6 minors (0.2 MiB), products of 13 hi rows (0.5 MiB) and a recheck
+        # 6 minors (0.2 MiB), products of 6 hi rows (0.25 MiB) and a recheck
         # block of 8,192 rows (0.5 MiB, and 0.5 MiB of codewords): a traced
-        # peak of 1.9 MiB.  65,536-row chunks (4 MiB) cut into blocks
+        # peak of 1.4 MiB.  65,536-row chunks (4 MiB) cut into blocks
         # peaked at 5.9 MiB.
         basis = build("golden")
         assert self.traced_peak(lattice_profile, basis, 3) <= 3 * 2**20
 
     def test_lattice_profile_of_a_k16_unit_box(self):
         # srinath_rajan's unit box by split minors: a lo table of 243 rows
-        # of 70 minors (0.27 MiB), one block's minors (0.3 MiB), product
-        # (0.5 MiB) and |det|^2 (0.25 MiB), and a recheck block of 2,048
-        # rows (0.25 MiB, and 0.5 MiB of codewords), about 2.1 MiB: a traced
-        # peak of 1.8 MiB.  The whole lo table of the even split, 6,561
-        # rows, would take 7 MiB alone.
+        # of 70 minors (0.27 MiB); a block of 67 hi rows, its minors
+        # (0.15 MiB), product (0.25 MiB) and |det|^2 (0.12 MiB, with the
+        # last block's); a recheck block of 2,048 rows (0.25 MiB, and
+        # 0.5 MiB of codewords): about 1.7 MiB, a traced peak of 1.45 MiB.
+        # The whole lo table of the even split, 6,561 rows, would take
+        # 7 MiB alone.
         basis = build("srinath_rajan")
-        assert self.traced_peak(lattice_profile, basis, 1) <= 2.5 * 2**20
+        assert self.traced_peak(lattice_profile, basis, 1) <= 2 * 2**20
 
     def test_min_rank_difference_of_a_k16_unit_box(self):
         # As test_lattice_profile_of_a_k16_unit_box, with each block's
-        # ||X||_F^2 (0.25 MiB) beside its |det|^2; no row is near singular,
-        # so no recheck block is made: a traced peak of 1.8 MiB.
+        # ||X||_F^2 (0.12 MiB) beside its |det|^2; no row is near singular,
+        # so no recheck block is made: a traced peak of 1.2 MiB.
         basis = build("srinath_rajan")
-        assert self.traced_peak(min_rank_difference, basis, 1) <= 2.5 * 2**20
+        assert self.traced_peak(min_rank_difference, basis, 1) <= 2 * 2**20
