@@ -418,6 +418,8 @@ class TestMinRank:
 def _small_integer_basis(rng, n_t, T, k):
     """Random independent basis with sparse Gaussian-integer entries, so
     that rank drops and exact determinant values occur in small boxes."""
+    if k > 2 * n_t * T:
+        raise ValueError(f"{k} matrices cannot be independent in a {n_t}x{T} space")
     while True:
         re, im = rng.choice([-1, 0, 0, 1], size=(2, k, n_t, T))
         mats = re + 1j * im
