@@ -505,25 +505,58 @@ def _split_box(basis: WeightBasis, bound: int, norms: bool = False):
         yield z_hi, z_lo[cols], est, fro
 
 
-def _recheck(basis: WeightBasis, batches, reduce, best):
-    """Fold min(best, reduce(codewords)) over the codewords of the
-    coefficient rows that batches yields, formed by _codewords in products
-    of _block_rows(basis) rows, the last one zero-padded: the row count of
-    the box sweeps' own products, whose bits the codewords keep.  Rows are
-    gathered across batches, and at most one product's rows are held."""
-    rows = _block_rows(basis)
-    block, held = np.zeros((rows, basis.k)), 0
-    for z in batches:
-        while len(z):
-            part, z = z[: rows - held], z[rows - held :]
-            block[held : held + len(part)] = part
-            held += len(part)
-            if held == rows:
-                best, held = min(best, reduce(_codewords(basis.mats, block))), 0
-    if held:
-        block[held:] = 0
-        best = min(best, reduce(_codewords(basis.mats, block)[:held]))
+def _recheck(basis: WeightBasis, bound: int, batches, reduce, best):
+    """Fold min(best, reduce(codewords)) over the codewords of the rows of
+    the box ||z||_inf <= bound that batches yields.
+
+    Each codeword is formed where the sweep of _coefficient_box in blocks
+    of _block_rows(basis) rows forms it: at its row's place in its block,
+    in a digit-major product of that block's row count (the last block's
+    may be smaller), the other rows zero.  A codeword's last bits can
+    depend on its place and on its product's row count, not on the other
+    rows, so each keeps the sweep's bits.  Rows are held as their digits,
+    in the least integer type, until a block's count of them is held; then,
+    and at the end, each product takes one held row at each place of one
+    row count, until fewer are held.  So at most a block's rows and one
+    batch are held, and rows that share a place, as a box's least-|det|
+    rows often do, take few products."""
+    rows, base = _block_rows(basis), 2 * bound + 1
+    count = (base**basis.k - 1) // 2  # rows of the half box
+    last = (count - 1) // rows * rows  # offset of its last block
+    step = max(1, rows // 4)  # held rows whose codewords reduce takes at once
+    # the digits' weights in a row's mixed-radix index, exact in float
+    # below the box cap
+    weights = base ** np.arange(basis.k - 1, -1, -1.0)
+    held, n_held = [], 0
+    for batch in itertools.chain(batches, [None]):
+        if batch is not None:
+            held.append((batch + bound).astype(np.min_scalar_type(2 * bound)))
+            n_held += len(batch)
+        while n_held >= rows or (batch is None and n_held):
+            digits = np.concatenate(held)
+            offset = (digits @ weights).astype(np.int64) - (count + 1)
+            size = np.where(offset < last, rows, count - last)
+            group = np.flatnonzero(size == size[0])
+            at = np.full(size[0], -1)
+            at[offset[group] % rows] = group  # one row of the group per place
+            place = np.flatnonzero(at >= 0)
+            put = at[place]
+            codewords = _codewords(basis.mats, _placed(digits[put], place, size[0], bound))
+            for i in range(0, len(place), step):
+                best = min(best, reduce(codewords[place[i : i + step]]))
+            del codewords  # before the next product is formed
+            held = [np.delete(digits, put, axis=0)]
+            n_held = len(held[0])
     return best
+
+
+def _placed(digits, place, size: int, bound: int) -> np.ndarray:
+    """A digit-major block of size rows, zero but at rows place, which
+    hold the coefficient rows of the digits."""
+    block = np.zeros((digits.shape[1], size))
+    block[:, place] = digits.T
+    block[:, place] -= bound
+    return block.T
 
 
 def _pair_rows(z_hi, z_lo, hi, lo) -> np.ndarray:
@@ -547,7 +580,7 @@ def _min_abs_det_sq(basis: WeightBasis, bound: int) -> float:
     if basis.n_t > _SPLIT_SIDES:
         blocks = _coefficient_box(basis.k, bound, _block_rows(basis))
         return _sweep(basis, blocks, _lapack_min_abs_det_sq, np.inf)
-    return _recheck(basis, _near_least(basis, bound), _lapack_min_abs_det_sq, np.inf)
+    return _recheck(basis, bound, _near_least(basis, bound), _lapack_min_abs_det_sq, np.inf)
 
 
 def _near_least(basis: WeightBasis, bound: int):
@@ -692,7 +725,7 @@ def _min_rank_split(basis: WeightBasis, bound: int) -> int:
         limit += err
         near = np.nonzero(est <= np.square(limit, out=limit))
         if len(near[0]):
-            best = _recheck(basis, [_pair_rows(z_hi, z_lo, *near)], _least_rank, best)
+            best = _recheck(basis, bound, [_pair_rows(z_hi, z_lo, *near)], _least_rank, best)
             if best <= floor:
                 return best
     return best

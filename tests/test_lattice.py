@@ -611,21 +611,45 @@ class TestSweepBlocks:
         for _ in self._each_setting(monkeypatch, b):
             assert lattice._min_abs_det_sq(b, 1).hex() == want
 
-    @pytest.mark.blas_bits
-    def test_stops_at_the_block_of_a_mid_chunk_rank_one_codeword(self, monkeypatch):
-        # B_4 = 2i B_1.  Of the 40 rows of the unit box, row 5, z = (0, 1,
-        # -1, 0) with codeword diag(0, 2), is the first of rank 1.  The
-        # weights are independent, so no codeword is zero and rank 1 ends
-        # the sweep.  The split's blocks: by default the whole box is one
-        # block of lo rows; 288 bytes hold a 3-row lo table and 3 hi rows a
-        # block (blocks of 1, then 9 rows); 160 bytes hold no lo table, and
-        # a block is 5 hi rows.
+    @staticmethod
+    def _rank_one_basis(columns):
+        """B_4 = 2i B_1, each weight padded with zero columns to columns.
+        Of the 40 rows of the unit box, row 5, z = (0, 1, -1, 0) with
+        codeword diag(0, 2), is the first of rank 1.  The weights are
+        independent, so no codeword is zero and rank 1 ends the sweep."""
         J = np.array([[0, -1], [1, 0]], dtype=complex)
-        b = WeightBasis("rank-one", [J, I2, np.diag([1.0, -1.0]), 2j * J])
+        pad = [np.pad(w, ((0, 0), (0, columns - 2))) for w in (J, I2, np.diag([1.0, -1.0]), 2j * J)]
+        b = WeightBasis("rank-one", pad)
         rows_z = np.concatenate(list(lattice._coefficient_box(4, 1, 40)))
         ranks = np.linalg.matrix_rank(np.tensordot(rows_z, b.mats, axes=1))
         first = int(np.argmax(ranks < 2))
         assert (len(rows_z), first, ranks[first], ranks.min()) == (40, 5, 1, 1)
+        return b, first
+
+    @pytest.mark.blas_bits
+    def test_sweep_stops_at_the_block_of_a_mid_chunk_rank_one_codeword(self, monkeypatch):
+        # A 2x3 basis takes _sweep, whose stop ends it at _rank_floor.
+        b, first = self._rank_one_basis(3)
+        reduce = lattice._min_rank_of_block
+        for m, rows in self._each_setting(monkeypatch, b):
+            seen = []
+
+            def counted(mats):
+                seen.append(len(mats))
+                return reduce(mats)
+
+            m.setattr(lattice, "_min_rank_of_block", counted)
+            assert min_rank_difference(b, search_bound=1) == 1
+            # the sweep returns at the end of the block that holds row 5
+            assert sum(seen) == min(-(-(first + 1) // rows) * rows, 40)
+
+    @pytest.mark.blas_bits
+    def test_stops_at_the_block_of_a_mid_chunk_rank_one_codeword(self, monkeypatch):
+        # The 2x2 basis takes _split_box.  By default the whole box is one
+        # block of lo rows; 288 bytes hold a 3-row lo table and 3 hi rows a
+        # block (blocks of 1, then 9 rows); 160 bytes hold no lo table, and
+        # a block is 5 hi rows.
+        b, first = self._rank_one_basis(2)
         split_box = lattice._split_box
         for block_bytes, blocks in ((None, [40]), (288, [1, 9]), (160, [5, 5])):
             seen = []
@@ -787,21 +811,69 @@ class TestSplit:
         with pytest.raises(ValueError, match="holds 624 vectors which exceeds the cap of 20"):
             next(lattice._split_box(b, 2))
 
-    @pytest.mark.parametrize("name, bound", [("golden", 2), ("silver", 2), ("srinath_rajan", 1)])
-    def test_recheck_keeps_the_sweeps_codeword_bits(self, name, bound):
-        # Rows gathered from the box's first three blocks and formed in
-        # zero-padded products of _block_rows rows give the codewords of the
-        # sweep's own blocks, bit for bit.
-        b = build(name)
+    @staticmethod
+    def _sweep_places(monkeypatch, b, bound, rows):
+        """_block_rows patched to rows (None keeps it); returns the rows of
+        the first three blocks and the last block of the sweep of
+        _coefficient_box (of every block in a box of at most four), each
+        row's (block row count, place) in the sweep, and each row's
+        codeword from its block."""
+        if rows is not None:
+            monkeypatch.setattr(lattice, "_block_rows", lambda basis: rows)
         rows = lattice._block_rows(b)
-        blocks = list(itertools.islice(lattice._coefficient_box(b.k, bound, rows), 3))
-        want = np.concatenate([lattice._codewords(b.mats, z) for z in blocks])
+        blocks = list(itertools.islice(lattice._coefficient_box(b.k, bound, rows), 4))
+        count = ((2 * bound + 1) ** b.k - 1) // 2
+        last = (count - 1) // rows * rows
+        if last >= 4 * rows:
+            values = np.arange(-bound, bound + 1.0)
+            blocks[3] = next(lattice._mixed_radix(values, b.k, count + 1 + last, 2 * count + 1, rows))
         z = np.concatenate(blocks)
-        pick = np.random.default_rng(1).permutation(len(z))[: rows + rows // 2 + 3]
+        where = [(len(block), r) for block in blocks for r in range(len(block))]
+        want = np.concatenate([lattice._codewords(b.mats, block) for block in blocks])
+        return z, where, want
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("name, bound", [("golden", 1), ("silver", 1), ("srinath_rajan", 1)])
+    def test_recheck_keeps_the_sweeps_codeword_bits(self, monkeypatch, name, bound, rows):
+        # Rows of the first blocks and the short last one, given in random
+        # order and batches, get the codewords of the sweep's own blocks,
+        # bit for bit.  The 7-row setting moved a last bit of silver's
+        # min_det_est under the Haswell kernel when the recheck formed rows
+        # at other places than the sweep's.
+        b = build(name)
+        z, _, want = self._sweep_places(monkeypatch, b, bound, rows)
+        pick = np.random.default_rng(1).permutation(len(z))
         seen = []
-        lattice._recheck(b, np.array_split(z[pick], 5), lambda X: seen.append(X.copy()) or 0, 1)
-        assert [len(X) for X in seen] == [rows, rows // 2 + 3]
-        assert np.concatenate(seen).tobytes() == want[pick].tobytes()
+        lattice._recheck(b, bound, np.array_split(z[pick], 5), lambda X: seen.append(X) or 0, 1)
+        got = sorted(X.tobytes() for X in np.concatenate(seen))
+        assert got == sorted(X.tobytes() for X in want[pick])
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("n, k, bound", [(2, 4, 1), (2, 4, 2), (3, 3, 2)])
+    def test_recheck_forms_each_row_at_its_sweep_place(self, monkeypatch, n, k, bound, rows):
+        # Kernel-free: every product that _recheck forms has the row count of
+        # a sweep block and holds each row at its place in that block, built
+        # digit-major; a row shared by no place is zero.
+        b = _small_integer_basis(np.random.default_rng(k), n, n, k)
+        z, where, _ = self._sweep_places(monkeypatch, b, bound, rows)
+        place = {row.tobytes(): w for row, w in zip(z, where)}
+        codewords, products = lattice._codewords, []
+
+        def spy(mats, block):
+            products.append(block.copy(order="A"))
+            return codewords(mats, block)
+
+        monkeypatch.setattr(lattice, "_codewords", spy)
+        pick = np.random.default_rng(2).permutation(len(z))[: len(z) // 2 + 1]
+        lattice._recheck(b, bound, np.array_split(z[pick], 3), lambda X: 0, 1)
+        got = []
+        for block in products:
+            assert block.flags.f_contiguous
+            for r, row in enumerate(block):
+                if row.any():
+                    assert place[row.tobytes()] == (len(block), r)
+                    got.append(row.tobytes())
+        assert sorted(got) == sorted(row.tobytes() for row in z[pick])
 
 
 @st.composite
@@ -921,10 +993,12 @@ class TestOneBlockInFlight:
 
     def test_lattice_profile(self):
         # golden's bound-3 box by split minors: a lo table of 2,401 rows of
-        # 6 minors (0.2 MiB), products of 6 hi rows (0.25 MiB) and a recheck
-        # block of 8,192 rows (0.5 MiB, and 0.5 MiB of codewords): a traced
-        # peak of 1.4 MiB.  65,536-row chunks (4 MiB) cut into blocks
-        # peaked at 5.9 MiB.
+        # 6 minors (0.2 MiB) and products of 6 hi rows (0.25 MiB); then the
+        # recheck of the 7,936 kept rows, held as digits (62 KiB), in
+        # products of 8,192 rows (0.5 MiB, and 0.5 MiB of codewords, whose
+        # held rows are copied out a quarter block at a time): a traced
+        # peak of 1.5 MiB.
+        # 65,536-row chunks (4 MiB) cut into blocks peaked at 5.9 MiB.
         basis = build("golden")
         assert self.traced_peak(lattice_profile, basis, 3) <= 3 * 2**20
 
@@ -932,8 +1006,9 @@ class TestOneBlockInFlight:
         # srinath_rajan's unit box by split minors: a lo table of 243 rows
         # of 70 minors (0.27 MiB); a block of 67 hi rows, its minors
         # (0.15 MiB), product (0.25 MiB) and |det|^2 (0.12 MiB, with the
-        # last block's); a recheck block of 2,048 rows (0.25 MiB, and
-        # 0.5 MiB of codewords): about 1.7 MiB, a traced peak of 1.45 MiB.
+        # last block's); a recheck product of 2,048 rows (0.25 MiB, and
+        # 0.5 MiB of codewords, whose held rows are copied out a quarter
+        # block at a time): about 1.7 MiB, a traced peak of 1.4 MiB.
         # The whole lo table of the even split, 6,561 rows, would take
         # 7 MiB alone.
         basis = build("srinath_rajan")
