@@ -450,7 +450,7 @@ def _abs_sq(det: np.ndarray) -> np.ndarray:
     return det[0::2] + det[1::2]
 
 
-def _split_box(basis: WeightBasis, bound: int, norms: bool = False):
+def _split_box(basis: WeightBasis, bound: int):
     """|det X|^2 of every codeword X of _coefficient_box's half box, one
     block at a time, for a square basis of side n <= _SPLIT_SIDES.
 
@@ -471,9 +471,8 @@ def _split_box(basis: WeightBasis, bound: int, norms: bool = False):
     digits), plus the pairs with hi at it and lo above its midpoint: the
     latter come first, as one block, then the hi rows in order.  Yields
     (z_hi, z_lo, est), est[i, j] = |det X|^2 for the codeword of z_hi[i]
-    followed by z_lo[j], and with norms also ||X||_F^2, as
-    ||A||_F^2 + ||B||_F^2 + 2 <A, B> by one real product.  The bound is
-    checked as _coefficient_box checks it, and a bound of 0 raises.
+    followed by z_lo[j].  The bound is checked as _coefficient_box checks
+    it, and a bound of 0 raises.
     """
     base = _box_base(basis.k, bound)
     if base == 1:
@@ -484,25 +483,13 @@ def _split_box(basis: WeightBasis, bound: int, norms: bool = False):
     h, lo_count = basis.k - m, base**m
     values = np.arange(base, dtype=float) - bound
     z_lo = next(_mixed_radix(values, m, 0, lo_count, lo_count))
-    lo = _codewords(basis.mats[h:], z_lo)
-    trail = _trail(lo)
-    if norms:
-        lo_fro, lo_flat = _fro_sq(lo), lo.reshape(lo_count, -1).view(float)
-    del lo
+    trail = _trail(_codewords(basis.mats[h:], z_lo))
     hi_rows = max(1, _BLOCK_BYTES // (32 * lo_count))
     hi_blocks = _mixed_radix(values, h, base**h // 2 + 1, base**h, hi_rows)
     first = [(np.zeros((1, h)), slice(lo_count // 2 + 1, None))] if m else []
     for z_hi, cols in itertools.chain(first, ((z, slice(None)) for z in hi_blocks)):
         hi = _codewords(basis.mats[:h], z_hi)
-        est = _abs_sq(_split_det(hi, trail[:, cols]))
-        if not norms:
-            yield z_hi, z_lo[cols], est
-            continue
-        fro = hi.reshape(len(hi), -1).view(float) @ lo_flat[cols].T
-        fro *= 2
-        fro += _fro_sq(hi)[:, None]
-        fro += lo_fro[cols]
-        yield z_hi, z_lo[cols], est, fro
+        yield z_hi, z_lo[cols], _abs_sq(_split_det(hi, trail[:, cols]))
 
 
 def _recheck(basis: WeightBasis, bound: int, batches, reduce, best):
@@ -671,6 +658,11 @@ def _min_rank_of_block(mats: np.ndarray) -> int:
 
     Fast path for square stacks: a clearly nonzero determinant certifies
     full rank; only the near-singular members go through the SVD.
+
+    |det X| > 1e-6 scale^n, scale^2 = ||X||_F^2 / n, certifies at every
+    side: AM-GM over the other n - 1 singular values gives sigma_min /
+    sigma_max > 1e-6 (n - 1)^((n-1)/2) / n^(n/2), about 0.6e-6 / sqrt(n)
+    (1.8e-7 at n = 12, mimo_relay), far above RANK_TOL.
     """
     side = mats.shape[-1]
     if mats.shape[-2] != side:
@@ -707,25 +699,24 @@ def _min_rank_sweep(basis: WeightBasis, blocks) -> int:
 
 
 def _min_rank_split(basis: WeightBasis, bound: int) -> int:
-    """min_rank_difference over the box by _split_box, side n <= 4.
-
-    A codeword whose split |det| exceeds 1e-6 scale^n plus _SPLIT_ERR N^n,
-    scale^2 = ||X||_F^2 / n, has LAPACK |det| above _min_rank_of_block's
-    1e-6 scale^n: it has full rank, as there.  The rest go, block by block,
-    to _ranks through _recheck, and the sweep ends at _rank_floor.
-    """
-    n, err = basis.n_t, _SPLIT_ERR * _box_norm(basis, bound) ** basis.n_t
-    floor, best = _rank_floor(basis), n
-    for z_hi, z_lo, est, fro in _split_box(basis, bound, norms=True):
-        # in place, from fro: (1e-6 scale^n + err)^2, scale^2 = fro / n
-        limit = np.maximum(fro, 0, out=fro)
-        limit /= n
-        limit **= n / 2
-        limit *= 1e-6
-        limit += err
-        near = np.nonzero(est <= np.square(limit, out=limit))
-        if len(near[0]):
-            best = _recheck(basis, bound, [_pair_rows(z_hi, z_lo, *near)], _least_rank, best)
+    """min_rank_difference over the box by _split_box, side n <= 4: rows
+    whose est = |det|^2 is not above limit go to _ranks, _block_rows(basis)
+    at a time, and the sweep ends at _rank_floor."""
+    # Rows above the limit have full rank, as _ranks finds it.  Derivation,
+    # with N = _box_norm(basis, bound):
+    #  - sigma_max(X) <= ||X||_F <= N for X from any _codewords product, so
+    #    |det X| <= sigma_min N^(n-1);
+    #  - the split's |det| lies within (128 + 211) u N^n < _SPLIT_ERR N^n / 2
+    #    of det X (_SPLIT_ERR's first two terms), so one above (2 RANK_TOL +
+    #    _SPLIT_ERR) N^n gives sigma_min > 2 RANK_TOL N >= 2 RANK_TOL sigma_max;
+    #  - the SVD's rounding, some 1e-15 sigma_max, and est's few ulps fit in
+    #    the factor 2 and in _SPLIT_ERR's slack.  A non-finite est is kept.
+    limit = ((2 * RANK_TOL + _SPLIT_ERR) * _box_norm(basis, bound) ** basis.n_t) ** 2
+    floor, best, rows = _rank_floor(basis), basis.n_t, _block_rows(basis)
+    for z_hi, z_lo, est in _split_box(basis, bound):
+        near = _pair_rows(z_hi, z_lo, *np.nonzero(~(est > limit)))
+        for at in range(0, len(near), rows):
+            best = min(best, _least_rank(_codewords(basis.mats, near[at : at + rows])))
             if best <= floor:
                 return best
     return best

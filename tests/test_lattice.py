@@ -442,7 +442,7 @@ def _brute_force(basis, bound):
 
 
 class TestCoefficientEngine:
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4, 4), (2, 3), (2, 4)])
     @pytest.mark.parametrize("bound", [1, 2])
     def test_box_searches_match_brute_force(self, shape, bound):
         rng = np.random.default_rng(100 * shape[0] + 10 * shape[1] + bound)
@@ -654,8 +654,8 @@ class TestSweepBlocks:
         for block_bytes, blocks in ((None, [40]), (288, [1, 9]), (160, [5, 5])):
             seen = []
 
-            def counted(*args, **kwargs):
-                for block in split_box(*args, **kwargs):
+            def counted(*args):
+                for block in split_box(*args):
                     seen.append(block[2].size)
                     yield block
 
@@ -1015,8 +1015,11 @@ class TestOneBlockInFlight:
         assert self.traced_peak(lattice_profile, basis, 1) <= 2 * 2**20
 
     def test_min_rank_difference_of_a_k16_unit_box(self):
-        # As test_lattice_profile_of_a_k16_unit_box, with each block's
-        # ||X||_F^2 (0.12 MiB) beside its |det|^2; no row is near singular,
-        # so no recheck block is made: a traced peak of 1.2 MiB.
+        # As test_lattice_profile_of_a_k16_unit_box, but no row's |det|^2
+        # is at or below the full-rank limit, so no codeword is formed.  The
+        # traced peak, 1.2 MiB, is in building the lo table: its 243 rows'
+        # minors (0.26 MiB), their signed complements and the real table
+        # (0.26 MiB each), and the cofactor expansion's terms.  Between
+        # blocks 0.42 MiB is held, mostly the table and a block's |det|^2.
         basis = build("srinath_rajan")
         assert self.traced_peak(min_rank_difference, basis, 1) <= 2 * 2**20
