@@ -16,8 +16,10 @@ stages that ml_exhaustive and sphere_decode run on one trial; only the
 searches run trial by trial.  Each codeword is its own trial's one-row
 lattice._codewords product: stacked, its bits could differ.  The other
 stacked BLAS and LAPACK calls give every trial the bits of its own call.
-The tests check that, and CI runs them under OpenBLAS's Prescott and
-SandyBridge kernels too; another BLAS could differ in the last bits.
+The tests check that, and CI runs them under OpenBLAS's Prescott,
+SandyBridge and Haswell kernels too; another BLAS could differ in the last
+bits.  ml_exhaustive's metrics are formed without BLAS, so their bits do
+not depend on the kernel.
 """
 
 from __future__ import annotations
@@ -280,16 +282,24 @@ def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
 
 
 def _ml_table(values: np.ndarray, k: int):
-    """The grid's trailing-digit count m, the largest m <= k with
-    L^m <= _CHUNK, and its lo rows S_lo, which depend on the alphabet and k
-    alone; a grid past the 2^24 guard raises."""
+    """The grid's tables of leading (hi) and trailing (lo) rows, (S_hi, S_lo),
+    which depend on the alphabet and k alone; a grid past the 2^24 guard
+    raises.
+
+    A grid of at most _CHUNK rows is all lo digits: one empty hi row.  A
+    larger grid splits its digits evenly, m = ceil(k / 2) lo digits, or
+    fewer if L^m would pass _CHUNK, but at least one: the hi rows are then
+    few enough to bound one by one, and a block holds whole hi rows.
+    """
     L = len(values)
     if L**k > ML_SPACE_LIMIT:
         raise ValueError(f"exhaustive search space {L}^{k} exceeds the 2^24 guard")
-    m = 0
-    while m < k and L ** (m + 1) <= _CHUNK:
-        m += 1
-    return m, next(_mixed_radix(values, m, 0, L**m, L**m))
+    m = k
+    if L**k > _CHUNK:
+        m = (k + 1) // 2
+        while m > 1 and L**m > _CHUNK:
+            m -= 1
+    return tuple(next(_mixed_radix(values, d, 0, L**d, L**d)) for d in (k - m, m))
 
 
 def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
@@ -299,43 +309,133 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     lexicographically smallest coefficient vector.  Guarded to
     |S|^k <= 2^24 grid points; nodes_visited reports the grid size.
 
-    The grid splits into leading (hi) and trailing (lo) digits, with at
-    most 2^14 lo rows.  The lo products P = B_lo S_lo^T are formed once, one
-    row per real dimension; each block of hi rows (at most 2^14 grid rows a
-    block) takes its residuals r = y - S_hi B_hi^T, and every metric is
-    (r_1 - P_1)^2 + (r_2 - P_2)^2 + ..., summed left to right, one real
-    dimension a pass along the grid rows.  The sum has that order, with no
-    fused multiply-add, whatever the SIMD width.  The reported metric can
-    therefore differ from the direct ||y - B s||^2 in its last bits.
+    The grid splits into leading (hi) and trailing (lo) digits (_ml_table).
+    A hi row s_hi has the residual r = y - s_1 b_1 - s_2 b_2 - ... over its
+    columns of B, and a lo row the product p = b_1 s_1 + b_2 s_2 + ... over
+    the lo columns, each formed by one elementwise pass a term, in that
+    order.  Every metric is (r_1 - p_1)^2 + (r_2 - p_2)^2 + ..., summed left
+    to right, one real dimension a pass along the grid rows.  No BLAS
+    kernel forms a metric and no multiply-add is fused, so a row's metric
+    has the same bits on every machine, whichever rows are formed with it;
+    it can differ from the direct ||y - B s||^2 in its last bits.
 
-    Rows run in lexicographic order, so the winner is the first row in the
-    final tie window, and it lies strictly below every row before it.  Only
-    such rows are kept, each while it stays in the window: memory does not
-    grow with the number of tied rows.
+    No lo row can take a hi row's metric below ||W^T r||^2, W the
+    orthogonal complement of the lo columns (_hi_bounds).  The hi row of
+    least bound is evaluated first, and its least metric sets a seed
+    window; only the hi rows whose bound, less a rounding guard, lies in
+    that window are evaluated, in lexicographic order.  Rows run in that
+    order, so the winner is the first row in the final tie window, and it
+    lies strictly below every row before it.  Only such rows are kept,
+    each while it stays in the window: memory does not grow with the
+    number of tied rows.
     """
     values = np.array(alphabet.values, dtype=float)
     B, y = _real_model(Y, H, basis, alphabet, range(basis.k))
-    return _ml_search(B, y, values, _ml_table(values, basis.k))
+    table = _ml_grid(basis, alphabet)
+    return _ml_search(B, y, values, table, *_ml_rows(B, y, values, table[1].shape[1]))
 
 
-def _ml_search(B, y, values, table) -> DecodeResult:
-    """ml_exhaustive's grid search on one trial's B and y."""
-    L, k = len(values), B.shape[1]
-    m, S_lo = table
-    P = B[:, k - m :] @ S_lo.T
-    B_hi = B[:, : k - m]
-    per_block = _CHUNK // L**m
-    metrics_buf, diff_buf = np.empty((2, per_block, L**m))
+def _ml_grid(basis: WeightBasis, alphabet: Alphabet):
+    """_ml_table of the alphabet's grid over the basis, kept on the basis for
+    the last alphabet asked for."""
+    kept = getattr(basis, "_ml_grid", None)
+    if kept is None or kept[0] != alphabet:
+        kept = alphabet, _ml_table(np.array(alphabet.values, dtype=float), basis.k)
+        object.__setattr__(basis, "_ml_grid", kept)
+    return kept[1]
+
+
+def _digit_tree(start, prods, op) -> np.ndarray:
+    """start op b_1 s_1 op b_2 s_2 op ... for every grid row s over the
+    digits of prods, in lexicographic order, for one trial or a stack of
+    them; prods[..., j, :, :] holds b_j times each value, and entry
+    (..., i, x) of start or of the result is real dimension i at row x.
+    Each digit takes one elementwise pass, which extends every row of the
+    digits before it by each value of its own."""
+    out = start
+    for j in range(prods.shape[-3]):
+        p = prods[..., j, :, :]
+        out = op(out[..., None], p[..., None, :]).reshape(*p.shape[:-1], -1)
+    return out
+
+
+def _ml_rows(B, y, values, m: int):
+    """The residuals R = y - s_1 b_1 - s_2 b_2 - ... of every hi row and the
+    products P = b_1 s_1 + b_2 s_2 + ... of every lo row (_digit_tree), for
+    one trial or a stack of trials (leading axes of B and y)."""
+    k = B.shape[-1]
+    prods = np.swapaxes(B, -1, -2)[..., None] * values
+    return (
+        _digit_tree(y[..., None], prods[..., : k - m, :, :], np.subtract),
+        _digit_tree(prods[..., k - m, :, :], prods[..., k - m + 1 :, :, :], np.add),
+    )
+
+
+def _hi_bounds(B, R, m: int, scale: float):
+    """Each hi row's lower bound ||W^T r||^2 on its metrics, r its residual
+    (a column of R), and the guard on the bound's rounding.
+
+    W holds the last dim - m columns of a complete QR of B_lo, so it is
+    orthogonal to every lo column at any rank (empty if dim <= m: every
+    bound is then 0), and ||W^T r|| = ||W^T (r - B_lo s_lo)|| is at most
+    the root of every metric of the hi row.  One float per hi row, read off
+    B and y alone.
+
+    The guard, to first order in u = 2^-53, with n = dim and the scale
+    S = ||y|| + max|v| sum_j ||b_j||, which bounds ||y - B s|| on the grid:
+     - the QR: LAPACK's Householder QR has an exactly orthogonal Q with
+       B_lo + E = Q R', ||e_j|| <= 8 m n u ||b_j||, each computed column of
+       Q within 8 m n u of Q's (Higham, Thm 19.4, its small constant taken
+       as 8).  The exact complement W' of B_lo + E gives W'^T B_lo s_lo
+       within 8 m n u S of 0, and the computed W moves W^T r by at most
+       sqrt(n) 8 m n u S;
+     - the rows: p = B_lo s_lo is formed within m u S, the product W^T r
+       within n^(3/2) u S and the sum of its squares moves its root by
+       n u S / 2; the metric's n differences and squares move its root by
+       (n + 2) u S at most.
+    So sqrt(bound) <= sqrt(metric) + e S for each metric of the hi row, with
+    e = (1 + sqrt(n)) 8 m n u + (n^(3/2) + 3 n / 2 + m + 2) u
+    <= 8 (n + k)^(5/2) u.  A window w is a metric times 1 + _TIE_TOL, so
+    sqrt(w) <= 1.01 S and (sqrt(w) + e S)^2 <= w + 3 e S^2: a bound above
+    w + 3 e S^2 puts every metric of its hi row above w.  The guard,
+    32 (n + k)^3 u S^2, is at least 3 e S^2.
+    """
+    n, k = B.shape
+    W = np.linalg.qr(B[:, k - m :], mode="complete")[0][:, m:]
+    gap = W.T @ R
+    return np.einsum("ij,ij->j", gap, gap), (n + k) ** 3 * 2.0**-48 * scale * scale
+
+
+def _ml_search(B, y, values, table, R, P) -> DecodeResult:
+    """ml_exhaustive's grid search on one trial's B, y and _ml_rows."""
+    S_hi, S_lo = table
+    L, k, m = len(values), B.shape[1], S_lo.shape[1]
+    live = np.arange(len(S_hi))
+    per_block = min(max(1, _CHUNK // L**m), len(live))
+    buf = np.empty((len(P), per_block, L**m))
+
+    def metrics_of(rows):
+        sq = buf[:, : len(rows)]
+        np.square(np.subtract(R[:, rows, None], P[:, None], out=sq), out=sq)
+        metrics = sq[0]
+        for term in sq[1:]:
+            metrics += term
+        return metrics
+
+    if len(live) > 1:
+        scale = np.linalg.norm(y) + np.abs(values).max() * np.linalg.norm(B, axis=0).sum()
+        bound, guard = _hi_bounds(B, R, m, scale)
+        window = float(metrics_of([bound.argmin()]).min()) * (1.0 + _TIE_TOL)
+        # The final window is at most this seed window.  A skipped hi row has
+        # every metric above the seed window, so above the final one: it can
+        # neither win nor, lying above every candidate, hold a winner back.
+        live = np.flatnonzero(bound - guard <= window)
     # The grid's first row stands in at an infinite metric, in case no
     # metric is finite.
     best_metric, kept = np.inf, [(np.inf, np.full(k, values[0]))]
-    for S_hi in _mixed_radix(values, k - m, 0, L ** (k - m), per_block):
-        r = y - S_hi @ B_hi.T
-        metrics, diff = metrics_buf[: len(r)], diff_buf[: len(r)]
-        np.square(np.subtract(r[:, :1], P[0], out=metrics), out=metrics)
-        for i in range(1, len(P)):
-            np.subtract(r[:, i : i + 1], P[i], out=diff)
-            metrics += np.square(diff, out=diff)
+    for start in range(0, len(live), per_block):
+        rows = live[start : start + per_block]
+        metrics = metrics_of(rows)
         lowest = best_metric
         best_metric = min(best_metric, float(metrics.min()))
         if best_metric == lowest:
@@ -350,7 +450,7 @@ def _ml_search(B, y, values, table) -> DecodeResult:
         for h, l, dist in zip(hi.tolist(), lo.tolist(), metrics[hi, lo].tolist()):
             if dist < lowest:
                 lowest = dist
-                kept.append((dist, np.concatenate([S_hi[h], S_lo[l]])))
+                kept.append((dist, np.concatenate([S_hi[rows[h]], S_lo[l]])))
     metric, row = kept[0]
     return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=L**k)
 
@@ -612,7 +712,9 @@ def run_campaign(
     of B_H, Q and R factors.  Each block forms its received blocks, real
     models and QR factors in stacked calls, through the stages that
     ml_exhaustive and sphere_decode run on one trial, and only the searches
-    run trial by trial.  Each codeword stays one trial's own product: a
+    run trial by trial.  The ML grids' hi residuals and lo products
+    (_ml_rows) are formed for about _BLOCK_BYTES of them at a time; they
+    are elementwise, so every trial gets the bits of its own call.  Each codeword stays one trial's own product: a
     stacked one would be a matrix product with other bits.
     """
     if decoder not in ("ml", "sphere", "both"):
@@ -622,12 +724,15 @@ def run_campaign(
     if cfg.trials == 0 or not cfg.snr_db_grid:
         return SimCampaign(rows=())
     k, T = basis.k, basis.T
+    dim = 2 * cfg.n_r * T
     values = np.array(alphabet.values, dtype=float)
     if want_ml:
-        table = _ml_table(values, k)
+        table = _ml_grid(basis, alphabet)
+        m = table[1].shape[1]
+        # The trials whose hi residuals and lo products fill _BLOCK_BYTES
+        ml_block = max(1, _BLOCK_BYTES // (8 * dim * sum(map(len, table))))
     if want_sp:
         plan = _plan(basis, classify(basis).ordering)
-    dim = 2 * cfg.n_r * T
     per_block = max(1, _BLOCK_BYTES // (8 * k * (2 * dim + k)))
     mean_sig = _mean_signal_power(basis, alphabet, cfg, CALIBRATION_SAMPLES)
     rows = []
@@ -653,7 +758,9 @@ def run_campaign(
             if want_ml:
                 B, y = _real_model(Y, H, basis, alphabet, range(k))
                 for i, truth in enumerate(truths):
-                    res = _ml_search(B[i], y[i], values, table)
+                    if i % ml_block == 0:
+                        R, P = _ml_rows(B[i : i + ml_block], y[i : i + ml_block], values, m)
+                    res = _ml_search(B[i], y[i], values, table, R[i % ml_block], P[i % ml_block])
                     err_ml += res.coeffs != truth
                     if not want_sp:
                         node_counts.append(res.nodes_visited)

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stlattice import codebook, decodability, lattice, simulate
@@ -436,6 +436,25 @@ class TestMLExhaustive:
         assert res.coeffs == (-3,) * 10
         assert peak < 50e6
 
+    def test_largest_grid_holds_no_grid_sized_array(self):
+        # A PAM-4 grid at the 2^24 guard.  One float per grid point would
+        # take 128 MiB; the bounds, hi residuals, lo products and a block's
+        # terms peak at about 4 MiB here.
+        rng = np.random.default_rng(12)
+        basis = WeightBasis("twelve", rng.normal(size=(12, 2, 4)) + 1j * rng.normal(size=(12, 2, 4)))
+        H = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        Y = H @ basis.combination(rng.choice([-3, -1, 1, 3], 12))
+        Y = Y + 0.3 * (rng.normal(size=Y.shape) + 1j * rng.normal(size=Y.shape))
+        tracemalloc.start()
+        try:
+            res = ml_exhaustive(Y, H, basis, pam(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.coeffs == sphere_decode(Y, H, basis, pam(4)).coeffs
+        assert res.nodes_visited == 4**12
+        assert peak < 8 * 2**20
+
     def test_rejects_mismatched_received_block(self):
         basis = code("alamouti")
         with pytest.raises(ValueError, match="shape"):
@@ -482,9 +501,64 @@ def grid_ml_exhaustive(Y, H, basis, alphabet):
     return tuple(int(v) for v in row), metric
 
 
+@st.composite
+def grids_past_one_block(draw):
+    """A random complex basis whose grid fills one _CHUNK block (PAM-4,
+    k = 7) or passes it (PAM-4, k = 8; (-2, 0, 2), k = 10), with B_H wide,
+    square or tall (for k = 8, 2 n_r T = 4 leaves the lo columns no
+    complement), and a noisy or noiseless trial or a zero channel, which
+    ties every row, all scaled by 2^e with e in {-20, 0, 20}."""
+    alphabet, k = draw(st.sampled_from(((pam(4), 7), (pam(4), 8), (Alphabet((-2, 0, 2)), 10))))
+    n_r, T = draw(st.sampled_from(((1, 2), (2, 2), (3, 2), (1, 3), (1, 5), (2, 5))))
+    assume(k <= 4 * T)  # independent 2 x T weights
+    kind = draw(st.sampled_from(("noisy", "noiseless", "zero_channel", "zero_channel_noisy")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = WeightBasis("drawn", rng.normal(size=(k, 2, T)) + 1j * rng.normal(size=(k, 2, T)))
+    H = rng.normal(size=(n_r, 2)) + 1j * rng.normal(size=(n_r, 2))
+    if kind.startswith("zero_channel"):
+        H = np.zeros_like(H)
+    Y = H @ basis.combination(rng.choice(np.array(alphabet.values), k))
+    if kind.endswith("noisy"):
+        sigma = rng.choice([0.3, 1.0, 3.0])
+        Y = Y + sigma * (rng.normal(size=Y.shape) + 1j * rng.normal(size=Y.shape))
+    scale = 2.0 ** draw(st.sampled_from((-20, 0, 20)))
+    return basis, alphabet, H * scale, Y * scale, scale
+
+
+@pytest.mark.blas_bits
 class TestMLMatchesGrid:
-    """The split-digit search returns the direct grid's coefficients
+    """The pruned split-digit search returns the direct grid's coefficients
     exactly; its metric sums in another order, so it is held to 1e-12."""
+
+    @settings(max_examples=60)
+    @given(grids_past_one_block())
+    def test_pruned_grid_equals_plain_grid(self, problem):
+        basis, alphabet, H, Y, scale = problem
+        coeffs, metric = grid_ml_exhaustive(Y, H, basis, alphabet)
+        res = ml_exhaustive(Y, H, basis, alphabet)
+        assert res.coeffs == coeffs
+        assert res.metric == pytest.approx(metric, rel=1e-12, abs=1e-12 * scale * scale)
+        assert res.nodes_visited == alphabet.size**basis.k
+
+    def test_near_tie_across_hi_rows(self):
+        # Unit weights on distinct entries, H = I: every coefficient meets its
+        # own entry of Y.  The lo entries and three hi entries hold alphabet
+        # values, and an entry no weight reaches holds 100, so the bound of a
+        # hi row is its least metric.  The first digit's entry, -2 + d, puts
+        # s_1 = -1 a relative 5e-10 below s_1 = -3: inside the tie window,
+        # and past the rounding guard, so the earlier hi row wins only if
+        # the seed window keeps its tie factor.
+        entries = [(1, 1), (1, 2), (2, 0), (2, 1), (0, 0), (0, 1), (0, 2), (1, 0)]
+        mats = np.zeros((8, 3, 3))
+        for mat, entry in zip(mats, entries):
+            mat[entry] = 1.0
+        basis = WeightBasis("entries", mats)
+        d = 5e-10 * (1 + 100.0**2) / 4
+        Y = np.ones((3, 3))
+        Y[1, 1], Y[2, 2] = -2.0 + d, 100.0
+        coeffs, _ = grid_ml_exhaustive(Y, np.eye(3), basis, pam(4))
+        res = ml_exhaustive(Y, np.eye(3), basis, pam(4))
+        assert coeffs == res.coeffs == (-3, 1, 1, 1, 1, 1, 1, 1)
 
     @pytest.mark.parametrize(
         "name, alphabet",
@@ -503,8 +577,9 @@ class TestMLMatchesGrid:
             assert res.metric == pytest.approx(metric, rel=1e-12)
 
     def test_partial_blocks(self):
-        # 3^10 grid points: 3^8 = 6561 trailing rows, which do not divide
-        # 2^14, so the nine leading rows go in blocks of 2, 2, 2, 2 and 1.
+        # 3^10 grid points: 3^5 = 243 hi rows and 243 lo rows.  A block
+        # holds 67 hi rows, which do not divide 243, so the live hi rows
+        # can end in a partial block.
         rng = np.random.default_rng(29)
         mats = rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3))
         basis = WeightBasis("ten", mats)
@@ -521,32 +596,30 @@ class TestMLMatchesGrid:
 
 
 def left_to_right_metric(Y, H, basis, alphabet, coeffs):
-    """The metric of one grid row, summed in Python one real dimension at a
-    time, from residuals and lo products formed as ml_exhaustive forms them:
-    the hi rows' block through the enumerator, and the whole lo table."""
+    """The metric of one grid row in Python floats: the residual
+    r = y - s_1 b_1 - s_2 b_2 - ... over its hi digits and the product
+    p = b_1 s_1 + b_2 s_2 + ... over its lo digits, each added in that
+    order, then (r_1 - p_1)^2 + (r_2 - p_2)^2 + ..., left to right."""
     values = np.array(alphabet.values, dtype=float)
     B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
-    L, k = len(values), basis.k
-    m = simulate._ml_table(values, k)[0]
-    per_block = simulate._CHUNK // L**m
-    index = 0
-    for c in coeffs:
-        index = index * L + list(values).index(c)
-    hi, lo = divmod(index, L**m)
-    blocks = list(_mixed_radix(values, k - m, 0, L ** (k - m), per_block))
-    r = (y - blocks[hi // per_block] @ B[:, : k - m].T)[hi % per_block]
-    S_lo = next(_mixed_radix(values, m, 0, L**m, L**m))
-    p = (B[:, k - m :] @ S_lo.T)[:, lo]
+    h = basis.k - simulate._ml_table(values, basis.k)[1].shape[1]
     metric = 0.0
-    for ri, pi in zip(r.tolist(), p.tolist()):
-        metric += (ri - pi) * (ri - pi)
+    for b, r in zip(B.tolist(), y.tolist()):
+        for bj, c in zip(b[:h], coeffs[:h]):
+            r -= bj * c
+        p = b[h] * coeffs[h]
+        for bj, c in zip(b[h + 1 :], coeffs[h + 1 :]):
+            p += bj * c
+        metric += (r - p) * (r - p)
     return metric
 
 
+@pytest.mark.blas_bits
 class TestMLMetric:
     """The reported metric is the sum of squares of the winner's residual
-    entries, added left to right with no fused multiply-add, so its bits
-    do not depend on the machine's SIMD width."""
+    entries, added left to right with no fused multiply-add, from hi
+    residuals and lo products formed by elementwise passes, so its bits
+    depend neither on the BLAS kernel nor on the machine's SIMD width."""
 
     @pytest.mark.parametrize(
         "name, alphabet",
@@ -567,7 +640,7 @@ class TestMLMetric:
             assert res.metric.hex() == want.hex()
 
     def test_partial_blocks(self):
-        # 3^10 grid points in blocks of two hi rows and a last one
+        # 3^10 grid points, 243 hi rows by 243 lo rows, in blocks of 67 hi rows
         rng = np.random.default_rng(31)
         mats = rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3))
         basis = WeightBasis("ten", mats)
