@@ -371,7 +371,7 @@ def _ml_rows(B, y, values, m: int):
     )
 
 
-def _hi_bounds(B, R, m: int, scale: float):
+def _hi_bounds(B, y, values, R, m: int):
     """Each hi row's lower bound ||W^T r||^2 on its metrics, r its residual
     (a column of R), and the guard on the bound's rounding.
 
@@ -403,6 +403,7 @@ def _hi_bounds(B, R, m: int, scale: float):
     n, k = B.shape
     W = np.linalg.qr(B[:, k - m :], mode="complete")[0][:, m:]
     gap = W.T @ R
+    scale = np.linalg.norm(y) + np.abs(values).max() * np.linalg.norm(B, axis=0).sum()
     return np.einsum("ij,ij->j", gap, gap), (n + k) ** 3 * 2.0**-48 * scale * scale
 
 
@@ -423,8 +424,7 @@ def _ml_search(B, y, values, table, R, P) -> DecodeResult:
         return metrics
 
     if len(live) > 1:
-        scale = np.linalg.norm(y) + np.abs(values).max() * np.linalg.norm(B, axis=0).sum()
-        bound, guard = _hi_bounds(B, R, m, scale)
+        bound, guard = _hi_bounds(B, y, values, R, m)
         window = float(metrics_of([bound.argmin()]).min()) * (1.0 + _TIE_TOL)
         # The final window is at most this seed window.  A skipped hi row has
         # every metric above the seed window, so above the final one: it can
