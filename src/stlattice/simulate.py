@@ -18,8 +18,8 @@ lattice._codewords product: stacked, its bits could differ.  The other
 stacked BLAS and LAPACK calls give every trial the bits of its own call.
 The tests check that, and CI runs them under OpenBLAS's Prescott,
 SandyBridge and Haswell kernels too; another BLAS could differ in the last
-bits.  ml_exhaustive's metrics are formed without BLAS, so their bits do
-not depend on the kernel.
+bits.  ml_exhaustive forms its metrics from B_H and iota(Y) without BLAS,
+so they take no other bits from the kernel than B_H's own.
 """
 
 from __future__ import annotations
@@ -315,9 +315,10 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     the lo columns, each formed by one elementwise pass a term, in that
     order.  Every metric is (r_1 - p_1)^2 + (r_2 - p_2)^2 + ..., summed left
     to right, one real dimension a pass along the grid rows.  No BLAS
-    kernel forms a metric and no multiply-add is fused, so a row's metric
-    has the same bits on every machine, whichever rows are formed with it;
-    it can differ from the direct ||y - B s||^2 in its last bits.
+    kernel forms a metric from B and y and no multiply-add is fused, so a
+    row's metric has the same bits on every machine for the same B and y,
+    whichever rows are formed with it; it can differ from the direct
+    ||y - B s||^2 in its last bits.
 
     No lo row can take a hi row's metric below ||W^T r||^2, W the
     orthogonal complement of the lo columns (_hi_bounds).  The hi row of

@@ -25,7 +25,7 @@ from stlattice.decodability import (
     classify,
     r_matrix,
 )
-from stlattice.lattice import WeightBasis, _mixed_radix, vectorize
+from stlattice.lattice import WeightBasis, vectorize
 from stlattice.simulate import (
     Alphabet,
     ChannelConfig,
@@ -434,6 +434,7 @@ class TestMLExhaustive:
         finally:
             tracemalloc.stop()
         assert res.coeffs == (-3,) * 10
+        assert res.metric == 0.0
         assert peak < 50e6
 
     def test_largest_grid_holds_no_grid_sized_array(self):
@@ -618,8 +619,9 @@ def left_to_right_metric(Y, H, basis, alphabet, coeffs):
 class TestMLMetric:
     """The reported metric is the sum of squares of the winner's residual
     entries, added left to right with no fused multiply-add, from hi
-    residuals and lo products formed by elementwise passes, so its bits
-    depend neither on the BLAS kernel nor on the machine's SIMD width."""
+    residuals and lo products formed by elementwise passes, so for the same
+    B_H its bits depend neither on the BLAS kernel nor on the machine's
+    SIMD width."""
 
     @pytest.mark.parametrize(
         "name, alphabet",
