@@ -250,7 +250,10 @@ def mido_algebra(gamma: float = -8.0 / 9.0) -> CyclicAlgebra:
     emb = np.array(rows)
     # sigma: zeta5 -> zeta5^3 maps embedding m to embedding (3m mod 5)
     perm = [powers.index((3 * m) % 5) for m in powers]
-    gamma = float(gamma)
+    value = complex(gamma)
+    if value.imag != 0 or value == 0:
+        raise ValueError(f"gamma must be a nonzero real number, not {gamma}")
+    gamma = value.real
     # gamma is rational: 1 = (1/5)(4,3,2,1) in the difference basis
     one = np.array([4.0, 3.0, 2.0, 1.0]) / 5.0
     field = NumberField(full_emb=emb, autos={"sigma": tuple(perm)})

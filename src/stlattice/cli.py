@@ -67,9 +67,12 @@ def _parse_alphabet(text: str) -> Alphabet:
 def _write_output(text: str, path):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output to '{path}': {exc.strerror}") from None
 
 
 def _load_basis(source: str) -> WeightBasis:
@@ -215,9 +218,19 @@ def build_parser() -> _Parser:
 
     sub = subs.add_parser("simulate", help="error-rate campaign as CSV")
     sub.add_argument("source", help="family name or basis JSON file")
-    sub.add_argument("--snr", default="0,10,20", help="comma-separated SNR grid in dB")
+    sub.add_argument(
+        "--snr",
+        default="0,10,20",
+        help="comma-separated SNR grid in dB; a list that starts with '-' "
+        "needs the = form, --snr=-5,0",
+    )
     sub.add_argument("--trials", type=int, default=100, help="trials per SNR point")
-    sub.add_argument("--alphabet", default="4", help="PAM size or comma-separated values")
+    sub.add_argument(
+        "--alphabet",
+        default="4",
+        help="PAM size or comma-separated values; a list that starts with '-' "
+        "needs the = form, --alphabet=-1,1",
+    )
     sub.add_argument("--decoder", default="both", choices=("ml", "sphere", "both"))
     sub.add_argument("--n-r", type=int, default=None, help="receive antenna count")
     sub.add_argument("--seed", type=int, default=0, help="random seed of the campaign")

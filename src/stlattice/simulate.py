@@ -46,7 +46,6 @@ from .lattice import (
     WeightBasis,
     _codewords,
     _equivalent_channel,
-    _mixed_radix,
     _vectorize_stack,
 )
 
@@ -281,9 +280,9 @@ def _real_model(Y, H, basis: WeightBasis, alphabet: Alphabet, order):
     return B, _vectorize_stack(Y)
 
 
-def _ml_table(values: np.ndarray, k: int):
-    """The grid's tables of leading (hi) and trailing (lo) rows, (S_hi, S_lo),
-    which depend on the alphabet and k alone; a grid past the 2^24 guard
+def _ml_split(L: int, k: int) -> int:
+    """The number m of trailing (lo) digits of the L^k grid; its other
+    k - m digits are the leading (hi) ones.  A grid past the 2^24 guard
     raises.
 
     A grid of at most _CHUNK rows is all lo digits: one empty hi row.  A
@@ -291,7 +290,6 @@ def _ml_table(values: np.ndarray, k: int):
     fewer if L^m would pass _CHUNK, but at least one: the hi rows are then
     few enough to bound one by one, and a block holds whole hi rows.
     """
-    L = len(values)
     if L**k > ML_SPACE_LIMIT:
         raise ValueError(f"exhaustive search space {L}^{k} exceeds the 2^24 guard")
     m = k
@@ -299,7 +297,7 @@ def _ml_table(values: np.ndarray, k: int):
         m = (k + 1) // 2
         while m > 1 and L**m > _CHUNK:
             m -= 1
-    return tuple(next(_mixed_radix(values, d, 0, L**d, L**d)) for d in (k - m, m))
+    return m
 
 
 def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
@@ -309,7 +307,7 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     lexicographically smallest coefficient vector.  Guarded to
     |S|^k <= 2^24 grid points; nodes_visited reports the grid size.
 
-    The grid splits into leading (hi) and trailing (lo) digits (_ml_table).
+    The grid splits into leading (hi) and trailing (lo) digits (_ml_split).
     A hi row s_hi has the residual r = y - s_1 b_1 - s_2 b_2 - ... over its
     columns of B, and a lo row the product p = b_1 s_1 + b_2 s_2 + ... over
     the lo columns, each formed by one elementwise pass a term, in that
@@ -332,18 +330,8 @@ def ml_exhaustive(Y, H, basis: WeightBasis, alphabet: Alphabet) -> DecodeResult:
     """
     values = np.array(alphabet.values, dtype=float)
     B, y = _real_model(Y, H, basis, alphabet, range(basis.k))
-    table = _ml_grid(basis, alphabet)
-    return _ml_search(B, y, values, table, *_ml_rows(B, y, values, table[1].shape[1]))
-
-
-def _ml_grid(basis: WeightBasis, alphabet: Alphabet):
-    """_ml_table of the alphabet's grid over the basis, kept on the basis for
-    the last alphabet asked for."""
-    kept = getattr(basis, "_ml_grid", None)
-    if kept is None or kept[0] != alphabet:
-        kept = alphabet, _ml_table(np.array(alphabet.values, dtype=float), basis.k)
-        object.__setattr__(basis, "_ml_grid", kept)
-    return kept[1]
+    m = _ml_split(len(values), basis.k)
+    return _ml_search(B, y, values, m, *_ml_rows(B, y, values, m))
 
 
 def _digit_tree(start, prods, op) -> np.ndarray:
@@ -408,11 +396,12 @@ def _hi_bounds(B, y, values, R, m: int):
     return np.einsum("ij,ij->j", gap, gap), (n + k) ** 3 * 2.0**-48 * scale * scale
 
 
-def _ml_search(B, y, values, table, R, P) -> DecodeResult:
-    """ml_exhaustive's grid search on one trial's B, y and _ml_rows."""
-    S_hi, S_lo = table
-    L, k, m = len(values), B.shape[1], S_lo.shape[1]
-    live = np.arange(len(S_hi))
+def _ml_search(B, y, values, m: int, R, P) -> DecodeResult:
+    """ml_exhaustive's grid search on one trial's B, y and _ml_rows.  Hi
+    row h and lo row l make grid row h L^m + l, and a row's coefficients
+    are the values of its k base-L digits."""
+    L, k = len(values), B.shape[1]
+    live = np.arange(L ** (k - m))
     per_block = min(max(1, _CHUNK // L**m), len(live))
     buf = np.empty((len(P), per_block, L**m))
 
@@ -433,7 +422,7 @@ def _ml_search(B, y, values, table, R, P) -> DecodeResult:
         live = np.flatnonzero(bound - guard <= window)
     # The grid's first row stands in at an infinite metric, in case no
     # metric is finite.
-    best_metric, kept = np.inf, [(np.inf, np.full(k, values[0]))]
+    best_metric, kept = np.inf, [(np.inf, 0)]
     for start in range(0, len(live), per_block):
         rows = live[start : start + per_block]
         metrics = metrics_of(rows)
@@ -448,12 +437,13 @@ def _ml_search(B, y, values, table, R, P) -> DecodeResult:
         # back, so scanning the candidates finds every row that lowers the
         # running minimum.
         hi, lo = np.nonzero((metrics <= window) & (metrics < lowest))
-        for h, l, dist in zip(hi.tolist(), lo.tolist(), metrics[hi, lo].tolist()):
+        for h, l, dist in zip(rows[hi].tolist(), lo.tolist(), metrics[hi, lo].tolist()):
             if dist < lowest:
                 lowest = dist
-                kept.append((dist, np.concatenate([S_hi[rows[h]], S_lo[l]])))
+                kept.append((dist, h * L**m + l))
     metric, row = kept[0]
-    return DecodeResult(coeffs=tuple(int(v) for v in row), metric=metric, nodes_visited=L**k)
+    coeffs = tuple(int(values[d]) for d in np.unravel_index(row, (L,) * k))
+    return DecodeResult(coeffs=coeffs, metric=metric, nodes_visited=L**k)
 
 
 def _sphere_block(R, z, values, lex_perm):
@@ -581,15 +571,13 @@ class _Plan:
 
 def _plan(basis: WeightBasis, ordering) -> _Plan:
     """The decode plan of the ordering, which is validated on every call.
-    The plan of the last ordering asked for is kept on the basis, beside
-    the orthogonality graph it was built from."""
+    The plan of the last ordering asked for is kept on the basis."""
     order = _check_ordering(ordering, basis.k)
-    graph = _graph(basis)
     kept = getattr(basis, "_decode_plan", None)
-    if kept is None or kept[0] is not graph or kept[1].order != order:
-        kept = graph, _build_plan(graph[1], order)
+    if kept is None or kept.order != order:
+        kept = _build_plan(_graph(basis)[1], order)
         object.__setattr__(basis, "_decode_plan", kept)
-    return kept[1]
+    return kept
 
 
 def _build_plan(components, order: tuple) -> _Plan:
@@ -715,8 +703,9 @@ def run_campaign(
     ml_exhaustive and sphere_decode run on one trial, and only the searches
     run trial by trial.  The ML grids' hi residuals and lo products
     (_ml_rows) are formed for about _BLOCK_BYTES of them at a time; they
-    are elementwise, so every trial gets the bits of its own call.  Each codeword stays one trial's own product: a
-    stacked one would be a matrix product with other bits.
+    are elementwise, so every trial gets the bits of its own call.  Each
+    codeword stays one trial's own product: a stacked one would be a
+    matrix product with other bits.
     """
     if decoder not in ("ml", "sphere", "both"):
         raise ValueError("decoder must be one of 'ml', 'sphere', 'both'")
@@ -728,10 +717,10 @@ def run_campaign(
     dim = 2 * cfg.n_r * T
     values = np.array(alphabet.values, dtype=float)
     if want_ml:
-        table = _ml_grid(basis, alphabet)
-        m = table[1].shape[1]
+        L = len(values)
+        m = _ml_split(L, k)
         # The trials whose hi residuals and lo products fill _BLOCK_BYTES
-        ml_block = max(1, _BLOCK_BYTES // (8 * dim * sum(map(len, table))))
+        ml_block = max(1, _BLOCK_BYTES // (8 * dim * (L ** (k - m) + L**m)))
     if want_sp:
         plan = _plan(basis, classify(basis).ordering)
     per_block = max(1, _BLOCK_BYTES // (8 * k * (2 * dim + k)))
@@ -761,7 +750,7 @@ def run_campaign(
                 for i, truth in enumerate(truths):
                     if i % ml_block == 0:
                         R, P = _ml_rows(B[i : i + ml_block], y[i : i + ml_block], values, m)
-                    res = _ml_search(B[i], y[i], values, table, R[i % ml_block], P[i % ml_block])
+                    res = _ml_search(B[i], y[i], values, m, R[i % ml_block], P[i % ml_block])
                     err_ml += res.coeffs != truth
                     if not want_sp:
                         node_counts.append(res.nodes_visited)

@@ -89,6 +89,22 @@ class TestConstruct:
         assert out == ""
         assert WeightBasis.from_json(target.read_text()).k == 4
 
+    @pytest.mark.parametrize("target", [".", "missing/basis.json"])
+    def test_unwritable_output_fails_validation(self, capsys, tmp_path, target):
+        # A directory, or a file in a missing directory: each was an internal
+        # error, exit 2.
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, "construct", "golden", "--output", path)
+        assert code == 1 and out == ""
+        assert f"cannot write output to '{path}'" in err
+
+    @pytest.mark.parametrize("gamma", ["i", "0"])
+    def test_mido_gamma_must_be_real_and_nonzero(self, capsys, gamma):
+        # i was an internal error (exit 2), and 0 numpy's "Singular matrix".
+        code, out, err = run(capsys, "construct", "mido_a4", "--gamma", gamma)
+        assert code == 1 and out == ""
+        assert "gamma must be a nonzero real number" in err
+
 
 class TestConstructAnalyzeRoundTrip:
     @pytest.mark.parametrize("name", sorted(codebook.REGISTRY))

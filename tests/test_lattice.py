@@ -519,21 +519,6 @@ class TestMixedRadix:
         for g, w in zip(got, want):
             assert g.dtype == values.dtype and np.array_equal(g, w)
 
-    @pytest.mark.parametrize("size", [2, 3, 4, 8])
-    @pytest.mark.parametrize("k", [1, 5, 8])
-    def test_ml_table_is_the_div_mod_table(self, size, k):
-        # ml_exhaustive's hi and lo rows: one block each of the whole range,
-        # whose periodic columns repeat their period many times, byte for
-        # byte.  A grid of one _CHUNK block is all lo digits; a larger one
-        # splits its digits evenly.
-        values = 2.0 * np.arange(size) - (size - 1)
-        tables = simulate._ml_table(values, k)
-        m = tables[1].shape[1]
-        assert m == (k if size**k <= simulate._CHUNK else (k + 1) // 2)
-        for table, digits in zip(tables, (k - m, m)):
-            want = values[next(_div_mod_digits(size, digits, 0, size**digits, size**digits))]
-            assert table.dtype == values.dtype and table.tobytes() == want.tobytes()
-
 
 def sweep_products(basis, block):
     """The codewords _sweep forms from one block of coefficient rows."""

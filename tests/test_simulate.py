@@ -596,14 +596,56 @@ class TestMLMatchesGrid:
             assert res.nodes_visited == 3**10
 
 
+class TestMLIndexDecode:
+    """A grid row is its lexicographic index: hi row h and lo row l make
+    row h L^m + l, m = _ml_split(L, k), and the row's coefficients are the
+    values of its k base-L digits."""
+
+    @pytest.mark.parametrize("size", [2, 3, 4, 8])
+    @pytest.mark.parametrize("k", [1, 5, 8])
+    def test_ml_split_rule(self, size, k):
+        # A grid of one _CHUNK block is all lo digits; a larger one splits
+        # its digits evenly.
+        m = simulate._ml_split(size, k)
+        assert m == (k if size**k <= simulate._CHUNK else (k + 1) // 2)
+
+    @pytest.mark.parametrize("size, k, m", [(2, 14, 14), (200, 3, 1), (4096, 2, 1)])
+    def test_ml_split_edges(self, size, k, m):
+        # 2^14 points is one block; 200^2 points would pass _CHUNK, so
+        # 200^3 keeps one lo digit; 4096^2 is the guard itself.
+        assert simulate._ml_split(size, k) == m
+
+    @pytest.mark.parametrize("grid", ["alamouti", "golden", "random"])
+    def test_planted_rows_decode(self, grid):
+        # Noiseless trials at the first row, the last row of the first hi
+        # row and the first of the second (one grid row apart; a one-block
+        # grid has no second), the last row, and row 1, whose digits do not
+        # read the same backwards.
+        if grid == "random":
+            rng = np.random.default_rng(3)
+            mats = rng.normal(size=(10, 3, 3)) + 1j * rng.normal(size=(10, 3, 3))
+            basis, alphabet = WeightBasis("ten", mats), Alphabet((-2, 0, 2))
+            H = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        else:
+            basis, alphabet = code(grid), pam(4)
+            H = draw_channel(default_config(basis, (0.0,), 1, 0), 5)
+        L, k = alphabet.size, basis.k
+        m = simulate._ml_split(L, k)
+        assert (m < k) == (grid != "alamouti")
+        for row in sorted({0, 1, L**m - 1, L**m, L**k - 1} - {L**k}):
+            s = next(itertools.islice(itertools.product(alphabet.values, repeat=k), row, None))
+            res = ml_exhaustive(H @ basis.combination(s), H, basis, alphabet)
+            assert res.coeffs == s
+            assert res.nodes_visited == L**k
+
+
 def left_to_right_metric(Y, H, basis, alphabet, coeffs):
     """The metric of one grid row in Python floats: the residual
     r = y - s_1 b_1 - s_2 b_2 - ... over its hi digits and the product
     p = b_1 s_1 + b_2 s_2 + ... over its lo digits, each added in that
     order, then (r_1 - p_1)^2 + (r_2 - p_2)^2 + ..., left to right."""
-    values = np.array(alphabet.values, dtype=float)
     B, y = simulate._real_model(Y, H, basis, alphabet, range(basis.k))
-    h = basis.k - simulate._ml_table(values, basis.k)[1].shape[1]
+    h = basis.k - simulate._ml_split(alphabet.size, basis.k)
     metric = 0.0
     for b, r in zip(B.tolist(), y.tolist()):
         for bj, c in zip(b[:h], coeffs[:h]):
@@ -1183,8 +1225,9 @@ class TestOneOrthogonalityVerdict:
         sphere_decode(Y, H, basis, alphabet)
         singletons = tuple(1 << i for i in range(basis.k))
         monkeypatch.setattr(simulate, "_graph", lambda b: (None, singletons))
+        # A fresh basis: the first one keeps the plan of its own graph.
         with pytest.raises(ValueError, match="couples"):
-            sphere_decode(Y, H, basis, alphabet)
+            sphere_decode(Y, H, perturbed_alamouti(1e-3), alphabet)
 
     @pytest.mark.parametrize("name", ["alamouti", "golden"])
     def test_one_graph_per_basis_per_campaign(self, name, monkeypatch):
