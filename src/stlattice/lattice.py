@@ -278,20 +278,21 @@ def _coefficient_box(k: int, bound: int, rows: int):
 _EMPTY_BOX = "no coefficient vector to search: the bound is 0 or none was requested"
 
 
-def _sweep(basis: WeightBasis, blocks, reduce, best, stop=None):
+def _sweep(basis: WeightBasis, blocks, reduce, best, stop=None, empty=_EMPTY_BOX):
     """Fold min(best, reduce(codewords)) over the blocks of coefficient rows
     z that a producer yields, _block_rows(basis) rows at most; returns early
-    at stop.  Each block's codewords are formed by _codewords (which turns
-    integer rows to float), reduced and checked before the next is asked
-    for, so no reduction streams more than one block through memory."""
-    empty = True
+    at stop, and raises ValueError(empty) if there is no block.  Each
+    block's codewords are formed by _codewords (which turns integer rows to
+    float), reduced and checked before the next is asked for, so no
+    reduction streams more than one block through memory."""
+    seen = False
     for z in blocks:
-        empty = False
+        seen = True
         best = min(best, reduce(_codewords(basis.mats, z)))
         if stop is not None and best <= stop:
             return best
-    if empty:
-        raise ValueError(_EMPTY_BOX)
+    if not seen:
+        raise ValueError(empty)
     return best
 
 
@@ -434,20 +435,24 @@ def _trail(lo: np.ndarray) -> np.ndarray:
     return np.concatenate([table.real, table.imag])
 
 
-def _split_det(hi: np.ndarray, trail: np.ndarray) -> np.ndarray:
-    """det(A + B) for each hi codeword A and each lo codeword B of the lo
-    table trail, by one real product: row 2i holds Re and row 2i + 1 Im of
-    the determinants for A = hi[i]."""
+def _lead_rows(hi: np.ndarray) -> np.ndarray:
+    """The lead rows of _split_box for a stack of hi codewords A: the minors
+    of A = hi[i] as rows 2i and 2i + 1 of [[Re, -Im], [Im, Re]], so that
+    their product with a lo table trail holds Re det(A + B) in row 2i and
+    Im det(A + B) in row 2i + 1, a column for each lo codeword B."""
     lead = _minors(hi)
     lead = np.concatenate([lead.real, -lead.imag, lead.imag, lead.real], axis=1)
-    return lead.reshape(2 * len(hi), -1) @ trail
+    return lead.reshape(2 * len(hi), -1)
 
 
 def _abs_sq(det: np.ndarray) -> np.ndarray:
-    """|det|^2 from _split_det's rows of real and imaginary parts, squared
-    in place; the product is freed on return, before the next is formed."""
+    """|det|^2 from the rows of real and imaginary parts of a lead product,
+    in place: the squares of the odd rows are added into the even rows,
+    whose view is returned, so no second array is formed."""
     np.square(det, out=det)
-    return det[0::2] + det[1::2]
+    est = det[0::2]
+    est += det[1::2]
+    return est
 
 
 def _split_box(basis: WeightBasis, bound: int):
@@ -462,10 +467,14 @@ def _split_box(basis: WeightBasis, bound: int):
     the lo table of signed complementary minors, built once, gives det X
     for every codeword in the block.  It is taken as one real product, of
     the minors' real and imaginary parts stacked as [[Re, -Im], [Im, Re]]
-    with the table's real part over its imaginary part.  A block has as
-    many hi rows as keep the product within half of _BLOCK_BYTES, so that
-    the product, its |det|^2 and the last block's, which the caller still
-    holds, fit in _BLOCK_BYTES; its minors are formed when it is asked for.
+    (_lead_rows) with the table's real part over its imaginary part.  A
+    product takes as many hi rows as keep it within half of _BLOCK_BYTES,
+    and its |det|^2 is formed in it (_abs_sq).  The hi codewords and their
+    lead rows are formed once per lead block, of as many products' hi rows
+    as keep the lead rows within half of _BLOCK_BYTES, and each product
+    takes its rows from them.  While a block is in flight, the table, the
+    lead rows and the caller's last |det|^2 (its product) are held; a lead
+    block of one product holds no lead rows across the yield.
 
     The half box is every pair with hi above its midpoint (the zero vector's
     digits), plus the pairs with hi at it and lo above its midpoint: the
@@ -485,11 +494,17 @@ def _split_box(basis: WeightBasis, bound: int):
     z_lo = next(_mixed_radix(values, m, 0, lo_count, lo_count))
     trail = _trail(_codewords(basis.mats[h:], z_lo))
     hi_rows = max(1, _BLOCK_BYTES // (32 * lo_count))
-    hi_blocks = _mixed_radix(values, h, base**h // 2 + 1, base**h, hi_rows)
+    # a hi row's lead rows take 32 terms bytes
+    lead_rows = hi_rows * max(1, _BLOCK_BYTES // (64 * terms * hi_rows))
+    leads = _mixed_radix(values, h, base**h // 2 + 1, base**h, lead_rows)
     first = [(np.zeros((1, h)), slice(lo_count // 2 + 1, None))] if m else []
-    for z_hi, cols in itertools.chain(first, ((z, slice(None)) for z in hi_blocks)):
-        hi = _codewords(basis.mats[:h], z_hi)
-        yield z_hi, z_lo[cols], _abs_sq(_split_det(hi, trail[:, cols]))
+    for z_lead, cols in itertools.chain(first, ((z, slice(None)) for z in leads)):
+        rows = _lead_rows(_codewords(basis.mats[:h], z_lead))
+        for at in range(0, len(z_lead), hi_rows):
+            det = rows[2 * at : 2 * (at + hi_rows)] @ trail[:, cols]
+            if at + hi_rows >= len(z_lead):
+                del rows  # the lead block's last product
+            yield z_lead[at : at + hi_rows], z_lo[cols], _abs_sq(det)
 
 
 def _recheck(basis: WeightBasis, bound: int, batches, reduce, best):
@@ -586,7 +601,13 @@ def _near_least(basis: WeightBasis, bound: int):
     least = np.inf
     for z_hi, z_lo, est in _split_box(basis, bound):
         least = min(least, float(est.min()))
-        yield _pair_rows(z_hi, z_lo, *np.nonzero(~(est > least + 2 * slack)))
+        yield _kept_rows(z_hi, z_lo, est, least + 2 * slack)
+
+
+def _kept_rows(z_hi, z_lo, est, limit: float) -> np.ndarray:
+    """The coefficient rows of the pairs whose est is not above limit (a
+    non-finite est is kept), hi row by hi row, found in one flat pass."""
+    return _pair_rows(z_hi, z_lo, *np.divmod(np.flatnonzero(~(est > limit)), len(z_lo)))
 
 
 def _det_slack(basis: WeightBasis, bound: int) -> float:
@@ -609,13 +630,19 @@ def lattice_profile(basis: WeightBasis, det_search_bound: int = 2) -> LatticePro
     if basis.n_t != basis.T or det_search_bound == 0:
         return prof
     n, volume = basis.n_t, prof.volume
+    if volume == 0:
+        raise ValueError("the lattice volume underflows to 0, so delta and eta are undefined")
     min_det = _min_abs_det_sq(basis, det_search_bound)
-    return replace(
-        prof,
-        min_det_est=min_det,
-        delta=min_det / volume ** (1.0 / (2 * n)),
-        eta=min_det ** (2 * n) / volume,
-    )
+    try:
+        eta = min_det ** (2 * n) / volume
+    except OverflowError:
+        eta = math.inf
+    delta = min_det / volume ** (1.0 / (2 * n))
+    for name, value in (("min_det_est", min_det), ("delta", delta), ("eta", eta)):
+        # a finite, nonzero min_det_est must give finite, nonzero figures
+        if not math.isfinite(value) or value == 0 < min_det:
+            raise ValueError(f"{name} is out of the float range at this scale of the weights")
+    return replace(prof, min_det_est=min_det, delta=delta, eta=eta)
 
 
 def profile_from_generator(gen: np.ndarray) -> LatticeProfile:
@@ -639,6 +666,8 @@ def profile_from_generator(gen: np.ndarray) -> LatticeProfile:
     sign, logdet = np.linalg.slogdet(gram)
     if sign <= 0:
         raise ValueError("degenerate lattice: Gram matrix is not positive definite")
+    if logdet / 2 > np.log(np.finfo(float).max):  # before np.exp, which would warn
+        raise ValueError(f"the lattice volume, exp({logdet / 2:.6g}), overflows a float")
     return LatticeProfile(gen=gen, gram=gram, volume=float(np.exp(logdet / 2)))
 
 
@@ -653,11 +682,14 @@ def _least_rank(mats: np.ndarray) -> int:
     return int(_ranks(mats).min())
 
 
-def _min_rank_of_block(mats: np.ndarray) -> int:
+def _min_rank_of_block(mats: np.ndarray, limit: float) -> int:
     """Minimum rank across a stack of matrices.
 
     Fast path for square stacks: a clearly nonzero determinant certifies
-    full rank; only the near-singular members go through the SVD.
+    full rank; only the near-singular members go through the SVD.  A row
+    with |det X| > limit passes without its norm; limit is at least every
+    row's own bound below (_min_rank_sweep), so the rest take that bound
+    and exactly its rows reach the SVD.
 
     |det X| > 1e-6 scale^n, scale^2 = ||X||_F^2 / n, certifies at every
     side: AM-GM over the other n - 1 singular values gives sigma_min /
@@ -668,6 +700,10 @@ def _min_rank_of_block(mats: np.ndarray) -> int:
     if mats.shape[-2] != side:
         return _least_rank(mats)
     dets = np.abs(_det(mats))
+    near = dets <= limit
+    if not near.any():
+        return side
+    mats, dets = mats[near], dets[near]
     scale = np.sqrt(_fro_sq(mats) / side) + 1e-300
     # <=, not <: for a zero codeword both sides underflow to 0
     suspicious = dets <= 1e-6 * scale**side
@@ -684,7 +720,8 @@ def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
     """
     if basis.n_t == basis.T <= _SPLIT_SIDES:
         return _min_rank_split(basis, search_bound)
-    return _min_rank_sweep(basis, _coefficient_box(basis.k, search_bound, _block_rows(basis)))
+    blocks = _coefficient_box(basis.k, search_bound, _block_rows(basis))
+    return _min_rank_sweep(basis, blocks, search_bound)
 
 
 def _rank_floor(basis: WeightBasis) -> int:
@@ -693,9 +730,24 @@ def _rank_floor(basis: WeightBasis) -> int:
     return 1 if basis.rank == basis.k else 0
 
 
-def _min_rank_sweep(basis: WeightBasis, blocks) -> int:
-    """The least rank over the blocks' codewords, ending at _rank_floor."""
-    return _sweep(basis, blocks, _min_rank_of_block, min(basis.n_t, basis.T), _rank_floor(basis))
+def _min_rank_sweep(basis: WeightBasis, blocks, bound: int, empty=_EMPTY_BOX) -> int:
+    """The least rank over the blocks' codewords, rows of the box
+    ||z||_inf <= bound, ending at _rank_floor; _sweep raises
+    ValueError(empty) if there is no block."""
+    # A square codeword X with |det X| above limit passes the per-row test
+    # of _min_rank_of_block.  Derivation, with N = _box_norm(basis, bound):
+    #  - ||X||_F <= N for every codeword of the box, with a margin of 1e-9
+    #    relative for the rounding of the codewords and their norms;
+    #  - so a row's scale sqrt(||X||_F^2 / n) + 1e-300, as computed, is at
+    #    most N / sqrt(n) + 1e-300, and its bound 1e-6 scale^n at most limit
+    #    = 1e-6 (N / sqrt(n) + 1e-300)^n: the power is monotone, and its few
+    #    ulps of rounding are far inside the margin.  An infinite limit
+    #    sends every row to the per-row test.
+    side = basis.T
+    with np.errstate(over="ignore"):
+        limit = 1e-6 * (np.float64(_box_norm(basis, bound)) / math.sqrt(side) + 1e-300) ** side
+    reduce = functools.partial(_min_rank_of_block, limit=limit)
+    return _sweep(basis, blocks, reduce, min(basis.n_t, basis.T), _rank_floor(basis), empty)
 
 
 def _min_rank_split(basis: WeightBasis, bound: int) -> int:
@@ -714,7 +766,7 @@ def _min_rank_split(basis: WeightBasis, bound: int) -> int:
     limit = ((2 * RANK_TOL + _SPLIT_ERR) * _box_norm(basis, bound) ** basis.n_t) ** 2
     floor, best, rows = _rank_floor(basis), basis.n_t, _block_rows(basis)
     for z_hi, z_lo, est in _split_box(basis, bound):
-        near = _pair_rows(z_hi, z_lo, *np.nonzero(~(est > limit)))
+        near = _kept_rows(z_hi, z_lo, est, limit)
         for at in range(0, len(near), rows):
             best = min(best, _least_rank(_codewords(basis.mats, near[at : at + rows])))
             if best <= floor:
@@ -752,11 +804,16 @@ def _random_box(k: int, bound: int, n_random: int, seed: int, rows: int):
     """Yield seeded uniform draws from the box as int64 rows, one draw of
     rows rows a block with its zero vectors dropped; _codewords converts
     them to float.  A split draw continues the same stream, so the blocks
-    hold the rows of one whole draw."""
+    hold the rows of one whole draw.
+
+    A row is zero where its sum of squares is, one pass along the block:
+    the int64 sum, which wraps modulo 2^64, is 0 only at z = 0 while
+    k bound^2 < 2^64.  Larger bounds test each entry."""
     rng = np.random.default_rng(seed)
+    squares = k * bound * bound < 2**64
     for lo in range(0, n_random, rows):
         z = rng.integers(-bound, bound + 1, size=(min(rows, n_random - lo), k))
-        nonzero = np.any(z, axis=1)
+        nonzero = np.einsum("ij,ij->i", z, z) != 0 if squares else np.any(z, axis=1)
         if not nonzero.all():
             z = z[nonzero]
         if len(z):
@@ -790,4 +847,7 @@ def min_rank_sampled(
         _sparse_box(k, search_bound, max_nonzeros, rows),
         _random_box(k, search_bound, n_random, seed, rows),
     )
-    return _min_rank_sweep(basis, blocks)
+    empty = _EMPTY_BOX
+    if search_bound and n_random:  # then only zero draws leave no row
+        empty = f"no coefficient vector to search: each of the {n_random} draws was the zero vector"
+    return _min_rank_sweep(basis, blocks, search_bound, empty)

@@ -168,6 +168,16 @@ class TestLattice:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: cannot read basis from '{bad}': ")
 
+    @pytest.mark.parametrize("scale, figure", [(1e20, "eta"), (1e40, "volume"), (1e-80, "volume")])
+    def test_figures_out_of_the_float_range_fail_validation(self, capsys, tmp_path, scale, figure):
+        # Each printed "internal error" and exited 2.
+        path = tmp_path / "scaled.json"
+        basis = WeightBasis("scaled", list(codebook.build("golden").mats * scale))
+        path.write_text(basis.to_json())
+        code, out, err = run(capsys, "lattice", str(path), "--bound", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and figure in err
+
     def test_box_over_the_cap_is_a_clean_error(self, capsys):
         # 3^24 - 1 vectors: the unit box of a k = 24 code is past the cap
         code, out, err = run(capsys, "lattice", "mimo_relay", "--bound", "1")

@@ -319,6 +319,16 @@ class TestLatticeProfile:
         prof = lattice_profile(WeightBasis("wide", mats))
         assert prof.min_det_est is None and prof.delta is None and prof.eta is None
 
+    @pytest.mark.parametrize("scale, figure", [(1e20, "eta"), (1e40, "volume"), (1e-80, "volume")])
+    def test_figures_out_of_the_float_range_are_refused(self, scale, figure):
+        # golden's weights times scale: at 1e20, eta = min_det^4 / volume
+        # overflowed (OverflowError), at 1e40 the volume's exp does (with a
+        # RuntimeWarning), and at 1e-80 the volume underflowed to 0
+        # (ZeroDivisionError in delta).
+        b = WeightBasis("scaled", list(build("golden").mats * scale))
+        with pytest.raises(ValueError, match=figure):
+            lattice_profile(b, 1)
+
     def test_box_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(lattice, "MAX_CANDIDATES", 10)
         msg = "holds 624 vectors which exceeds the cap of 20; lower the bound$"
@@ -355,6 +365,15 @@ class TestMinRank:
             min_rank_sampled(b, search_bound=0)
         with pytest.raises(ValueError, match="no coefficient vector"):
             min_rank_sampled(b, search_bound=1, max_nonzeros=0, n_random=0)
+
+    def test_search_of_only_zero_draws_says_so(self):
+        # One draw of k = 1 from the unit box: seed 0 draws a nonzero
+        # vector, seed 1 the zero vector, with the bound and the count not 0.
+        one = WeightBasis("one", [np.eye(2, dtype=complex)])
+        assert min_rank_sampled(one, 1, 0, 1, 0) == 2
+        msg = "^no coefficient vector to search: each of the 1 draws was the zero vector$"
+        with pytest.raises(ValueError, match=msg):
+            min_rank_sampled(one, 1, 0, 1, 1)
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 3)])
     def test_zero_codeword_has_rank_zero(self, shape):
@@ -623,9 +642,9 @@ class TestSweepBlocks:
         for m, rows in self._each_setting(monkeypatch, b):
             seen = []
 
-            def counted(mats):
+            def counted(mats, limit):
                 seen.append(len(mats))
-                return reduce(mats)
+                return reduce(mats, limit)
 
             m.setattr(lattice, "_min_rank_of_block", counted)
             assert min_rank_difference(b, search_bound=1) == 1
@@ -754,7 +773,7 @@ def _split_products(basis, h, z_hi, z_lo):
     """The split's determinant, hi-row-major, with LAPACK's det of the
     _codewords product of the same coefficient rows."""
     lead = lattice._codewords(basis.mats[:h], z_hi)
-    det = lattice._split_det(lead, lattice._trail(lattice._codewords(basis.mats[h:], z_lo)))
+    det = lattice._lead_rows(lead) @ lattice._trail(lattice._codewords(basis.mats[h:], z_lo))
     rows = lattice._pair_rows(z_hi, z_lo, *np.indices((len(z_hi), len(z_lo))).reshape(2, -1))
     lapack = np.linalg.det(lattice._codewords(basis.mats, rows))
     return (det[0::2] + 1j * det[1::2]).ravel(), rows, lapack
@@ -772,23 +791,56 @@ class TestSplit:
         est = np.square(split.real) + np.square(split.imag)
         assert np.all(np.abs(est - np.abs(lapack) ** 2) <= lattice._det_slack(basis, bound))
 
-    @pytest.mark.parametrize("block_bytes", [None, 96, 288, 1000])
+    @pytest.mark.parametrize("block_bytes", [None, 96, 288, 1000, 3200])
     @pytest.mark.parametrize("n, k, bound", [(1, 2, 3), (2, 4, 1), (2, 5, 2), (3, 3, 1), (4, 4, 1)])
     def test_half_box_is_the_coefficient_box(self, monkeypatch, block_bytes, n, k, bound):
         # Tables of every size, down to no lo digit (96 bytes): the blocks'
         # pairs, hi row by hi row, are _coefficient_box's rows in order,
-        # each with the |det|^2 of its codeword.
+        # each with the |det|^2 of its codeword.  Each product has the row
+        # count it had when every product formed its own lead rows: one
+        # row at the hi midpoint if there is a lo digit, then the hi rows
+        # max(1, _BLOCK_BYTES // (32 lo_count)) at a time.  At 3200 bytes
+        # the (2, 5, 2) box's lead blocks span two products of 4 hi rows,
+        # and its last one a product of 4 and a short one of 2.
         if block_bytes is not None:
             monkeypatch.setattr(lattice, "_BLOCK_BYTES", block_bytes)
+        lead_rows, leads = lattice._lead_rows, []
+        monkeypatch.setattr(lattice, "_lead_rows", lambda A: leads.append(len(A)) or lead_rows(A))
         b = _small_integer_basis(np.random.default_rng(n * k), n, n, k)
         got, est = [], []
         for z_hi, z_lo, block in lattice._split_box(b, bound):
             got.append(lattice._pair_rows(z_hi, z_lo, *np.indices(block.shape).reshape(2, -1)))
-            est.append(block.ravel())
+            est.append(block)
         want = np.concatenate(list(lattice._coefficient_box(k, bound, 7)))
         assert np.concatenate(got).tobytes() == want.tobytes()
+        m, base = k - z_hi.shape[1], 2 * bound + 1
+        hi_rows, half = max(1, lattice._BLOCK_BYTES // (32 * base**m)), base ** (k - m) // 2
+        sizes = [1] * (m > 0) + [min(hi_rows, half - at) for at in range(0, half, hi_rows)]
+        assert [len(block) for block in est] == sizes
+        assert sum(leads) == sum(sizes)
+        if (block_bytes, n, k, bound) == (3200, 2, 5, 2):
+            assert sizes[-3:] == [4, 4, 2] and leads[-1] == 6 and len(leads) == 9 < len(sizes)
         lapack = np.abs(np.linalg.det(lattice._codewords(b.mats, want))) ** 2
-        assert np.all(np.abs(np.concatenate(est) - lapack) <= lattice._det_slack(b, bound))
+        est = np.concatenate([block.ravel() for block in est])
+        assert np.all(np.abs(est - lapack) <= lattice._det_slack(b, bound))
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "name, scale, least", [("alamouti", 1, 1), ("golden", 1, 1), ("silver", 7, 4)]
+    )
+    def test_every_est_is_near_its_exact_value(self, name, scale, least, bound):
+        # scale |det X|^2 is an integer for every codeword of these codes:
+        # each est of the split lies within _det_slack of its rounded value,
+        # the least rounded value is least / scale, and min_det_est lies
+        # within the same slack of it.
+        b = build(name)
+        slack, exact = lattice._det_slack(b, bound), np.inf
+        for *_, est in lattice._split_box(b, bound):
+            rounded = np.round(est * scale) / scale
+            assert np.all(np.abs(est - rounded) <= slack)
+            exact = min(exact, rounded.min())
+        assert exact == least / scale
+        assert abs(lattice_profile(b, bound).min_det_est - exact) <= slack
 
     def test_checks_the_bound_as_the_box_does(self, monkeypatch):
         b = alamouti_basis()
@@ -905,6 +957,30 @@ class TestDetSlack:
         assert lapack.min().hex() == _lapack_min_abs_det_sq(basis, bound).hex()
 
 
+class TestRankLimit:
+    @given(small_boxes())
+    def test_box_norm_bounds_every_codeword_and_the_sweep_keeps_the_least_rank(self, args):
+        # The full-rank limit of _min_rank_sweep rests on ||X||_F <= N for
+        # every codeword of the box.  With max_nonzeros = k and no draws the
+        # whole box goes through the sweep, which finds the least rank that
+        # _least_rank finds over every codeword.
+        basis, bound = args
+        z = np.concatenate(list(lattice._coefficient_box(basis.k, bound, 512)))
+        mats = lattice._codewords(basis.mats, z)
+        assert np.all(lattice._fro_sq(mats) <= lattice._box_norm(basis, bound) ** 2)
+        assert min_rank_sampled(basis, bound, basis.k, 0) == lattice._least_rank(mats)
+
+    def test_mimo_relay_sends_the_same_rows_to_the_svd(self, monkeypatch):
+        # At n = 12 the limit is above the |det| of each of the 20,576 rows,
+        # so every row takes the per-row test, which sends these 20 to the
+        # SVD, as it did with no limit.  A limit of 0 would send none of
+        # them, and the limit alone all 20,576.
+        least, seen = lattice._least_rank, []
+        monkeypatch.setattr(lattice, "_least_rank", lambda X: seen.append(len(X)) or least(X))
+        assert min_rank_sampled(build("mimo_relay"), 1, 2, 20_000) == 12
+        assert sum(seen) == 20
+
+
 @pytest.mark.blas_bits
 class TestBoxProducers:
     @pytest.mark.parametrize("seed", [0, 7])
@@ -947,6 +1023,17 @@ class TestBoxProducers:
         got = blocks(iter(draws))
         assert got == blocks(c.astype(float) for c in draws)
         assert len(got) == 3
+
+    def test_random_box_keeps_a_row_whose_square_sum_wraps(self, monkeypatch):
+        # (2^32)^2 is 0 modulo 2^64: past k bound^2 < 2^64 the zero rows are
+        # found entry by entry.
+        class Draws:
+            def integers(self, low, high, size):
+                return np.array([[2**32], [0], [-3]])[: size[0]]
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+        got = list(lattice._random_box(1, 2**32, 3, 0, 4))
+        assert np.concatenate(got).tolist() == [[2**32], [-3]]
 
     def test_default_cap_covers_the_k16_unit_box(self):
         rows = lattice._block_rows(build("srinath_rajan"))
