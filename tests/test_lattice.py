@@ -1069,22 +1069,25 @@ class TestOneBlockInFlight:
 
     def test_lattice_profile(self):
         # golden's bound-3 box by split minors: a lo table of 2,401 rows of
-        # 6 minors (0.2 MiB) and products of 6 hi rows (0.25 MiB); then the
-        # recheck of the 7,936 kept rows, held as digits (62 KiB), in
-        # products of 8,192 rows (0.5 MiB, and 0.5 MiB of codewords, whose
-        # held rows are copied out a quarter block at a time): a traced
-        # peak of 1.5 MiB.
+        # 6 minors (0.2 MiB), the lead rows of all 1,200 hi rows, one lead
+        # block (0.22 MiB), and products of 6 hi rows (0.25 MiB, each
+        # holding its |det|^2); then the recheck of the 7,936 kept rows,
+        # held as digits (62 KiB), in products of 8,192 rows (0.5 MiB, and
+        # 0.5 MiB of codewords, whose held rows are copied out a quarter
+        # block at a time): a traced peak of 1.5 MiB.
         # 65,536-row chunks (4 MiB) cut into blocks peaked at 5.9 MiB.
         basis = build("golden")
         assert self.traced_peak(lattice_profile, basis, 3) <= 3 * 2**20
 
     def test_lattice_profile_of_a_k16_unit_box(self):
         # srinath_rajan's unit box by split minors: a lo table of 243 rows
-        # of 70 minors (0.27 MiB); a block of 67 hi rows, its minors
-        # (0.15 MiB), product (0.25 MiB) and |det|^2 (0.12 MiB, with the
-        # last block's); a recheck product of 2,048 rows (0.25 MiB, and
-        # 0.5 MiB of codewords, whose held rows are copied out a quarter
-        # block at a time): about 1.7 MiB, a traced peak of 1.4 MiB.
+        # of 70 minors (0.27 MiB); a lead block of one product's 67 hi rows,
+        # its minors (0.15 MiB), whose lead rows are dropped before the
+        # yield, and its product (0.25 MiB), which holds its |det|^2 and is
+        # held with the last block's; a recheck product of 2,048 rows
+        # (0.25 MiB, and 0.5 MiB of codewords, whose held rows are copied
+        # out a quarter block at a time): a traced peak of 1.5 MiB (1.4 MiB
+        # with |det|^2 a second array, 1.7 MiB with the lead rows held).
         # The whole lo table of the even split, 6,561 rows, would take
         # 7 MiB alone.
         basis = build("srinath_rajan")
@@ -1096,6 +1099,7 @@ class TestOneBlockInFlight:
         # traced peak, 1.2 MiB, is in building the lo table: its 243 rows'
         # minors (0.26 MiB), their signed complements and the real table
         # (0.26 MiB each), and the cofactor expansion's terms.  Between
-        # blocks 0.42 MiB is held, mostly the table and a block's |det|^2.
+        # blocks 0.54 MiB is held, mostly the table and a block's product,
+        # which holds its |det|^2.
         basis = build("srinath_rajan")
         assert self.traced_peak(min_rank_difference, basis, 1) <= 2 * 2**20
