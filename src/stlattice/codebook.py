@@ -183,6 +183,8 @@ def mido_a4(gamma: float = -8.0 / 9.0) -> WeightBasis:
 # ----------------------------------------------------------------------
 # Distributed (relay) families and the iterated construction.
 
+_RELAY_T = np.sqrt(2 / np.sqrt(5))  # sqrt(-gamma), gamma = -2/sqrt5: simo_relay's, iterated's t
+
 
 def _inner(field: NumberField, row: int, b: int, comp: int, t: float) -> np.ndarray:
     """Inner 2x2 block of basis element b at embedding row.
@@ -226,10 +228,9 @@ def simo_relay() -> WeightBasis:
     sigma image.
     """
     field = relay_field(radical_basis=True)
-    t = np.sqrt(2 / np.sqrt(5))  # sqrt(-gamma), gamma = -2/sqrt5
     rows = field.orbit("eta", 2)
     mats = [
-        _blockdiag([_inner(field, r, b, comp, t) for r in rows])
+        _blockdiag([_inner(field, r, b, comp, _RELAY_T) for r in rows])
         for comp in range(2)
         for b in range(field.dim)
     ]
@@ -298,15 +299,14 @@ def iterated() -> WeightBasis:
     sg, ta = field.autos["sigma"], field.autos["tau"]
     if [sg[ta[r]] for r in range(field.dim)] != [ta[sg[r]] for r in range(field.dim)]:
         raise ValueError("tau and sigma do not commute on the embeddings")
-    t = np.sqrt(2 / np.sqrt(5))  # sqrt(-gamma), gamma = -2/sqrt5
     r_ta = field.row_after(0, "tau")
     mats = []
     for rows in (slice(0, 2), slice(2, 4)):
         for comp in range(2):
             for b in range(field.dim):
                 W = np.zeros((4, 4), dtype=complex)
-                W[rows, 0:2] = _inner(field, 0, b, comp, t)
-                W[rows, 2:4] = _inner(field, r_ta, b, comp, t)
+                W[rows, 0:2] = _inner(field, 0, b, comp, _RELAY_T)
+                W[rows, 2:4] = _inner(field, r_ta, b, comp, _RELAY_T)
                 mats.append(W)
     return WeightBasis("iterated", mats, allow_dependent=True)
 

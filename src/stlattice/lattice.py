@@ -171,7 +171,6 @@ class LatticeProfile:
     minimum determinant is only defined for n_t = T.
     """
 
-    gen: np.ndarray
     gram: np.ndarray
     volume: float
     min_det_est: float | None = None
@@ -278,20 +277,19 @@ def _coefficient_box(k: int, bound: int, rows: int):
 _EMPTY_BOX = "no coefficient vector to search: the bound is 0 or none was requested"
 
 
-def _sweep(basis: WeightBasis, blocks, reduce, best, stop=None, empty=_EMPTY_BOX):
+def _sweep(basis: WeightBasis, blocks, reduce, best, stop, empty: str):
     """Fold min(best, reduce(codewords)) over the blocks of coefficient rows
     z that a producer yields, _block_rows(basis) rows at most; returns early
     at stop, and raises ValueError(empty) if there is no block.  Each
     block's codewords are formed by _codewords (which turns integer rows to
     float), reduced and checked before the next is asked for, so no
     reduction streams more than one block through memory."""
-    seen = False
+    z = None
     for z in blocks:
-        seen = True
         best = min(best, reduce(_codewords(basis.mats, z)))
-        if stop is not None and best <= stop:
+        if best <= stop:
             return best
-    if not seen:
+    if z is None:
         raise ValueError(empty)
     return best
 
@@ -581,7 +579,8 @@ def _min_abs_det_sq(basis: WeightBasis, bound: int) -> float:
     """
     if basis.n_t > _SPLIT_SIDES:
         blocks = _coefficient_box(basis.k, bound, _block_rows(basis))
-        return _sweep(basis, blocks, _lapack_min_abs_det_sq, np.inf)
+        # no |det|^2 lies below 0.0, so stopping there changes no value
+        return _sweep(basis, blocks, _lapack_min_abs_det_sq, np.inf, 0.0, _EMPTY_BOX)
     return _recheck(basis, bound, _near_least(basis, bound), _lapack_min_abs_det_sq, np.inf)
 
 
@@ -629,15 +628,12 @@ def lattice_profile(basis: WeightBasis, det_search_bound: int = 2) -> LatticePro
     prof = profile_from_generator(generator_matrix(basis))
     if basis.n_t != basis.T or det_search_bound == 0:
         return prof
-    n, volume = basis.n_t, prof.volume
-    if volume == 0:
-        raise ValueError("the lattice volume underflows to 0, so delta and eta are undefined")
-    min_det = _min_abs_det_sq(basis, det_search_bound)
+    n, min_det = basis.n_t, _min_abs_det_sq(basis, det_search_bound)
     try:
-        eta = min_det ** (2 * n) / volume
+        eta = min_det ** (2 * n) / prof.volume
     except OverflowError:
         eta = math.inf
-    delta = min_det / volume ** (1.0 / (2 * n))
+    delta = min_det / prof.volume ** (1.0 / (2 * n))
     for name, value in (("min_det_est", min_det), ("delta", delta), ("eta", eta)):
         # a finite, nonzero min_det_est must give finite, nonzero figures
         if not math.isfinite(value) or value == 0 < min_det:
@@ -668,7 +664,10 @@ def profile_from_generator(gen: np.ndarray) -> LatticeProfile:
         raise ValueError("degenerate lattice: Gram matrix is not positive definite")
     if logdet / 2 > np.log(np.finfo(float).max):  # before np.exp, which would warn
         raise ValueError(f"the lattice volume, exp({logdet / 2:.6g}), overflows a float")
-    return LatticeProfile(gen=gen, gram=gram, volume=float(np.exp(logdet / 2)))
+    volume = float(np.exp(logdet / 2))
+    if volume < np.finfo(float).tiny:  # subnormal or 0: few or no digits left
+        raise ValueError(f"the lattice volume, exp({logdet / 2:.6g}), underflows a float")
+    return LatticeProfile(gram=gram, volume=volume)
 
 
 def _ranks(mats: np.ndarray) -> np.ndarray:
@@ -721,7 +720,7 @@ def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
     if basis.n_t == basis.T <= _SPLIT_SIDES:
         return _min_rank_split(basis, search_bound)
     blocks = _coefficient_box(basis.k, search_bound, _block_rows(basis))
-    return _min_rank_sweep(basis, blocks, search_bound)
+    return _min_rank_sweep(basis, blocks, search_bound, _EMPTY_BOX)
 
 
 def _rank_floor(basis: WeightBasis) -> int:
@@ -730,7 +729,7 @@ def _rank_floor(basis: WeightBasis) -> int:
     return 1 if basis.rank == basis.k else 0
 
 
-def _min_rank_sweep(basis: WeightBasis, blocks, bound: int, empty=_EMPTY_BOX) -> int:
+def _min_rank_sweep(basis: WeightBasis, blocks, bound: int, empty: str) -> int:
     """The least rank over the blocks' codewords, rows of the box
     ||z||_inf <= bound, ending at _rank_floor; _sweep raises
     ValueError(empty) if there is no block."""

@@ -170,13 +170,28 @@ class TestLattice:
 
     @pytest.mark.parametrize("scale, figure", [(1e20, "eta"), (1e40, "volume"), (1e-80, "volume")])
     def test_figures_out_of_the_float_range_fail_validation(self, capsys, tmp_path, scale, figure):
-        # Each printed "internal error" and exited 2.
+        # Each printed "internal error" and exited 2.  Both volumes are
+        # refused where the profile makes them, 1e40's before np.exp and
+        # 1e-80's, a 0.0, after it.
         path = tmp_path / "scaled.json"
         basis = WeightBasis("scaled", list(codebook.build("golden").mats * scale))
         path.write_text(basis.to_json())
         code, out, err = run(capsys, "lattice", str(path), "--bound", "1")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and figure in err
+
+    def test_subnormal_volume_fails_validation(self, capsys, tmp_path):
+        # Four independent unit weights of a 2x3 code times 1e-80 printed
+        # "volume": 1e-320, a subnormal, and exited 0.
+        units = [(0, 0, 1), (0, 0, 1j), (1, 1, 1), (0, 2, 1)]
+        mats = [np.zeros((2, 3), dtype=complex) for _ in units]
+        for m, (i, j, v) in zip(mats, units):
+            m[i, j] = v * 1e-80
+        path = tmp_path / "tiny.json"
+        path.write_text(WeightBasis("tiny", mats).to_json())
+        code, out, err = run(capsys, "lattice", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the lattice volume, ") and "underflows a float" in err
 
     def test_box_over_the_cap_is_a_clean_error(self, capsys):
         # 3^24 - 1 vectors: the unit box of a k = 24 code is past the cap

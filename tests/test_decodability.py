@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stlattice import codebook, decodability, simulate
@@ -31,7 +31,7 @@ from stlattice.decodability import (
     sample_r_matrix,
 )
 from stlattice.lattice import WeightBasis, _equivalent_channel
-from stlattice.simulate import default_config, draw_channel, pam
+from stlattice.simulate import default_config, draw_channel, ml_exhaustive, pam, sphere_decode
 
 I2 = np.eye(2, dtype=complex)
 
@@ -992,3 +992,87 @@ class TestJsonView:
         assert data["conditioned"] == [0, 1, 2, 3]
         assert "bo_params" not in data
         assert data["k_prime"] == 5
+
+
+def _random_unitary(rng, n):
+    """The Q factor of a complex Gaussian matrix."""
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+@st.composite
+def planted_2x2(draw):
+    """A 2x2 basis with a planted orthogonality graph, and what was planted.
+
+    Two groups of one or two real mixtures of their own alamouti weights,
+    {B1, B2} and {B3, B4}: the four are unitary and pairwise orthogonal, so
+    two mixtures a, b of one pair have a b^H + b a^H = 2 (a . b) I, and
+    mixing directions 0.3 to 1.2 rad apart are independent and joined in the
+    graph.  Then 0 to 2 dense random separator weights, joined to every
+    weight, then B -> U B V by random unitaries, which keeps the graph, and
+    shuffled labels.  Returns (basis, family, groups, separators, k')."""
+    sizes = draw(st.tuples(st.integers(1, 2), st.integers(1, 2)))
+    n_sep = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seeds, _ = zoo("alamouti")
+    mats, planted = [], []
+    for pair, size in zip((seeds.mats[:2], seeds.mats[2:]), sizes):
+        turns = rng.uniform(0, 2 * np.pi) + np.cumsum([0, *rng.uniform(0.3, 1.2, size - 1)])
+        gains = rng.uniform(0.5, 2.0, size)
+        mats += [g * (np.cos(t) * pair[0] + np.sin(t) * pair[1]) for t, g in zip(turns, gains)]
+        planted.append(range(len(mats) - size, len(mats)))
+    planted.append(range(len(mats), len(mats) + n_sep))
+    mats += list(rng.normal(size=(n_sep, 2, 2)) + 1j * rng.normal(size=(n_sep, 2, 2)))
+    U, V = _random_unitary(rng, 2), _random_unitary(rng, 2)
+    perm = rng.permutation(len(mats))
+    basis = WeightBasis("planted", [U @ mats[i] @ V for i in perm])
+    label = np.argsort(perm)  # weight i of mats is weight label[i] of the basis
+    *groups, separators = (tuple(sorted(label[i] for i in p)) for p in planted)
+    family = "conditional_multi_group" if n_sep else "multi_group"
+    return basis, family, tuple(sorted(groups)), separators, max(sizes) + n_sep
+
+
+class TestPlantedStructure:
+    """Property tests over planted 2x2 bases: multi_group without separator
+    weights, conditional_multi_group with them.  block_orthogonal is out of
+    scope: it needs a two-part plant like golden's, and none is built."""
+
+    @settings(max_examples=50)
+    @given(planted_2x2())
+    def test_classify_finds_the_plant(self, plant):
+        basis, family, groups, separators, k_prime = plant
+        prof = classify(basis)
+        # Every separator holds the dense weights, and no group weight added
+        # to them lowers k': the planted k' is the least, so it is found.
+        assert (prof.family, prof.k_prime) == (family, k_prime)
+        assert (prof.groups, prof.conditioned) == (groups, separators)
+
+    @settings(max_examples=50)
+    @given(planted_2x2(), st.data())
+    def test_relabelling_permutes_the_groups(self, plant, data):
+        basis, *_ = plant
+        prof = classify(basis)
+        perm = data.draw(st.permutations(range(basis.k)))
+        other = classify(WeightBasis("relabelled", basis.mats[perm]))
+        assert (other.family, other.k_prime) == (prof.family, prof.k_prime)
+        # weight j of the relabelled basis is weight perm[j] of the plant
+        assert {tuple(sorted(perm[j] for j in g)) for g in other.groups} == set(prof.groups)
+        assert tuple(sorted(perm[j] for j in other.conditioned)) == prof.conditioned
+
+    @settings(max_examples=50)
+    @given(planted_2x2(), st.sampled_from([pam(2), pam(4)]), st.data())
+    def test_sphere_decode_is_ml_under_either_ordering(self, plant, alphabet, data):
+        basis, family, groups, *_ = plant
+        prof = classify(basis)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n_r = -(-basis.k // 4) + data.draw(st.integers(0, 1))
+        H = rng.normal(size=(n_r, 2)) + 1j * rng.normal(size=(n_r, 2))
+        assume(not r_matrix(basis, H).rank_deficient)
+        sent = basis.combination(rng.choice(np.array(alphabet.values), basis.k))
+        noise = rng.normal(size=(n_r, 2)) + 1j * rng.normal(size=(n_r, 2))
+        Y = H @ sent + data.draw(st.sampled_from([0.0, 0.3, 1.0])) * noise
+        want = ml_exhaustive(Y, H, basis, alphabet).coeffs
+        for ordering in (prof.ordering, data.draw(st.permutations(range(basis.k)))):
+            # one search tree per planted group when there is no separator
+            blocks = len(groups) if family == "multi_group" else 1
+            assert len(simulate._plan(basis, ordering).blocks) == blocks
+            assert sphere_decode(Y, H, basis, alphabet, ordering).coeffs == want

@@ -256,12 +256,29 @@ class TestLatticeProfile:
     def test_volume_survives_gram_determinant_underflow(self, e):
         # det(Gram) of srinath_rajan's generator (k = 16, full rank) times
         # 2^e underflows to 0 at both scales; the volume is 2^(k e) times
-        # the unscaled one (below the smallest double at e = -300)
+        # the unscaled one.  At e = -300 that is below the smallest double,
+        # and the volume is refused where it used to read 0.0.
         gen = generator_matrix(build("srinath_rajan"))
         assert np.linalg.det(np.ldexp(gen, e).T @ np.ldexp(gen, e)) == 0.0
-        volume = profile_from_generator(gen).volume
-        scaled = profile_from_generator(np.ldexp(gen, e)).volume
-        assert scaled == pytest.approx(math.ldexp(volume, gen.shape[1] * e), rel=1e-12)
+        want = math.ldexp(profile_from_generator(gen).volume, gen.shape[1] * e)
+        if want == 0.0:
+            with pytest.raises(ValueError, match="the lattice volume, .*, underflows a float"):
+                profile_from_generator(np.ldexp(gen, e))
+        else:
+            scaled = profile_from_generator(np.ldexp(gen, e)).volume
+            assert scaled == pytest.approx(want, rel=1e-12)
+
+    def test_subnormal_volume_is_refused(self):
+        # Four independent unit weights of a 2x3 code times 1e-80: the
+        # volume, 1e-320, is subnormal, with three significant digits left.
+        # It used to be returned, and printed by the CLI with exit 0.
+        units = [(0, 0, 1), (0, 0, 1j), (1, 1, 1), (0, 2, 1)]
+        mats = [np.zeros((2, 3), dtype=complex) for _ in units]
+        for m, (i, j, v) in zip(mats, units):
+            m[i, j] = v * 1e-80
+        gen = generator_matrix(WeightBasis("tiny", mats))
+        with pytest.raises(ValueError, match=r"the lattice volume, exp\(-736\.8.*\), underflows"):
+            profile_from_generator(gen)
 
     def test_rank_deficient_generator_rejected(self):
         # iterated's 32 weights span 16 real dimensions; its Gram matrix is
@@ -324,7 +341,8 @@ class TestLatticeProfile:
         # golden's weights times scale: at 1e20, eta = min_det^4 / volume
         # overflowed (OverflowError), at 1e40 the volume's exp does (with a
         # RuntimeWarning), and at 1e-80 the volume underflowed to 0
-        # (ZeroDivisionError in delta).
+        # (ZeroDivisionError in delta).  profile_from_generator refuses both
+        # volumes, before and after np.exp; lattice_profile refuses eta.
         b = WeightBasis("scaled", list(build("golden").mats * scale))
         with pytest.raises(ValueError, match=figure):
             lattice_profile(b, 1)
@@ -542,7 +560,12 @@ class TestMixedRadix:
 def sweep_products(basis, block):
     """The codewords _sweep forms from one block of coefficient rows."""
     seen = []
-    lattice._sweep(basis, [block], lambda mats: seen.append(mats.copy()) or 0.0, np.inf)
+
+    def record(mats):
+        seen.append(mats.copy())
+        return 0.0
+
+    lattice._sweep(basis, [block], record, np.inf, -np.inf, lattice._EMPTY_BOX)
     return np.concatenate(seen)
 
 
@@ -743,6 +766,28 @@ class TestMinAbsDetSq:
         monkeypatch.setattr(np.linalg, "det", spy)
         lattice._min_abs_det_sq(b, 2)
         assert sum(calls) == (5**4 - 1) // 2 == 312
+
+    def test_side_five_sweep_stops_at_the_block_of_a_singular_codeword(self, monkeypatch):
+        # I, diag(1, ..., 5) and iI: of the 13 rows of the unit box, in
+        # blocks of 4 (1600 bytes of 5x5 codewords), only row 5, z = (1, -1,
+        # 0) with codeword diag(0, -1, -2, -3, -4), is singular.  Its |det|^2
+        # is 0.0, which no later block can undercut, so the sweep ends with
+        # the second block.
+        b = WeightBasis("diag-5", [np.eye(5), np.diag([1.0, 2, 3, 4, 5]), 1j * np.eye(5)])
+        rows = np.concatenate(list(lattice._coefficient_box(3, 1, 13)))
+        dets = np.linalg.det(np.tensordot(rows, b.mats, axes=1))
+        assert (len(rows), np.flatnonzero(dets == 0).tolist()) == (13, [5])
+        reduce, seen = lattice._lapack_min_abs_det_sq, []
+
+        def counted(mats):
+            seen.append(len(mats))
+            return reduce(mats)
+
+        monkeypatch.setattr(lattice, "_BLOCK_BYTES", 1600)
+        monkeypatch.setattr(lattice, "_lapack_min_abs_det_sq", counted)
+        assert lattice._block_rows(b) == 4
+        assert lattice._min_abs_det_sq(b, 1) == 0.0
+        assert seen == [4, 4]
 
 
 @st.composite
@@ -1017,7 +1062,7 @@ class TestBoxProducers:
                 seen.append(mats.tobytes())
                 return 1
 
-            lattice._sweep(basis, chunks, record, 2)
+            lattice._sweep(basis, chunks, record, 2, 0, lattice._EMPTY_BOX)
             return seen
 
         got = blocks(iter(draws))
