@@ -88,7 +88,7 @@ def _adjacency_bits(adjacency: np.ndarray) -> list:
 
 
 def _components_of_mask(avail: int, bits: list) -> list:
-    """Connected components of the induced subgraph, as bitmasks."""
+    """Connected components of the induced subgraph, as bitmasks by lowest vertex."""
     comps = []
     rem = avail
     while rem:
@@ -350,10 +350,6 @@ def _uniform_blocks(masks: list):
     return len(masks), sizes.pop()
 
 
-def _sorted_groups(masks: list) -> tuple:
-    return tuple(sorted(_mask_to_indices(m) for m in masks))
-
-
 def _block_orthogonal_check(
     basis: WeightBasis,
     gamma_mask: int,
@@ -423,7 +419,7 @@ def classify(basis: WeightBasis, trials: int = 20, seed: int = 0) -> Decodabilit
     bits, comps = _graph(basis)
     if len(comps) >= 2:
         k_prime = max(c.bit_count() for c in comps)
-        return DecodabilityProfile("multi_group", _sorted_groups(comps), (), k_prime)
+        return DecodabilityProfile("multi_group", tuple(map(_mask_to_indices, comps)), (), k_prime)
 
     found = _exact_separator(bits, k) if k <= EXACT_SEPARATOR_LIMIT else None
     if found is None:
@@ -435,7 +431,7 @@ def classify(basis: WeightBasis, trials: int = 20, seed: int = 0) -> Decodabilit
         return DecodabilityProfile("block_orthogonal", blocks, (), bo_k_prime, bo_params)
     return DecodabilityProfile(
         "conditional_multi_group",
-        _sorted_groups(comps),
+        tuple(map(_mask_to_indices, comps)),
         _mask_to_indices(gamma_mask),
         k_prime,
     )

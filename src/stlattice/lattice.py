@@ -447,15 +447,25 @@ def _abs_sq(det: np.ndarray) -> np.ndarray:
     """|det|^2 from the rows of real and imaginary parts of a lead product,
     in place: the squares of the odd rows are added into the even rows,
     whose view is returned, so no second array is formed."""
-    np.square(det, out=det)
-    est = det[0::2]
-    est += det[1::2]
+    with np.errstate(over="ignore"):  # a square past the float range is inf
+        np.square(det, out=det)
+        est = det[0::2]
+        est += det[1::2]
     return est
 
 
-def _split_box(basis: WeightBasis, bound: int):
+def _lo_digits(basis: WeightBasis, base: int, n_random: int | None = None) -> int:
+    """m of _split_box: the most lo digits, at most k, whose lo table fits in
+    _BLOCK_BYTES; for a draw, fewer than k and with base^m <= n_random."""
+    fit = _BLOCK_BYTES // (16 * math.comb(2 * basis.n_t, basis.n_t))
+    most, fit = (basis.k, fit) if n_random is None else (basis.k - 1, min(fit, n_random))
+    return max((m for m in range(most + 1) if base**m <= fit), default=0)
+
+
+def _split_box(basis: WeightBasis, bound: int, draw=None):
     """|det X|^2 of every codeword X of _coefficient_box's half box, one
-    block at a time, for a square basis of side n <= _SPLIT_SIDES.
+    block at a time, for a square basis of side n <= _SPLIT_SIDES; with
+    draw = (n_random, seed), of n_random crossed draws from the box instead.
 
     The k digits split into h leading (hi) and m trailing (lo) ones, m the
     most whose lo table of C(2n, n) complex minors fits in _BLOCK_BYTES.  A
@@ -479,24 +489,32 @@ def _split_box(basis: WeightBasis, bound: int):
     latter come first, as one block, then the hi rows in order.  Yields
     (z_hi, z_lo, est), est[i, j] = |det X|^2 for the codeword of z_hi[i]
     followed by z_lo[j].  The bound is checked as _coefficient_box checks
-    it, and a bound of 0 raises.
+    it, and a bound of 0 raises.  A draw has m < k, base^m <= n_random
+    (_lo_digits) and its lead rows within half of _BLOCK_BYTES: n_random //
+    base^m hi rows of one seeded int64 stream take every lo row, and one
+    more the first n_random % base^m.
     """
-    base = _box_base(basis.k, bound)
+    base = _box_base(basis.k, bound) if draw is None else 2 * bound + 1
     if base == 1:
         raise ValueError(_EMPTY_BOX)
-    m, terms = 0, math.comb(2 * basis.n_t, basis.n_t)
-    while m < basis.k and base ** (m + 1) * 16 * terms <= _BLOCK_BYTES:
-        m += 1
-    h, lo_count = basis.k - m, base**m
+    m = _lo_digits(basis, base, None if draw is None else draw[0])
+    h, lo_count, terms = basis.k - m, base**m, math.comb(2 * basis.n_t, basis.n_t)
     values = np.arange(base, dtype=float) - bound
     z_lo = next(_mixed_radix(values, m, 0, lo_count, lo_count))
     trail = _trail(_codewords(basis.mats[h:], z_lo))
     hi_rows = max(1, _BLOCK_BYTES // (32 * lo_count))
     # a hi row's lead rows take 32 terms bytes
     lead_rows = hi_rows * max(1, _BLOCK_BYTES // (64 * terms * hi_rows))
-    leads = _mixed_radix(values, h, base**h // 2 + 1, base**h, lead_rows)
-    first = [(np.zeros((1, h)), slice(lo_count // 2 + 1, None))] if m else []
-    for z_lead, cols in itertools.chain(first, ((z, slice(None)) for z in leads)):
+    if draw is None:
+        leads = _mixed_radix(values, h, base**h // 2 + 1, base**h, lead_rows)
+        first = [(np.zeros((1, h)), slice(lo_count // 2 + 1, None))] if m else []
+        leads = itertools.chain(first, ((z, slice(None)) for z in leads))
+    else:
+        cap = max(1, min(lead_rows, _BLOCK_BYTES // (64 * terms)))
+        rng, (full, rest) = np.random.default_rng(draw[1]), divmod(draw[0], lo_count)
+        sizes = [(min(cap, full - at), lo_count) for at in range(0, full, cap)] + [(1, rest)]
+        leads = ((rng.integers(-bound, bound + 1, (n, h)), slice(c)) for n, c in sizes if c)
+    for z_lead, cols in leads:
         rows = _lead_rows(_codewords(basis.mats[:h], z_lead))
         for at in range(0, len(z_lead), hi_rows):
             det = rows[2 * at : 2 * (at + hi_rows)] @ trail[:, cols]
@@ -612,7 +630,10 @@ def _kept_rows(z_hi, z_lo, est, limit: float) -> np.ndarray:
 def _det_slack(basis: WeightBasis, bound: int) -> float:
     """_DET_SLACK * N^(2n), N = _box_norm(basis, bound): the bound on every
     box codeword's |est - LAPACK| in _min_abs_det_sq."""
-    return _DET_SLACK * _box_norm(basis, bound) ** (2 * basis.n_t)
+    try:
+        return _DET_SLACK * _box_norm(basis, bound) ** (2 * basis.n_t)
+    except OverflowError:
+        raise ValueError("the |det|^2 slack is out of the float range at this scale of the weights")
 
 
 def lattice_profile(basis: WeightBasis, det_search_bound: int = 2) -> LatticeProfile:
@@ -749,10 +770,10 @@ def _min_rank_sweep(basis: WeightBasis, blocks, bound: int, empty: str) -> int:
     return _sweep(basis, blocks, reduce, min(basis.n_t, basis.T), _rank_floor(basis), empty)
 
 
-def _min_rank_split(basis: WeightBasis, bound: int) -> int:
-    """min_rank_difference over the box by _split_box, side n <= 4: rows
-    whose est = |det|^2 is not above limit go to _ranks, _block_rows(basis)
-    at a time, and the sweep ends at _rank_floor."""
+def _min_rank_split(basis: WeightBasis, bound: int, draw=None) -> int:
+    """min_rank_difference over the box, or a draw, by _split_box, side n <= 4:
+    nonzero rows whose est = |det|^2 is not above limit go to _ranks,
+    _block_rows(basis) at a time, and the sweep ends at _rank_floor."""
     # Rows above the limit have full rank, as _ranks finds it.  Derivation,
     # with N = _box_norm(basis, bound):
     #  - sigma_max(X) <= ||X||_F <= N for X from any _codewords product, so
@@ -761,11 +782,15 @@ def _min_rank_split(basis: WeightBasis, bound: int) -> int:
     #    of det X (_SPLIT_ERR's first two terms), so one above (2 RANK_TOL +
     #    _SPLIT_ERR) N^n gives sigma_min > 2 RANK_TOL N >= 2 RANK_TOL sigma_max;
     #  - the SVD's rounding, some 1e-15 sigma_max, and est's few ulps fit in
-    #    the factor 2 and in _SPLIT_ERR's slack.  A non-finite est is kept.
-    limit = ((2 * RANK_TOL + _SPLIT_ERR) * _box_norm(basis, bound) ** basis.n_t) ** 2
+    #    the factor 2 and in _SPLIT_ERR's slack.  A non-finite est is kept,
+    #    and an infinite limit sends every row to _ranks.
+    with np.errstate(over="ignore"):
+        norm = np.float64(_box_norm(basis, bound))
+        limit = ((2 * RANK_TOL + _SPLIT_ERR) * norm**basis.n_t) ** 2
     floor, best, rows = _rank_floor(basis), basis.n_t, _block_rows(basis)
-    for z_hi, z_lo, est in _split_box(basis, bound):
+    for z_hi, z_lo, est in _split_box(basis, bound, draw):
         near = _kept_rows(z_hi, z_lo, est, limit)
+        near = near[near.any(axis=1)]  # a drawn zero hi row crosses the zero lo row
         for at in range(0, len(near), rows):
             best = min(best, _least_rank(_codewords(basis.mats, near[at : at + rows])))
             if best <= floor:
@@ -803,18 +828,11 @@ def _random_box(k: int, bound: int, n_random: int, seed: int, rows: int):
     """Yield seeded uniform draws from the box as int64 rows, one draw of
     rows rows a block with its zero vectors dropped; _codewords converts
     them to float.  A split draw continues the same stream, so the blocks
-    hold the rows of one whole draw.
-
-    A row is zero where its sum of squares is, one pass along the block:
-    the int64 sum, which wraps modulo 2^64, is 0 only at z = 0 while
-    k bound^2 < 2^64.  Larger bounds test each entry."""
+    hold the rows of one whole draw."""
     rng = np.random.default_rng(seed)
-    squares = k * bound * bound < 2**64
     for lo in range(0, n_random, rows):
         z = rng.integers(-bound, bound + 1, size=(min(rows, n_random - lo), k))
-        nonzero = np.einsum("ij,ij->i", z, z) != 0 if squares else np.any(z, axis=1)
-        if not nonzero.all():
-            z = z[nonzero]
+        z = z[np.any(z, axis=1)]
         if len(z):
             yield z
 
@@ -829,9 +847,15 @@ def min_rank_sampled(
     """Lower-effort variant of :func:`min_rank_difference` for large k.
 
     Exhausts all coefficient vectors with at most ``max_nonzeros`` nonzero
-    entries and adds ``n_random`` seeded dense random vectors.  The result is
-    an upper bound on the true minimum rank over the box; it is exact on the
-    sparse subset.  The two together may hold at most MAX_CANDIDATES vectors.
+    entries and adds ``n_random`` seeded random vectors, each uniform on the
+    box, less any zero vector drawn.  Square codes of side up to 4 cross
+    them as min_rank_difference splits its box: with m < k trailing digits
+    (base^m <= n_random, base = 2 search_bound + 1), n_random // base^m
+    random rows of the leading digits take every value of the trailing
+    ones, one more row the first n_random % base^m.  Other shapes, and
+    draws with no trailing digit, take independent rows.  The result is an
+    upper bound on the minimum rank over the box, exact on the at most
+    MAX_CANDIDATES vectors searched.
     """
     _check_nonnegative("search bound", search_bound)
     _check_nonnegative("max_nonzeros", max_nonzeros)
@@ -842,10 +866,15 @@ def min_rank_sampled(
         "sampled search", sparse + n_random, MAX_CANDIDATES, "the bound, max_nonzeros or n_random"
     )
     rows = _block_rows(basis)
-    blocks = itertools.chain(
-        _sparse_box(k, search_bound, max_nonzeros, rows),
-        _random_box(k, search_bound, n_random, seed, rows),
-    )
+    blocks = _sparse_box(k, search_bound, max_nonzeros, rows)
+    square = basis.n_t == basis.T <= _SPLIT_SIDES
+    if square and search_bound and _lo_digits(basis, 2 * search_bound + 1, n_random):
+        # m > 0, so the draw holds a nonzero vector: only the sparse box can be empty
+        best = _min_rank_sweep(basis, blocks, search_bound, _EMPTY_BOX) if sparse else basis.n_t
+        if best > _rank_floor(basis):
+            best = min(best, _min_rank_split(basis, search_bound, (n_random, seed)))
+        return best
+    blocks = itertools.chain(blocks, _random_box(k, search_bound, n_random, seed, rows))
     empty = _EMPTY_BOX
     if search_bound and n_random:  # then only zero draws leave no row
         empty = f"no coefficient vector to search: each of the {n_random} draws was the zero vector"

@@ -695,7 +695,8 @@ def run_campaign(
     seeded by (seed, snr index, trial index), in that order, so results are
     independent of execution schedule.  The noise is calibrated once, from
     CALIBRATION_SAMPLES samples.  The sphere decoder runs with the
-    classified profile's ordering (groups, then conditioned).
+    classified profile's ordering (groups, then conditioned).  Under
+    "both", a trial whose two exact decisions differ raises ValueError.
 
     The trials of an SNR point are decoded in blocks of about _BLOCK_BYTES
     of B_H, Q and R factors.  Each block forms its received blocks, real
@@ -744,7 +745,7 @@ def run_campaign(
                 X[i] = basis.combination(S[i])
                 noise[i] = _rayleigh((cfg.n_r, T), rng, sigma_n)
             Y = H @ X + noise
-            truths = [tuple(s) for s in S.tolist()]
+            truths, ml_coeffs = [tuple(s) for s in S.tolist()], []
             if want_ml:
                 B, y = _real_model(Y, H, basis, alphabet, range(k))
                 for i, truth in enumerate(truths):
@@ -752,6 +753,7 @@ def run_campaign(
                         R, P = _ml_rows(B[i : i + ml_block], y[i : i + ml_block], values, m)
                     res = _ml_search(B[i], y[i], values, m, R[i % ml_block], P[i % ml_block])
                     err_ml += res.coeffs != truth
+                    ml_coeffs.append(res.coeffs)
                     if not want_sp:
                         node_counts.append(res.nodes_visited)
             if want_sp:
@@ -760,6 +762,9 @@ def run_campaign(
                     _, coeffs, nodes = _sphere_search(
                         [R_b[i] for R_b in R_blocks], [z_b[i] for z_b in z_blocks], values, plan
                     )
+                    if want_ml and coeffs != ml_coeffs[i]:
+                        at = f"SNR index {si}, trial {start + i} of seed {cfg.seed}"
+                        raise ValueError(f"the sphere decoder and ML decided apart at {at}")
                     err_sp += coeffs != truth
                     node_counts.append(nodes)
         rows.append(

@@ -180,6 +180,17 @@ class TestLattice:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and figure in err
 
+    def test_slack_out_of_the_float_range_fails_validation(self, capsys, tmp_path):
+        # {s I, s iI} at s = 1e150 has a finite volume, but the |det|^2
+        # slack of its box, 1e-12 N^4, overflowed a Python float power:
+        # "internal error", exit 2.
+        path = tmp_path / "huge.json"
+        path.write_text(WeightBasis("huge", [1e150 * np.eye(2), 1e150j * np.eye(2)]).to_json())
+        code, out, err = run(capsys, "lattice", str(path), "--bound", "1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "out of the float range" in err
+        assert err.count("\n") == 1
+
     def test_subnormal_volume_fails_validation(self, capsys, tmp_path):
         # Four independent unit weights of a 2x3 code times 1e-80 printed
         # "volume": 1e-320, a subnormal, and exited 0.

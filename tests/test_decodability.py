@@ -999,6 +999,19 @@ def _random_unitary(rng, n):
     return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
 
 
+def _assert_groups_sorted(prof):
+    """Every group ascending; outside block_orthogonal, whose blocks run
+    part by part, the groups in order of their lowest index."""
+    assert all(list(g) == sorted(g) for g in prof.groups)
+    if prof.family != "block_orthogonal":
+        assert list(prof.groups) == sorted(prof.groups)
+
+
+@pytest.mark.parametrize("name", list(codebook.REGISTRY))
+def test_registry_groups_come_sorted(name):
+    _assert_groups_sorted(zoo(name)[1])
+
+
 @st.composite
 def planted_2x2(draw):
     """A 2x2 basis with a planted orthogonality graph, and what was planted.
@@ -1045,6 +1058,13 @@ class TestPlantedStructure:
         # to them lowers k': the planted k' is the least, so it is found.
         assert (prof.family, prof.k_prime) == (family, k_prime)
         assert (prof.groups, prof.conditioned) == (groups, separators)
+
+    @settings(max_examples=50)
+    @given(planted_2x2())
+    def test_groups_come_sorted(self, plant):
+        # classify takes the groups in the component finder's order, by
+        # lowest vertex with ascending members, with no sort of its own.
+        _assert_groups_sorted(classify(plant[0]))
 
     @settings(max_examples=50)
     @given(planted_2x2(), st.data())

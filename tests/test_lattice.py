@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from stlattice import decodability, lattice, simulate
@@ -1086,6 +1086,129 @@ class TestBoxProducers:
         assert block.shape == (rows, 16) == (2048, 16)
         with pytest.raises(ValueError, match="exceeds the cap"):
             next(lattice._coefficient_box(24, 1, rows))
+
+
+def _crossed_draw(basis, bound, n_random, seed):
+    """The vectors min_rank_sampled's crossed draw examines, from its stated
+    rule: m the most trailing digits with m < k, base^m <= n_random and a lo
+    table of base^m rows of C(2n, n) complex minors within _BLOCK_BYTES;
+    ceil(n_random / base^m) hi rows of one seeded draw, each followed by
+    every lo row in mixed-radix order; the first n_random of those, with
+    the zero vector dropped.  Returns (vectors, m)."""
+    base, terms = 2 * bound + 1, math.comb(2 * basis.n_t, basis.n_t)
+    m = max(
+        m for m in range(basis.k)
+        if base**m <= n_random and base**m * 16 * terms <= lattice._BLOCK_BYTES
+    )
+    rng = np.random.default_rng(seed)
+    hi = rng.integers(-bound, bound + 1, (-(-n_random // base**m), basis.k - m))
+    lo = np.array(list(itertools.product(range(-bound, bound + 1), repeat=m)))
+    rows = np.concatenate(
+        [np.repeat(hi, base**m, axis=0), np.tile(lo.reshape(base**m, m), (len(hi), 1))], axis=1
+    )[:n_random]
+    return rows[rows.any(axis=1)].astype(float), m
+
+
+def _sampled_draw(basis, bound, n_random, seed, rows=None):
+    """min_rank_sampled with no sparse vector, _block_rows patched to rows
+    (None keeps it): its result and the nonzero vectors that _split_box
+    yielded to it, hi row by hi row."""
+    split_box, seen = lattice._split_box, []
+
+    def recorded(*args):
+        for z_hi, z_lo, est in split_box(*args):
+            seen.append(lattice._pair_rows(z_hi, z_lo, *np.indices(est.shape).reshape(2, -1)))
+            yield z_hi, z_lo, est
+
+    with pytest.MonkeyPatch.context() as m:
+        if rows is not None:
+            m.setattr(lattice, "_block_rows", lambda basis: rows)
+        m.setattr(lattice, "_split_box", recorded)
+        got = min_rank_sampled(basis, bound, 0, n_random, seed)
+    vectors = np.concatenate(seen) if seen else np.zeros((0, basis.k))
+    return got, vectors[vectors.any(axis=1)]
+
+
+class TestCrossedDraw:
+    """min_rank_sampled's random vectors on square codes of side up to 4:
+    seeded hi rows crossed with every lo row by split minors."""
+
+    @given(small_boxes(), st.integers(0, 400), st.integers(0, 2**32 - 1))
+    def test_rank_is_the_least_over_the_drawn_vectors(self, args, n_random, seed):
+        # The vectors are the stated draw, all n_random of them less the
+        # zero vectors unless the sweep ended at its floor (at once, for a
+        # side-1 basis of independent weights), in the box, and the same at
+        # every _block_rows; the rank is _least_rank's over them.
+        basis, bound = args
+        assume(basis.k > 1 and n_random >= 2 * bound + 1)
+        want, _ = _crossed_draw(basis, bound, n_random, seed)
+        got, vectors = _sampled_draw(basis, bound, n_random, seed)
+        assert vectors.tobytes() == want[: len(vectors)].tobytes()
+        assert np.all(np.abs(vectors) <= bound)
+        assert len(vectors) == len(want) or got == lattice._rank_floor(basis)
+        if len(vectors):
+            assert got == lattice._least_rank(lattice._codewords(basis.mats, vectors))
+        for rows in (1, 7):
+            again, same = _sampled_draw(basis, bound, n_random, seed, rows)
+            assert again == got and same.tobytes() == vectors.tobytes()
+
+    @pytest.mark.blas_bits
+    @pytest.mark.parametrize("n_random, seed", [(1, 0), (1, 1), (2, 4), (1000, 0)])
+    def test_no_trailing_digit_keeps_the_independent_draws(self, monkeypatch, n_random, seed):
+        # k = 1, or n_random below the base, leaves no lo digit to cross:
+        # the draws are _random_box's, one whole draw with zero rows dropped,
+        # and all-zero draws are refused as before.
+        one = WeightBasis("one", [np.diag([1.0, 2.0 + 1j])])
+        whole = np.random.default_rng(seed).integers(-1, 2, size=(n_random, 1))
+        monkeypatch.setattr(lattice, "_split_box", None)
+        if not whole.any():
+            with pytest.raises(ValueError, match=f"each of the {n_random} draws was the zero vector"):
+                min_rank_sampled(one, 1, 0, n_random, seed)
+        else:
+            assert min_rank_sampled(one, 1, 0, n_random, seed) == 2
+        assert min_rank_sampled(alamouti_basis(), 1, 0, 2, seed) == 2
+
+    @pytest.mark.blas_bits
+    def test_dependent_basis_sweeps_on_past_rank_one_across_the_split(self, monkeypatch):
+        # B_4 = -B_1 across the split (k = 4, m = 3: the hi digit is z_1):
+        # z = (1, 0, 0, 1) and (-1, 0, 0, -1) have zero codewords, and rows
+        # of rank 1 (B_2 = diag(1, 0)) come first.  One row at a time, the
+        # ranks seen pass 1 before the sweep ends at 0.
+        b = WeightBasis("dep", [I2, np.diag([1.0, 0.0]), ALAMOUTI_MATS[2], -I2], allow_dependent=True)
+        want, m = _crossed_draw(b, 1, 100, 2)
+        assert m == 3 and want[:, 0].any()
+        least, ranks = lattice._least_rank, []
+        monkeypatch.setattr(lattice, "_block_rows", lambda basis: 1)
+        monkeypatch.setattr(lattice, "_least_rank", lambda X: ranks.append(least(X)) or ranks[-1])
+        assert min_rank_sampled(b, 1, 0, 100, 2) == 0
+        assert 1 in ranks and ranks.index(1) < ranks.index(0) == len(ranks) - 1
+        # the sparse vectors of one nonzero entry hold no zero codeword
+        assert min_rank_sampled(b, 1, 1, 0) == 1
+
+    @pytest.mark.blas_bits
+    @pytest.mark.parametrize(
+        "name, rank",
+        [("alamouti", 2), ("golden", 2), ("silver", 2), ("srinath_rajan", 4), ("mido_a4", 4),
+         ("simo_relay", 4)],
+    )
+    def test_registry_code_keeps_its_rank_with_no_row_at_the_svd(self, monkeypatch, name, rank):
+        # The benchmark's settings: every drawn |det|^2 is above the
+        # full-rank limit, so no row reaches the SVD.
+        seen, least = [], lattice._least_rank
+        monkeypatch.setattr(lattice, "_least_rank", lambda X: seen.append(len(X)) or least(X))
+        assert min_rank_sampled(build(name), 1, 3, 500_000) == rank
+        assert seen == []
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_weights_near_the_float_limit_keep_their_rank(self, scale):
+        # At 1e150 the split's full-rank limit, ((2 RANK_TOL + _SPLIT_ERR)
+        # N^2)^2, is past the float range: min_rank_difference raised
+        # OverflowError.  An infinite limit sends every row to the SVD, and
+        # the crossed draw drops its zero vectors there too.
+        b = WeightBasis("big", [scale * I2, scale * 1j * I2])
+        assert min_rank_difference(b, 1) == 2
+        assert min_rank_sampled(b, 1, 2, 100, 0) == 2
+        assert min_rank_sampled(b, 1, 0, 100, 0) == 2
 
 
 class TestOneBlockInFlight:

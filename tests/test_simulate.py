@@ -1595,6 +1595,29 @@ class TestCampaign:
         blocks = [(per_block, dim, basis.k), (cfg.trials - per_block, dim, basis.k)]
         assert calls == blocks * len(cfg.snr_db_grid)
 
+    def test_both_refuses_decoders_that_decide_apart(self, monkeypatch):
+        # One sphere decision flipped, at trial 7 of SNR index 1: a "both"
+        # campaign stops there and names the trial's replay coordinates; a
+        # sphere-only campaign has no ML decision to hold it to.
+        basis = code("alamouti")
+        cfg = default_config(basis, (0.0, 10.0), trials=12, seed=3)
+        search, calls = simulate._sphere_search, []
+
+        def flipped(*args):
+            s_hat, coeffs, nodes = search(*args)
+            calls.append(coeffs)
+            if len(calls) == cfg.trials + 8:
+                coeffs = (-coeffs[0], *coeffs[1:])
+            return s_hat, coeffs, nodes
+
+        monkeypatch.setattr(simulate, "_sphere_search", flipped)
+        msg = "^the sphere decoder and ML decided apart at SNR index 1, trial 7 of seed 3$"
+        with pytest.raises(ValueError, match=msg):
+            run_campaign(basis, pam(2), cfg)
+        assert len(calls) == cfg.trials + 8
+        calls.clear()
+        assert len(run_campaign(basis, pam(2), cfg, decoder="sphere").rows) == 2
+
     def test_rejects_unknown_decoder(self):
         basis = code("alamouti")
         cfg = default_config(basis, (0.0,), trials=1, seed=0)
