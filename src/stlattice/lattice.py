@@ -782,8 +782,7 @@ def _min_rank_split(basis: WeightBasis, bound: int, draw=None) -> int:
     #    of det X (_SPLIT_ERR's first two terms), so one above (2 RANK_TOL +
     #    _SPLIT_ERR) N^n gives sigma_min > 2 RANK_TOL N >= 2 RANK_TOL sigma_max;
     #  - the SVD's rounding, some 1e-15 sigma_max, and est's few ulps fit in
-    #    the factor 2 and in _SPLIT_ERR's slack.  A non-finite est is kept,
-    #    and an infinite limit sends every row to _ranks.
+    #    the factor 2 and in _SPLIT_ERR's slack.  A non-finite est or limit keeps a row.
     with np.errstate(over="ignore"):
         norm = np.float64(_box_norm(basis, bound))
         limit = ((2 * RANK_TOL + _SPLIT_ERR) * norm**basis.n_t) ** 2
@@ -852,10 +851,11 @@ def min_rank_sampled(
     them as min_rank_difference splits its box: with m < k trailing digits
     (base^m <= n_random, base = 2 search_bound + 1), n_random // base^m
     random rows of the leading digits take every value of the trailing
-    ones, one more row the first n_random % base^m.  Other shapes, and
-    draws with no trailing digit, take independent rows.  The result is an
-    upper bound on the minimum rank over the box, exact on the at most
-    MAX_CANDIDATES vectors searched.
+    ones, one more the first n_random % base^m, so vectors share leading
+    digits in runs of base^m.  Other shapes, and draws with no trailing
+    digit, take independent rows.  The result is an upper bound on the
+    minimum rank over the box, exact on the vectors searched, which may
+    number at most MAX_CANDIDATES.
     """
     _check_nonnegative("search bound", search_bound)
     _check_nonnegative("max_nonzeros", max_nonzeros)
