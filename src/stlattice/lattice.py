@@ -304,30 +304,6 @@ def _codewords(mats: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (z.astype(float, copy=False) @ flat).view(complex).reshape(-1, *mats.shape[1:])
 
 
-def _det(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of square matrices: closed forms for sides
-    2 and 4 (side 4 by a Laplace expansion in 2x2 minors), LAPACK otherwise."""
-    side = mats.shape[-1]
-    if side not in (2, 4):
-        return np.linalg.det(mats)
-    # a[i][j] is the view mats[:, i, j]: entry (i, j) of every matrix
-    a = [[mats[:, i, j] for j in range(side)] for i in range(side)]
-
-    def minor(r, i, j):  # rows r and r + 1, columns i and j
-        return a[r][i] * a[r + 1][j] - a[r][j] * a[r + 1][i]
-
-    if side == 2:
-        return minor(0, 0, 1)
-    return (
-        minor(0, 0, 1) * minor(2, 2, 3)
-        - minor(0, 0, 2) * minor(2, 1, 3)
-        + minor(0, 0, 3) * minor(2, 1, 2)
-        + minor(0, 1, 2) * minor(2, 0, 3)
-        - minor(0, 1, 3) * minor(2, 0, 2)
-        + minor(0, 2, 3) * minor(2, 0, 1)
-    )
-
-
 def _fro_sq(mats: np.ndarray) -> np.ndarray:
     """||X||_F^2 of every matrix in a stack."""
     flat = np.ascontiguousarray(mats).reshape(len(mats), -1).view(float)
@@ -443,11 +419,14 @@ def _lead_rows(hi: np.ndarray) -> np.ndarray:
     return lead.reshape(2 * len(hi), -1)
 
 
-def _abs_sq(det: np.ndarray) -> np.ndarray:
-    """|det|^2 from the rows of real and imaginary parts of a lead product,
-    in place: the squares of the odd rows are added into the even rows,
-    whose view is returned, so no second array is formed."""
-    with np.errstate(over="ignore"):  # a square past the float range is inf
+def _abs_sq(lead: np.ndarray, trail: np.ndarray) -> np.ndarray:
+    """|det|^2 from the product of lead rows and a lo table, whose rows hold
+    real and imaginary parts, formed in it: the squares of the odd rows are
+    added into the even rows, whose view is returned, so no second array is
+    formed."""
+    # past the float range a value is inf or NaN, which the callers keep
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = lead @ trail
         np.square(det, out=det)
         est = det[0::2]
         est += det[1::2]
@@ -501,7 +480,8 @@ def _split_box(basis: WeightBasis, bound: int, draw=None):
     h, lo_count, terms = basis.k - m, base**m, math.comb(2 * basis.n_t, basis.n_t)
     values = np.arange(base, dtype=float) - bound
     z_lo = next(_mixed_radix(values, m, 0, lo_count, lo_count))
-    trail = _trail(_codewords(basis.mats[h:], z_lo))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _abs_sq
+        trail = _trail(_codewords(basis.mats[h:], z_lo))
     hi_rows = max(1, _BLOCK_BYTES // (32 * lo_count))
     # a hi row's lead rows take 32 terms bytes
     lead_rows = hi_rows * max(1, _BLOCK_BYTES // (64 * terms * hi_rows))
@@ -515,12 +495,13 @@ def _split_box(basis: WeightBasis, bound: int, draw=None):
         sizes = [(min(cap, full - at), lo_count) for at in range(0, full, cap)] + [(1, rest)]
         leads = ((rng.integers(-bound, bound + 1, (n, h)), slice(c)) for n, c in sizes if c)
     for z_lead, cols in leads:
-        rows = _lead_rows(_codewords(basis.mats[:h], z_lead))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _lead_rows(_codewords(basis.mats[:h], z_lead))
         for at in range(0, len(z_lead), hi_rows):
-            det = rows[2 * at : 2 * (at + hi_rows)] @ trail[:, cols]
+            est = _abs_sq(rows[2 * at : 2 * (at + hi_rows)], trail[:, cols])
             if at + hi_rows >= len(z_lead):
                 del rows  # the lead block's last product
-            yield z_lead[at : at + hi_rows], z_lo[cols], _abs_sq(det)
+            yield z_lead[at : at + hi_rows], z_lo[cols], est
 
 
 def _recheck(basis: WeightBasis, bound: int, batches, reduce, best):
@@ -677,7 +658,10 @@ def profile_from_generator(gen: np.ndarray) -> LatticeProfile:
             f"degenerate lattice: the {k} generator columns span only {rank} "
             "real dimensions"
         )
-    gram = gen.T @ gen
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = gen.T @ gen
+    if not np.isfinite(gram).all():
+        raise ValueError("the Gram matrix is out of the float range at this scale of the generator")
     # From the log-determinant, which neither underflows nor overflows
     # where det(Gram) itself would at large k or extreme scales.
     sign, logdet = np.linalg.slogdet(gram)
@@ -702,31 +686,27 @@ def _least_rank(mats: np.ndarray) -> int:
     return int(_ranks(mats).min())
 
 
-def _min_rank_of_block(mats: np.ndarray, limit: float) -> int:
+def _min_rank_of_block(mats: np.ndarray) -> int:
     """Minimum rank across a stack of matrices.
 
     Fast path for square stacks: a clearly nonzero determinant certifies
-    full rank; only the near-singular members go through the SVD.  A row
-    with |det X| > limit passes without its norm; limit is at least every
-    row's own bound below (_min_rank_sweep), so the rest take that bound
-    and exactly its rows reach the SVD.
+    full rank; only the near-singular members go through the SVD.
 
     |det X| > 1e-6 scale^n, scale^2 = ||X||_F^2 / n, certifies at every
     side: AM-GM over the other n - 1 singular values gives sigma_min /
     sigma_max > 1e-6 (n - 1)^((n-1)/2) / n^(n/2), about 0.6e-6 / sqrt(n)
-    (1.8e-7 at n = 12, mimo_relay), far above RANK_TOL.
+    (1.8e-7 at n = 12, mimo_relay), far above RANK_TOL.  A NaN |det|, or
+    a bound past the float range, certifies nothing: its row goes to the SVD.
     """
     side = mats.shape[-1]
     if mats.shape[-2] != side:
         return _least_rank(mats)
-    dets = np.abs(_det(mats))
-    near = dets <= limit
-    if not near.any():
-        return side
-    mats, dets = mats[near], dets[near]
-    scale = np.sqrt(_fro_sq(mats) / side) + 1e-300
-    # <=, not <: for a zero codeword both sides underflow to 0
-    suspicious = dets <= 1e-6 * scale**side
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.abs(np.linalg.det(mats))
+        scale = np.sqrt(_fro_sq(mats) / side) + 1e-300
+        # not >, so a NaN |det| goes to the SVD; for a zero codeword both
+        # sides underflow to 0
+        suspicious = ~(dets > 1e-6 * scale**side)
     if not suspicious.any():
         return side
     return _least_rank(mats[suspicious])
@@ -741,7 +721,7 @@ def min_rank_difference(basis: WeightBasis, search_bound: int = 1) -> int:
     if basis.n_t == basis.T <= _SPLIT_SIDES:
         return _min_rank_split(basis, search_bound)
     blocks = _coefficient_box(basis.k, search_bound, _block_rows(basis))
-    return _min_rank_sweep(basis, blocks, search_bound, _EMPTY_BOX)
+    return _min_rank_sweep(basis, blocks, _EMPTY_BOX)
 
 
 def _rank_floor(basis: WeightBasis) -> int:
@@ -750,24 +730,12 @@ def _rank_floor(basis: WeightBasis) -> int:
     return 1 if basis.rank == basis.k else 0
 
 
-def _min_rank_sweep(basis: WeightBasis, blocks, bound: int, empty: str) -> int:
-    """The least rank over the blocks' codewords, rows of the box
-    ||z||_inf <= bound, ending at _rank_floor; _sweep raises
-    ValueError(empty) if there is no block."""
-    # A square codeword X with |det X| above limit passes the per-row test
-    # of _min_rank_of_block.  Derivation, with N = _box_norm(basis, bound):
-    #  - ||X||_F <= N for every codeword of the box, with a margin of 1e-9
-    #    relative for the rounding of the codewords and their norms;
-    #  - so a row's scale sqrt(||X||_F^2 / n) + 1e-300, as computed, is at
-    #    most N / sqrt(n) + 1e-300, and its bound 1e-6 scale^n at most limit
-    #    = 1e-6 (N / sqrt(n) + 1e-300)^n: the power is monotone, and its few
-    #    ulps of rounding are far inside the margin.  An infinite limit
-    #    sends every row to the per-row test.
-    side = basis.T
-    with np.errstate(over="ignore"):
-        limit = 1e-6 * (np.float64(_box_norm(basis, bound)) / math.sqrt(side) + 1e-300) ** side
-    reduce = functools.partial(_min_rank_of_block, limit=limit)
-    return _sweep(basis, blocks, reduce, min(basis.n_t, basis.T), _rank_floor(basis), empty)
+def _min_rank_sweep(basis: WeightBasis, blocks, empty: str) -> int:
+    """The least rank over the blocks' codewords, ending at _rank_floor;
+    _sweep raises ValueError(empty) if there is no block."""
+    return _sweep(
+        basis, blocks, _min_rank_of_block, min(basis.n_t, basis.T), _rank_floor(basis), empty
+    )
 
 
 def _min_rank_split(basis: WeightBasis, bound: int, draw=None) -> int:
@@ -870,7 +838,7 @@ def min_rank_sampled(
     square = basis.n_t == basis.T <= _SPLIT_SIDES
     if square and search_bound and _lo_digits(basis, 2 * search_bound + 1, n_random):
         # m > 0, so the draw holds a nonzero vector: only the sparse box can be empty
-        best = _min_rank_sweep(basis, blocks, search_bound, _EMPTY_BOX) if sparse else basis.n_t
+        best = _min_rank_sweep(basis, blocks, _EMPTY_BOX) if sparse else basis.n_t
         if best > _rank_floor(basis):
             best = min(best, _min_rank_split(basis, search_bound, (n_random, seed)))
         return best
@@ -878,4 +846,4 @@ def min_rank_sampled(
     empty = _EMPTY_BOX
     if search_bound and n_random:  # then only zero draws leave no row
         empty = f"no coefficient vector to search: each of the {n_random} draws was the zero vector"
-    return _min_rank_sweep(basis, blocks, search_bound, empty)
+    return _min_rank_sweep(basis, blocks, empty)

@@ -191,6 +191,17 @@ class TestLattice:
         assert err.startswith("error: ") and "out of the float range" in err
         assert err.count("\n") == 1
 
+    def test_gram_out_of_the_float_range_fails_validation(self, capsys, tmp_path):
+        # {s I, s iI} at s = 1e160: gen.T @ gen overflowed with a
+        # RuntimeWarning ("internal error", exit 2, as pytest runs it), then
+        # the volume was refused as exp(inf).
+        path = tmp_path / "huge.json"
+        path.write_text(WeightBasis("huge", [1e160 * np.eye(2), 1e160j * np.eye(2)]).to_json())
+        code, out, err = run(capsys, "lattice", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the Gram matrix ") and "out of the float range" in err
+        assert err.count("\n") == 1
+
     def test_subnormal_volume_fails_validation(self, capsys, tmp_path):
         # Four independent unit weights of a 2x3 code times 1e-80 printed
         # "volume": 1e-320, a subnormal, and exited 0.

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -665,9 +666,9 @@ class TestSweepBlocks:
         for m, rows in self._each_setting(monkeypatch, b):
             seen = []
 
-            def counted(mats, limit):
+            def counted(mats):
                 seen.append(len(mats))
-                return reduce(mats, limit)
+                return reduce(mats)
 
             m.setattr(lattice, "_min_rank_of_block", counted)
             assert min_rank_difference(b, search_bound=1) == 1
@@ -697,20 +698,6 @@ class TestSweepBlocks:
                 assert min_rank_difference(b, search_bound=1) == 1
             # the sweep returns at the end of the block that holds row 5
             assert seen == blocks and sum(seen[:-1]) <= first < sum(seen)
-
-
-class TestClosedFormDet:
-    @pytest.mark.parametrize("side", [2, 4])
-    @pytest.mark.parametrize("e", [-60, 0, 60])
-    def test_matches_lapack(self, side, e):
-        rng = np.random.default_rng([side, e + 60])
-        X = rng.normal(size=(3000, side, side)) + 1j * rng.normal(size=(3000, side, side))
-        X[::7, -1] = X[::7, 0]  # exactly singular rows
-        X[1::7, -1] = 3 * X[1::7, 0] + 1e-9 * X[1::7, -1]  # nearly singular rows
-        X = np.ldexp(X.real, e) + 1j * np.ldexp(X.imag, e)
-        # relative to ||X||_F^n, which bounds |det X| and the rounding of both
-        err = np.abs(lattice._det(X) - np.linalg.det(X))
-        assert np.all(err <= 1e-12 * np.linalg.norm(X, axis=(1, 2)) ** side)
 
 
 def _lapack_min_abs_det_sq(basis, bound):
@@ -1005,10 +992,10 @@ class TestDetSlack:
 class TestRankLimit:
     @given(small_boxes())
     def test_box_norm_bounds_every_codeword_and_the_sweep_keeps_the_least_rank(self, args):
-        # The full-rank limit of _min_rank_sweep rests on ||X||_F <= N for
-        # every codeword of the box.  With max_nonzeros = k and no draws the
-        # whole box goes through the sweep, which finds the least rank that
-        # _least_rank finds over every codeword.
+        # The split's full-rank limit rests on ||X||_F <= N for every
+        # codeword of the box.  With max_nonzeros = k and no draws the whole
+        # box goes through the per-codeword test of _min_rank_sweep, which
+        # finds the least rank that _least_rank finds over every codeword.
         basis, bound = args
         z = np.concatenate(list(lattice._coefficient_box(basis.k, bound, 512)))
         mats = lattice._codewords(basis.mats, z)
@@ -1016,14 +1003,56 @@ class TestRankLimit:
         assert min_rank_sampled(basis, bound, basis.k, 0) == lattice._least_rank(mats)
 
     def test_mimo_relay_sends_the_same_rows_to_the_svd(self, monkeypatch):
-        # At n = 12 the limit is above the |det| of each of the 20,576 rows,
-        # so every row takes the per-row test, which sends these 20 to the
-        # SVD, as it did with no limit.  A limit of 0 would send none of
-        # them, and the limit alone all 20,576.
+        # At n = 12 the per-codeword test alone, |det X| > 1e-6 scale^n on
+        # LAPACK's det, certifies all but these 20 of the 20,576 rows; the
+        # rest go to the SVD.
         least, seen = lattice._least_rank, []
         monkeypatch.setattr(lattice, "_least_rank", lambda X: seen.append(len(X)) or least(X))
         assert min_rank_sampled(build("mimo_relay"), 1, 2, 20_000) == 12
         assert sum(seen) == 20
+
+
+@st.composite
+def planted_stacks(draw):
+    """A square stack of side 2 to 5 whose rows are random, exactly singular
+    (a repeated column, or rank 1) or nearly singular (a column within
+    10^-12 to 10^-6 of a multiple of another), scaled by 2^e, |e| <= 500."""
+    n, e = draw(st.integers(2, 5)), draw(st.integers(-500, 500))
+    kinds = draw(st.lists(st.sampled_from(["random", "column", "rank1", "near"]), min_size=1,
+                          max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(len(kinds), n, n)) + 1j * rng.normal(size=(len(kinds), n, n))
+    for x, kind in zip(X, kinds):
+        if kind == "column":
+            x[:, -1] = x[:, 0]
+        elif kind == "rank1":
+            x[:] = np.outer(x[:, 0], x[0])
+        elif kind == "near":
+            x[:, -1] = 3 * x[:, 0] + 10.0 ** draw(st.integers(-12, -6)) * x[:, -1]
+    return np.ldexp(X.real, e) + 1j * np.ldexp(X.imag, e)
+
+
+@pytest.mark.blas_bits
+class TestPerCodewordTest:
+    """_min_rank_of_block certifies a square codeword as full rank by
+    |det X| > 1e-6 (||X||_F / sqrt(n))^n on LAPACK's det; every other row
+    goes to the SVD."""
+
+    @pytest.mark.parametrize("side", [2, 4])
+    @pytest.mark.parametrize("s", [1e160, 1e200])
+    def test_rank_one_codeword_at_a_large_scale_is_not_certified(self, side, s):
+        # s J, J all ones, has rank 1.  A closed-form det of it, s s - s s,
+        # was inf - inf = NaN, which failed the <= tests of not-full rank:
+        # the sparse box's one-entry rows gave rank 2 at side 2 and 4 at
+        # side 4.  LAPACK's det of s J is 0.0.
+        b = WeightBasis("sJ", [s * np.ones((side, side)), s * np.eye(side)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert min_rank_sampled(b, 1, 1, 0, 0) == min_rank_difference(b, 1) == 1
+
+    @given(planted_stacks())
+    def test_keeps_the_least_rank_of_the_svd(self, X):
+        assert lattice._min_rank_of_block(X) == lattice._least_rank(X)
 
 
 @pytest.mark.blas_bits
@@ -1199,12 +1228,14 @@ class TestCrossedDraw:
         assert min_rank_sampled(build(name), 1, 3, 500_000) == rank
         assert seen == []
 
-    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e160])
     def test_weights_near_the_float_limit_keep_their_rank(self, scale):
         # At 1e150 the split's full-rank limit, ((2 RANK_TOL + _SPLIT_ERR)
         # N^2)^2, is past the float range: min_rank_difference raised
         # OverflowError.  An infinite limit sends every row to the SVD, and
-        # the crossed draw drops its zero vectors there too.
+        # the crossed draw drops its zero vectors there too.  At 1e160 the
+        # minors, the lead products and the sparse rows' dets overflow too,
+        # with no RuntimeWarning.
         b = WeightBasis("big", [scale * I2, scale * 1j * I2])
         assert min_rank_difference(b, 1) == 2
         assert min_rank_sampled(b, 1, 2, 100, 0) == 2
